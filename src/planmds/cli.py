@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
 
 from .core import (
     DeterministicMap,
@@ -25,7 +24,7 @@ from .core import (
 )
 from .energy import determinism_report, stress_plan
 from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment, save_embedding_csv
-from .optim import DescentConfig, marginal_sweep, particle_descent, pca_solve
+from .optim import DescentConfig, _initial_images, marginal_sweep, particle_descent
 from .quartic import MomentSet, level_set_grid, save_levelset_csv
 from . import svgplot
 
@@ -121,13 +120,7 @@ def _cmd_embed(args) -> int:
         mapping, trace = particle_descent(cloud, cost, dcfg)
         plan = plan_from_map(cloud, mapping)
     else:
-        if cfg["init"] == "pca":
-            init_map = pca_solve(cloud, int(cfg["dim"]))
-        elif cfg["init"] == "random":
-            rng = np.random.default_rng(int(cfg["seed"]))
-            init_map = DeterministicMap(rng.standard_normal((cloud.n, int(cfg["dim"]))))
-        else:
-            raise InputError(f"unknown init {cfg['init']!r}")
+        init_map = DeterministicMap(_initial_images(cloud, dcfg))
         plan, trace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, dcfg)
     stress = stress_plan(plan, cloud, cost)
     det = determinism_report(plan, 1e-10, 1e-10)

@@ -318,6 +318,9 @@ class CostFamily:
     ``kind`` selects the embedded-variable statistic t: "IP" uses <y,y'>,
     "N2" uses |y-y'|^2.  Subclasses supply the scalar/vectorized profile and
     the base statistic of the feature pair, plus capability flags.
+    ``has_moment_form`` marks the cost (|x-x'|^2 - |y-y'|^2)^2, whose energies,
+    marginals and gradients all follow from the low-rank lifted moments of
+    quartic.LiftedMoments instead of pairwise sums.
     """
 
     name = "abstract"
@@ -325,6 +328,7 @@ class CostFamily:
     convex_in_t = False
     unique_min_at_zero = False
     has_closed_form_marginal = False
+    has_moment_form = False
 
     # --- feature-pair statistic -------------------------------------------------
     def base_matrix(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -432,6 +436,7 @@ class QMDS(CostFamily):
     convex_in_t = True
     unique_min_at_zero = True
     has_closed_form_marginal = True
+    has_moment_form = True
 
     def base_matrix(self, X1, X2):
         return _sqdist_matrix(X1, X2)

@@ -17,6 +17,7 @@ from .core import (
     DeterministicMap,
     EmbeddingPlan,
     InputError,
+    MERGE_TOL,
     Perturbation,
     PointCloud,
     QMDS,
@@ -182,7 +183,7 @@ def apply_perturbation(plan: EmbeddingPlan, gamma: Perturbation, eps: float) -> 
             d_arr, a_arr = gamma.rows[i]
             for dq, ya in zip(d_arr, a_arr):
                 for k, yk in enumerate(atoms):
-                    if np.max(np.abs(ya - yk)) <= 1e-12:
+                    if np.max(np.abs(ya - yk)) <= MERGE_TOL:
                         masses[k] += eps * float(dq)
                         break
                 else:

@@ -9,6 +9,7 @@ needle direction is used, so the energy is non-increasing in every case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,9 @@ from .energy import (
     _pair_energy,
 )
 from .quartic import (
+    LiftedMoments,
     MarginalSolution,
+    map_objective,
     minimize_quartic,
     moments_from_arrays,
     quartic_at,
@@ -39,6 +42,7 @@ from .quartic import (
 )
 
 GAIN_TOL = 1e-9    # per-unit-mass marginal gain below which a move is skipped
+ENERGY_RTOL = 1e-12  # rounding bound, relative, below which a moment energy replaces the pairwise sum
 
 
 @dataclass
@@ -111,14 +115,11 @@ def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:
     raise InputError(f"unknown init {init!r}")
 
 
-def particle_descent(cloud: PointCloud, cost: CostFamily,
-                     config: DescentConfig) -> tuple[DeterministicMap, IterationTrace]:
-    """Gradient descent on particle positions with Armijo backtracking."""
-    Y = _initial_images(cloud, config)
-    X = cloud.points
+def _dense_objective(cloud: PointCloud, cost: CostFamily):
+    """Energy and gradient of the map energy from the n x n pairwise matrices."""
     w = cloud.weights
     M = np.outer(w, w)
-    A = cost.base_matrix(X, X)
+    A = cost.base_matrix(cloud.points, cloud.points)
 
     def energy(Yc):
         return float(np.sum(M * cost.profile(A, cost.t_matrix(Yc, Yc))))
@@ -129,6 +130,19 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
         if cost.kind == "IP":
             return 2.0 * G @ Yc
         return 4.0 * (np.sum(G, axis=1)[:, None] * Yc - G @ Yc)
+
+    return energy, gradient
+
+
+def particle_descent(cloud: PointCloud, cost: CostFamily,
+                     config: DescentConfig) -> tuple[DeterministicMap, IterationTrace]:
+    """Gradient descent on particle positions with Armijo backtracking."""
+    Y = _initial_images(cloud, config)
+    w = cloud.weights
+    if cost.has_moment_form:
+        energy, gradient = map_objective(cloud.points, w, Y.shape[1])
+    else:
+        energy, gradient = _dense_objective(cloud, cost)
 
     trace = IterationTrace()
     E = energy(Y)
@@ -161,7 +175,7 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
         grad = gradient(Y)
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
-    trace.final_grad_norm = float(np.sqrt(np.sum(gradient(Y) ** 2)))
+    trace.final_grad_norm = float(np.sqrt(np.sum(grad * grad)))
     return DeterministicMap(Y), trace
 
 
@@ -206,11 +220,9 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
 
 
 def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
-                           moments=None, extra_starts=()) -> MarginalSolution:
-    if cost.name == "qmds":
-        if moments is None:
-            moments = moments_from_arrays(X, mass, atoms)
-        return minimize_quartic(quartic_at(moments, x))
+                           extra_starts=()) -> MarginalSolution:
+    if cost.has_moment_form:
+        return minimize_quartic(quartic_at(moments_from_arrays(X, mass, atoms), x))
     if cost.name == "quadratic-ip":
         return _quadratic_ip_solution(X, mass, atoms, cost, x)
     return _generic_solution(X, mass, atoms, cost, x, config, extra_starts)
@@ -283,7 +295,13 @@ class _SweepState:
         self.atoms = np.delete(self.atoms, pos, axis=0)
         self.X = np.delete(self.X, pos, axis=0)
 
-    def energy(self, cost: CostFamily) -> float:
+    def energy(self, cost: CostFamily, sums: LiftedMoments = None) -> float:
+        """The plan energy: from the lifted moments when their rounding bound
+        allows, else (costs without them, near-isometric plans) the pairwise sum."""
+        if sums is not None:
+            value, rounding = sums.energy()
+            if rounding <= ENERGY_RTOL * value:
+                return value
         return _pair_energy(self.X, self.atoms, self.mass, cost)
 
     def split_fraction(self) -> float:
@@ -310,14 +328,31 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     With a squared-distance cost uniquely minimized at zero the full move is
     always energy-decreasing; otherwise the step along the needle is clamped
     to the minimizing epsilon in [0, 1].
+
+    For a cost with a moment form the marginal problem, its values and the
+    sweep energies come from lifted moments that each move updates by rank
+    one; they are rebuilt exactly at every sweep boundary, so rounding does
+    not carry from one sweep to the next.
     """
     state = _SweepState(plan, cloud)
     full_move = cost.kind == "N2" and cost.unique_min_at_zero
-    qmds = cost.name == "qmds"
-    moments = moments_from_arrays(state.X, state.mass, state.atoms) if qmds else None
+    sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
+
+    def marginal(x):
+        """(solve, value) of the marginal problem at x for the plan as it stands."""
+        if sums is not None:
+            qm = quartic_at(sums.moment_set(), x)
+            return (lambda y_start: minimize_quartic(qm)), qm.value
+
+        def solve(y_start):
+            return _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, config,
+                                          extra_starts=(y_start,))
+
+        return solve, functools.partial(_marginal_value_arrays, state.X, state.mass,
+                                        state.atoms, cost, x)
 
     trace = IterationTrace()
-    E = state.energy(cost)
+    E = state.energy(cost, sums)
     trace.add(E, state.split_fraction(), 0.0)
 
     for _ in range(config.max_sweeps):
@@ -337,12 +372,10 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if pos is None:
                     continue  # merged away earlier in this row's pass
                 q = float(state.mass[pos])
-                sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x,
-                                             config, moments=moments,
-                                             extra_starts=(y_old,))
-                y_new = select_minimizer(sol)
-                j_old = _marginal_value_arrays(state.X, state.mass, state.atoms, cost, x, y_old)
-                j_new = _marginal_value_arrays(state.X, state.mass, state.atoms, cost, x, y_new)
+                solve, value = marginal(x)
+                y_new = select_minimizer(solve(y_old))
+                j_old = value(y_old)
+                j_new = value(y_new)
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 L = q * (j_new - j_old)
@@ -365,8 +398,8 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     state.replace_atom(pos, y_new)
                 else:
                     state.split_atom(pos, eps * q, y_new)
-                if qmds:
-                    moments = moments_from_arrays(state.X, state.mass, state.atoms)
+                if sums is not None:
+                    sums.move(x, y_old, y_new, eps * q)
                 moved += eps * q
                 max_delta = max(max_delta, delta)
                 any_accepted = True
@@ -378,8 +411,8 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     row = state.row_positions(i)
                     if len(row) <= 1:
                         break
-                    jvals = [_marginal_value_arrays(state.X, state.mass, state.atoms,
-                                                    cost, x, state.atoms[p]) for p in row]
+                    _, value = marginal(x)
+                    jvals = [value(state.atoms[p]) for p in row]
                     order = np.argsort(jvals)  # ties still yield distinct slots
                     dst = int(row[order[0]])
                     src = int(row[order[-1]])
@@ -391,12 +424,14 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     Q = 2.0 * q * q * (cost.profile(base, 0.0)
                                        - cost.profile(base, cost.t_value(y_old, y_new)))
                     state.replace_atom(src, y_new)
-                    if qmds:
-                        moments = moments_from_arrays(state.X, state.mass, state.atoms)
+                    if sums is not None:
+                        sums.move(x, y_old, y_new, q)
                     moved += q
                     max_delta = max(max_delta, 2.0 * L + Q)
                     any_accepted = True
-        E_new = state.energy(cost)
+        if sums is not None:
+            sums = LiftedMoments(state.X, state.mass, state.atoms)
+        E_new = state.energy(cost, sums)
         trace.add(E_new, state.split_fraction(), moved,
                   max_delta if any_accepted else 0.0)
         improvement = E - E_new

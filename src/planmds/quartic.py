@@ -96,28 +96,135 @@ class MomentSet:
             raise InputError(f"{path}: missing moment field {exc}") from None
 
 
+def _residual_form(m: int, d: int) -> np.ndarray:
+    """The symmetric P with |x_a-x_b|^2 - |y_a-y_b|^2 = f_a^T P f_b.
+
+    f = (1, |y|^2 - |x|^2, y, x) is the lifted feature of an atom (y in R^m,
+    x in R^d), so every squared-distance residual matrix has rank <= d+m+2.
+    """
+    P = np.zeros((2 + m + d, 2 + m + d))
+    P[0, 1] = P[1, 0] = -1.0
+    P[2:2 + m, 2:2 + m] = 2.0 * np.eye(m)
+    P[2 + m:, 2 + m:] = -2.0 * np.eye(d)
+    return P
+
+
+class LiftedMoments:
+    """F = sum_a m_a f_a f_a^T over the lifted features f_a of the atoms.
+
+    Features are taken about a fixed origin, the atom means when the sums are
+    built, so moving an atom is a rank-one update of F.  The moment set of the
+    quartic marginal, the marginal values and the plan energy all follow from
+    F in O((d+m)^3), with no pass over the atoms.  The sums are built with
+    math.fsum: the energy cancels down from the moments, and accumulated
+    rounding in them would cost digits (and depend on the BLAS).
+    """
+
+    def __init__(self, X: np.ndarray, mass: np.ndarray, atoms: np.ndarray):
+        self.x0 = mass @ X
+        self.y0 = mass @ atoms
+        self.dim_m = atoms.shape[1]
+        self.P = _residual_form(self.dim_m, X.shape[1])
+        f = self._features(X, atoms)
+        i, j = np.triu_indices(f.shape[1])
+        sums = [math.fsum(col) for col in (f[:, i] * f[:, j] * mass[:, None]).T.tolist()]
+        self.F = np.empty((f.shape[1], f.shape[1]))
+        self.F[i, j] = sums
+        self.F[j, i] = sums
+        self._moments = None
+
+    def _features(self, X, atoms) -> np.ndarray:
+        Y = atoms - self.y0
+        Xc = X - self.x0
+        r = np.sum(Y * Y, axis=1) - np.sum(Xc * Xc, axis=1)
+        return np.column_stack([np.ones(len(r)), r, Y, Xc])
+
+    def move(self, x, y_from, y_to, mass: float) -> None:
+        """Move `mass` of the atoms at (x, y_from) to (x, y_to)."""
+        f = self._features(np.stack([x, x]), np.stack([y_from, y_to]))
+        self.F += (f.T * np.array([-mass, mass])) @ f
+        self._moments = None
+
+    def moment_set(self) -> MomentSet:
+        """The centred moment set, by an exact change of origin to the current means."""
+        if self._moments is None:
+            m = self.dim_m
+            dy, dx = self.F[0, 2:2 + m], self.F[0, 2 + m:]
+            T = np.eye(self.F.shape[0])
+            T[1, 0] = dy @ dy - dx @ dx
+            T[1, 2:2 + m] = -2.0 * dy
+            T[1, 2 + m:] = 2.0 * dx
+            T[2:, 0] = -self.F[0, 2:]
+            C = T @ self.F @ T.T
+            C = 0.5 * (C + C.T)
+            s1 = float(C[0, 1])
+            self._moments = MomentSet(
+                S=2.0 * C[2:2 + m, 2:2 + m] + s1 * np.eye(m),
+                Phi=C[2:2 + m, 2 + m:],
+                b=C[2:2 + m, 1],
+                Cxx=C[2 + m:, 2 + m:],
+                s1=s1,
+                s2=float(C[1, 1]),
+                a1=C[2 + m:, 1],
+                x_mean=self.x0 + dx,
+                y_mean=self.y0 + dy,
+            )
+        return self._moments
+
+    def energy(self) -> tuple[float, float]:
+        """The plan energy sum_ab m_a m_b (f_a^T P f_b)^2 = tr(PFPF), and a bound on its rounding.
+
+        By Cauchy-Schwarz the pair terms are at most |P f_a|^2 |f_b|^2, which
+        sum to tr(P^2 F) tr(F); the energy cancels down from that, and does so
+        badly for plans that embed their cloud almost isometrically.  The
+        moments are correctly rounded and P @ F is exact (P is a scaled
+        signed permutation), so the rounding of the sums stays below 8 eps
+        of that magnitude.
+        """
+        PF = self.P @ self.F
+        magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(self.F)) * float(np.trace(self.F))
+        return math.fsum((PF * PF.T).ravel()), 8.0 * np.finfo(float).eps * magnitude
+
+
 def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> MomentSet:
     """Moments from flat per-atom arrays: source point, mass, and image of each atom."""
-    y_mean = mass @ atoms
-    x_mean = mass @ X
-    Y = atoms - y_mean
-    X = X - x_mean
-    r = np.sum(Y * Y, axis=1) - np.sum(X * X, axis=1)
-    mr = mass * r
-    s1 = float(np.sum(mr))
-    S = 2.0 * (Y.T * mass) @ Y + s1 * np.eye(atoms.shape[1])
-    S = 0.5 * (S + S.T)
-    return MomentSet(
-        S=S,
-        Phi=(Y.T * mass) @ X,
-        b=Y.T @ mr,
-        Cxx=(X.T * mass) @ X,
-        s1=s1,
-        s2=float(np.dot(mr, r)),
-        a1=X.T @ mr,
-        x_mean=x_mean,
-        y_mean=y_mean,
-    )
+    return LiftedMoments(X, mass, atoms).moment_set()
+
+
+def map_objective(X: np.ndarray, w: np.ndarray, m: int):
+    """Energy and gradient functions of the qmds map energy of images Y (n x m).
+
+    Both come from the lifted moments F of the map, in O(n (d+m)^2) time and
+    memory: E = tr(PFPF), and the gradient in y_i is 2 w_i grad J(y_i | x_i)
+    with grad J = 4 ((F g)_y - y (F g)_0) at g = P f_i, where _0 is the
+    constant feature.  The x-columns of the features are fixed; `gradient`
+    reuses the moments of the last `energy` call when it was made at the
+    same Y.
+    """
+    n, d = X.shape
+    f = np.empty((n, 2 + m + d))
+    f[:, 0] = 1.0
+    f[:, 2 + m:] = X - w @ X
+    nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
+    P = _residual_form(m, d)
+    w8 = 8.0 * w[:, None]
+    last = {"Y": None}
+
+    def energy(Y):
+        Yc = Y - w @ Y
+        f[:, 2:2 + m] = Yc
+        f[:, 1] = np.einsum("ij,ij->i", Yc, Yc) - nx
+        PF = P @ ((f.T * w) @ f)
+        last.update(Y=Y, Yc=Yc, PF=PF)
+        return float(np.vdot(PF, PF.T))
+
+    def gradient(Y):
+        if last["Y"] is not Y:
+            energy(Y)
+        H = f @ last["PF"][:, :2 + m]
+        return w8 * (H[:, 2:] - last["Yc"] * H[:, :1])
+
+    return energy, gradient
 
 
 def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> MomentSet:
@@ -233,6 +340,78 @@ def _polish(qm: QuarticMarginal, yc: np.ndarray, iters: int = 40) -> np.ndarray:
     return yc
 
 
+def _branch_candidates(k, clusters, cl_psi, phih, V, forced, scale, along_phi=False):
+    """Stationary points with s = |y|^2 pinned to cluster k's eigenvalue.
+
+    Forced clusters other than k take their secular coordinates; the rest of
+    the norm goes on cluster k, along its first eigenvector (a whole sphere
+    when the cluster is degenerate), or along phi's component in it when
+    `along_phi` (a forced cluster whose secular root was lost).
+    """
+    s = cl_psi[k]
+    if s < -1e-12:
+        return []
+    yh = np.zeros(V.shape[0])
+    for l in forced:
+        if l == k:
+            continue
+        gap = s - cl_psi[l]
+        if abs(gap) < 1e-13 * scale:
+            return []
+        yh[clusters[l]] = phih[clusters[l]] / gap
+    r2 = s - float(np.dot(yh, yh))
+    if r2 < -1e-12 * scale:
+        return []
+    r = math.sqrt(max(r2, 0.0))
+    if r <= 1e-10:
+        return [(V @ yh, False)]
+    direction = np.zeros_like(yh)
+    if along_phi:
+        c = clusters[k]
+        direction[c] = phih[c] / np.linalg.norm(phih[c])
+    else:
+        direction[clusters[k][0]] = 1.0
+    sphere = len(clusters[k]) >= 2 and not along_phi
+    return [(V @ (yh + sign * r * direction), sphere) for sign in (+1.0, -1.0)]
+
+
+def _spectrum(qm: QuarticMarginal, phi_tol: float):
+    """Eigenvalues/vectors of Psi, phi in that basis, near-equal eigenvalue clusters."""
+    psis, V = np.linalg.eigh(qm.Psi)
+    phih = V.T @ qm.phi
+    clusters = []
+    start = 0
+    for j in range(1, qm.dim_m + 1):
+        if j == qm.dim_m or psis[j] - psis[j - 1] > EIG_GAP:
+            clusters.append(list(range(start, j)))
+            start = j
+    cl_psi = [float(np.mean(psis[c])) for c in clusters]
+    forced = [k for k, c in enumerate(clusters) if float(np.sum(phih[c] ** 2)) > phi_tol**2]
+    return psis, V, phih, clusters, cl_psi, forced
+
+
+def _select(qm: QuarticMarginal, candidates, tol_value):
+    """Polish and dedupe candidates; the global set (centred, lexicographically descending)."""
+    polished = []
+    for yc, sphere in candidates:
+        yc = _polish(qm, np.asarray(yc, dtype=float))
+        g = 4.0 * (np.dot(yc, yc) * yc - qm.Psi @ yc - qm.phi)
+        if np.linalg.norm(g) > RESIDUAL_TOL:
+            continue
+        if not any(np.linalg.norm(yc - z) <= 1e-7 * (1.0 + np.linalg.norm(z)) for z, _ in polished):
+            polished.append((yc, sphere))
+    if not polished:
+        polished.append((_polish(qm, np.zeros(qm.dim_m)), False))
+
+    vals = [qm.value(yc + qm.y_shift) for yc, _ in polished]
+    best = min(vals)
+    if tol_value is None:
+        tol_value = 1e-9 * (1.0 + abs(best))
+    winners = [(yc, sphere) for (yc, sphere), v in zip(polished, vals) if v - best <= tol_value]
+    winners.sort(key=lambda item: tuple(item[0] + qm.y_shift), reverse=True)
+    return winners, best
+
+
 def minimize_quartic(qm: QuarticMarginal, tol_value: float = None) -> MarginalSolution:
     """Global minimization of the quartic marginal via its stationarity branches.
 
@@ -240,35 +419,32 @@ def minimize_quartic(qm: QuarticMarginal, tol_value: float = None) -> MarginalSo
     coordinates with a nonzero right-hand side force a secular equation in
     s = |y|^2; eigen-clusters with vanishing right-hand side contribute
     branches s = psi_j with free magnitude on that eigenspace.
+
+    A global minimizer has |y|^2 >= lambda_max(Psi) (the p-regularized
+    subproblem condition).  A winner that violates it means the top
+    cluster's root was lost, as when phi's top component is tiny but not
+    zero; that cluster's branch candidates are then added and the selection
+    repeated, and a winner that still violates it is not certified.
     """
     m = qm.dim_m
     scale = max(1.0, float(np.linalg.norm(qm.Psi)), float(np.linalg.norm(qm.phi)))
     phi_tol = _PHI_TOL * scale
 
     candidates = []          # (centered stationary point, from_sphere_branch)
+    spectrum = None
 
     if m == 1:
-        psi = float(qm.Psi[0, 0])
-        phi = float(qm.phi[0])
-        for root in _depressed_cubic_roots(-psi, -phi):
+        psi_max = float(qm.Psi[0, 0])
+        for root in _depressed_cubic_roots(-psi_max, -float(qm.phi[0])):
             candidates.append((np.array([root]), False))
     else:
-        psis, V = np.linalg.eigh(qm.Psi)
-        phih = V.T @ qm.phi
-
-        # cluster near-equal eigenvalues
-        clusters = []
-        start = 0
-        for j in range(1, m + 1):
-            if j == m or psis[j] - psis[j - 1] > EIG_GAP:
-                clusters.append(list(range(start, j)))
-                start = j
-        cl_psi = [float(np.mean(psis[c])) for c in clusters]
-        cl_rhs = [float(np.sum(phih[c] ** 2)) for c in clusters]
-        forced = [k for k in range(len(clusters)) if cl_rhs[k] > phi_tol**2]
+        spectrum = _spectrum(qm, phi_tol)
+        psis, V, phih, clusters, cl_psi, forced = spectrum
+        psi_max = float(psis[-1])
 
         # secular branch: s solves sum_k rhs_k/(s - psi_k)^2 = s over forced
         # clusters; clear denominators to a single polynomial in s
+        cl_rhs = [float(np.sum(phih[c] ** 2)) for c in clusters]
         denom = np.poly1d([1.0])
         for k in forced:
             denom *= np.poly1d([1.0, -cl_psi[k]]) ** 2
@@ -299,57 +475,27 @@ def minimize_quartic(qm: QuarticMarginal, tol_value: float = None) -> MarginalSo
 
         # degenerate branches: s pinned to an unforced cluster's eigenvalue
         for k in range(len(clusters)):
-            if k in forced:
-                continue
-            s = cl_psi[k]
-            if s < -1e-12:
-                continue
-            yh = np.zeros(m)
-            ok = True
-            for l in forced:
-                gap = s - cl_psi[l]
-                if abs(gap) < 1e-13 * scale:
-                    ok = False
-                    break
-                yh[clusters[l]] = phih[clusters[l]] / gap
-            if not ok:
-                continue
-            r2 = s - float(np.dot(yh, yh))
-            if r2 < -1e-12 * scale:
-                continue
-            r = math.sqrt(max(r2, 0.0))
-            sphere = len(clusters[k]) >= 2 and r > 1e-10
-            base = yh.copy()
-            if r <= 1e-10:
-                candidates.append((V @ base, False))
-                continue
-            for sign in (+1.0, -1.0):
-                yb = base.copy()
-                yb[clusters[k][0]] = sign * r
-                candidates.append((V @ yb, sphere))
+            if k not in forced:
+                candidates += _branch_candidates(k, clusters, cl_psi, phih, V, forced, scale)
 
         if not candidates:
             candidates.append((np.zeros(m), False))
 
-    # polish, dedupe, and pick the global set
-    polished = []
-    for yc, sphere in candidates:
-        yc = _polish(qm, np.asarray(yc, dtype=float))
-        g = 4.0 * (np.dot(yc, yc) * yc - qm.Psi @ yc - qm.phi)
-        if np.linalg.norm(g) > RESIDUAL_TOL:
-            continue
-        if not any(np.linalg.norm(yc - z) <= 1e-7 * (1.0 + np.linalg.norm(z)) for z, _ in polished):
-            polished.append((yc, sphere))
-    if not polished:
-        polished.append((_polish(qm, np.zeros(m)), False))
+    winners, best = _select(qm, candidates, tol_value)
 
-    vals = [qm.value(yc + qm.y_shift) for yc, _ in polished]
-    best = min(vals)
-    if tol_value is None:
-        tol_value = 1e-9 * (1.0 + abs(best))
-    winners = [(yc + qm.y_shift, sphere) for (yc, sphere), v in zip(polished, vals)
-               if v - best <= tol_value]
-    winners.sort(key=lambda item: tuple(item[0]), reverse=True)
+    def certified():
+        return all(float(np.dot(yc, yc)) >= psi_max - 1e-8 * scale for yc, _ in winners)
+
+    ok = certified()
+    if not ok:
+        if spectrum is None:
+            spectrum = _spectrum(qm, phi_tol)
+        _, V, phih, clusters, cl_psi, forced = spectrum
+        top = len(clusters) - 1
+        candidates += _branch_candidates(top, clusters, cl_psi, phih, V, forced, scale,
+                                         along_phi=top in forced)
+        winners, best = _select(qm, candidates, tol_value)
+        ok = certified()
 
     if any(sphere for _, sphere in winners):
         kind = "continuum"
@@ -357,8 +503,8 @@ def minimize_quartic(qm: QuarticMarginal, tol_value: float = None) -> MarginalSo
         kind = "unique"
     else:
         kind = "finite_multiple"
-    return MarginalSolution(minimizers=[y for y, _ in winners], value=float(best),
-                            multiplicity_kind=kind, certified=True)
+    return MarginalSolution(minimizers=[yc + qm.y_shift for yc, _ in winners],
+                            value=float(best), multiplicity_kind=kind, certified=ok)
 
 
 def level_set_grid(moments: MomentSet, region, resolution: int):

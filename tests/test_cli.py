@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,3 +175,29 @@ def test_experiment_pca_check(tmp_path):
     run = report["runs"][0]
     assert run["final_stress"] <= run["pca_stress"] + 1e-6
     assert run["largest_principal_angle"] < 1e-3
+
+
+def test_embed_outputs_identical_across_blas_thread_counts(tmp_path):
+    # the same embed in fresh interpreters with 1 and 2 BLAS threads writes
+    # byte-identical embedding, trace and report files
+    csv = tmp_path / "data.csv"
+    rng = np.random.default_rng(5)
+    pm.PointCloud(rng.normal(size=(300, 3)) * [2.0, 1.0, 0.5]).save_csv(csv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
+    files = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for optimizer in ("marginal", "particle"):
+            run_dir = tmp_path / f"{optimizer}-{threads}"
+            run_dir.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "planmds.cli", "embed", str(csv), "--dim", "2",
+                 "--optimizer", optimizer, "--seed", "4", "--max-sweeps", "5",
+                 "--out", "out"],
+                cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
+            files[optimizer, threads] = [(run_dir / "out" / f"data-{kind}").read_bytes()
+                                         for kind in ("embedding.csv", "trace.csv",
+                                                      "report.json")]
+    for optimizer in ("marginal", "particle"):
+        assert files[optimizer, "1"] == files[optimizer, "2"]

@@ -127,6 +127,21 @@ def test_sweep_monotone_and_supported_on_minimal_graph():
         assert pm.determinism_report(plan, 1e-10, 1e-10).is_deterministic
 
 
+def test_sweep_energy_matches_stress_plan():
+    # the sweep's energies come from lifted moments unless their rounding bound
+    # is too wide, as for a 1-d cloud embedded almost isometrically (energy ~1e-10)
+    rng = np.random.default_rng(9)
+    for n, d in ((40, 1), (60, 2), (30, 3)):
+        cloud = random_cloud(rng, n, d)
+        init = pm.DeterministicMap(rng.normal(size=(n, 1)) + 5.0)
+        plan, trace = marginal_sweep(pm.plan_from_map(cloud, init), cloud, pm.QMDS(),
+                                     DescentConfig(max_sweeps=400, rel_tol=1e-13))
+        exact = pm.stress_plan(plan, cloud, pm.QMDS())
+        assert trace.energies[-1] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert trace.energies[0] == pytest.approx(
+            pm.stress_plan(pm.plan_from_map(cloud, init), cloud, pm.QMDS()), rel=1e-12, abs=0.0)
+
+
 def test_sweep_quadratic_ip_partial_moves_do_not_increase_energy():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(12, 3))

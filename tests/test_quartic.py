@@ -232,3 +232,18 @@ def test_level_set_grid_counts_double_point():
     x, lam, count = grid[0]
     assert count == 2
     assert lam == pytest.approx(0.5, abs=1e-10)
+
+
+def test_near_hard_case_top_branch_is_found():
+    # phi's component along the top eigenvector of Psi is tiny but not zero:
+    # the secular root near psi_max = 1.5 is lost to rounding, and only the
+    # global condition |y|^2 >= lambda_max(Psi) recovers the top branch
+    qm = QuarticMarginal(Psi=np.diag([0.5, 1.5]), phi=np.array([0.3, 1e-9]), zeta=0.0)
+    sol = minimize_quartic(qm)
+    y = select_minimizer(sol)
+    assert sol.certified
+    assert sol.multiplicity_kind == "unique"
+    assert y == pytest.approx([0.3, 1.18743421], abs=1e-6)
+    assert sol.value == pytest.approx(-2.43, abs=1e-8)
+    assert sol.value <= min(qm.value([0.3, 1.18743421]), qm.value([0.3, -1.18743421]))
+    assert float(y @ y) >= 1.5
