@@ -27,7 +27,6 @@ from .core import (
 )
 from .energy import (
     _marginal_grad_arrays,
-    _marginal_hessian_arrays,
     _marginal_value_arrays,
     _pair_energy,
 )
@@ -354,13 +353,14 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     trace = IterationTrace()
     E = state.energy(cost, sums)
     trace.add(E, state.split_fraction(), 0.0)
+    bases = [cost.base(x, x) for x in cloud.points]
 
     for _ in range(config.max_sweeps):
         moved = 0.0
         max_delta = -math.inf
         any_accepted = False
         for i in range(cloud.n):
-            x = cloud.points[i]
+            x, base = cloud.points[i], bases[i]
             snapshot = [np.array(state.atoms[p]) for p in state.row_positions(i)]
             for y_old in snapshot:
                 row = state.row_positions(i)
@@ -379,7 +379,6 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 L = q * (j_new - j_old)
-                base = cost.base(x, x)
                 Q = q * q * (cost.profile(base, cost.t_value(y_new, y_new))
                              - 2.0 * cost.profile(base, cost.t_value(y_old, y_new))
                              + cost.profile(base, cost.t_value(y_old, y_old)))
@@ -420,7 +419,6 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     y_old = np.array(state.atoms[src])
                     y_new = np.array(state.atoms[dst])
                     L = q * (jvals[order[0]] - jvals[order[-1]])
-                    base = cost.base(x, x)
                     Q = 2.0 * q * q * (cost.profile(base, 0.0)
                                        - cost.profile(base, cost.t_value(y_old, y_new)))
                     state.replace_atom(src, y_new)

@@ -5,21 +5,27 @@ explicit quartic in y,
 
     J(y | x) = |y|^4 - 2 y^T Psi y - 4 phi^T y + zeta,
 
-whose coefficients are moments of the plan.  Its global minimizers are found
-exactly by solving a secular equation in s = |y|^2 within the eigenbasis of
-Psi, with degenerate eigen-branches (whole spheres of minimizers) detected
-and reported.
+whose coefficients are moments of the plan.  Its stationary points solve
+(|y|^2 I - Psi) y = phi, and a global minimizer also has |y|^2 >=
+lambda_max(Psi): the condition of the p-regularized subproblem (Hsia, Sheu
+& Yuan 2017), the quartic analogue of the trust-region hard case (More &
+Sorensen 1983).  In the eigenbasis of Psi the minimizer is therefore the root
+of one monotone secular equation in t = |y|^2 - lambda_max >= 0, or, when phi
+has no component along the top eigenspace and the rest of y is shorter than
+sqrt(lambda_max), a point of the sphere |y|^2 = lambda_max in that eigenspace
+(the hard case: two minimizers, or a continuum when the top eigenvalue is
+repeated).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EmbeddingPlan, InputError, PointCloud, _fmt
+from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _fmt
 
 EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
 RESIDUAL_TOL = 1e-8   # stationarity residual required of returned minimizers
@@ -81,7 +87,7 @@ class MomentSet:
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON ({exc})") from None
         try:
-            return cls(
+            moments = cls(
                 S=np.array(payload["S"], dtype=float),
                 Phi=np.array(payload["Phi"], dtype=float),
                 b=np.array(payload["b"], dtype=float),
@@ -94,6 +100,10 @@ class MomentSet:
             )
         except KeyError as exc:
             raise InputError(f"{path}: missing moment field {exc}") from None
+        bad = [f.name for f in fields(cls) if not np.isfinite(getattr(moments, f.name)).all()]
+        if bad:
+            raise InputError(f"{path}: non-finite moment field(s) {', '.join(bad)}")
+        return moments
 
 
 def _residual_form(m: int, d: int) -> np.ndarray:
@@ -287,10 +297,12 @@ def quartic_at(moments: MomentSet, x) -> QuarticMarginal:
 class MarginalSolution:
     """Global minimizers of one marginal problem.
 
-    multiplicity_kind is "continuum" when a degenerate eigen-sphere of
-    minimizers was detected; then `minimizers` holds one representative per
-    sphere.  `certified` is False only for best-effort (non closed form)
-    solves.
+    multiplicity_kind is "unique", "finite_multiple" (two minimizers) or
+    "continuum" (a sphere of minimizers in a repeated top eigenspace, of
+    which `minimizers` holds two representatives).  `certified` is False when
+    global optimality was not established: a best-effort multi-start solve,
+    or a quartic minimizer that failed its stationarity or
+    |y|^2 >= lambda_max(Psi) check.
     """
 
     minimizers: list
@@ -304,207 +316,113 @@ def select_minimizer(solution: MarginalSolution) -> np.ndarray:
     return max(solution.minimizers, key=lambda y: tuple(y))
 
 
-def _depressed_cubic_roots(p: float, q: float) -> list:
-    """Real roots of y^3 + p*y + q = 0 by the trigonometric/Cardano formulas."""
-    if p == 0.0 and q == 0.0:
-        return [0.0]
-    disc = -4.0 * p**3 - 27.0 * q**2
-    if disc > 0.0:
-        # three distinct real roots (requires p < 0)
-        rho = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * rho)
-        theta = math.acos(min(1.0, max(-1.0, arg)))
-        return [rho * math.cos((theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    rad = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
-    u = np.cbrt(-q / 2.0 + rad)
-    v = np.cbrt(-q / 2.0 - rad)
-    return [float(u + v)]
+def _polish(qm: QuarticMarginal, yc: np.ndarray, iters: int = 40) -> tuple[np.ndarray, float]:
+    """Newton steps on the stationarity equation (centered); the point and its gradient norm.
 
-
-def _polish(qm: QuarticMarginal, yc: np.ndarray, iters: int = 40) -> np.ndarray:
-    """Damped Newton steps on the stationarity equation, in centered coordinates."""
+    A step is kept only when it lowers the gradient norm, so a point near a
+    singular Hessian (a sphere of minimizers) is never made worse.
+    """
     m = qm.dim_m
-    for _ in range(iters):
-        s = float(np.dot(yc, yc))
-        g = 4.0 * (s * yc - qm.Psi @ yc - qm.phi)
-        if np.linalg.norm(g) <= 0.1 * RESIDUAL_TOL:
+    y, res = yc, math.inf
+    for _ in range(iters + 1):
+        s = float(np.dot(y, y))
+        g = 4.0 * (s * y - qm.Psi @ y - qm.phi)
+        norm = float(np.linalg.norm(g))
+        if not norm < res:
             break
-        H = 4.0 * (s * np.eye(m) + 2.0 * np.outer(yc, yc) - qm.Psi)
+        yc, res = y, norm
+        if res <= 0.1 * RESIDUAL_TOL:
+            break
+        H = 4.0 * (s * np.eye(m) + 2.0 * np.outer(y, y) - qm.Psi)
         try:
-            step = np.linalg.solve(H, g)
+            y = y - np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        if not np.isfinite(step).all():
+            y = y - np.linalg.lstsq(H, g, rcond=None)[0]
+    return yc, res
+
+
+def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> float:
+    """Root of F(t) = c_top/t^2 + sum_k c_k/(t+g_k)^2 - lam - t on t >= max(0, -lam).
+
+    With gaps g_k > 0, F is convex and decreasing there, so Newton steps from
+    a point left of the root climb to it monotonically, with no safeguard.
+    The start is the left end or, at a pole (c_top > 0, lam >= 0),
+    sqrt(c_top/(lam + t_hi)) with t_hi = max(lam, 0) + |phi|^(2/3) - lam:
+    F(t_hi) <= 0, so the root t* <= t_hi, and c_top/t*^2 <= lam + t* puts
+    the start left of t*.
+    """
+    t = max(0.0, -lam)
+    if c_top and not t:
+        t = math.sqrt(c_top / (lam + phi2 ** (1.0 / 3.0)))
+    terms = list(zip(c, g)) + ([(c_top, 0.0)] if c_top else [])
+    for _ in range(100):
+        f, df = -lam - t, -1.0
+        for ck, gk in terms:
+            u = 1.0 / (t + gk)
+            w = ck * u * u
+            f += w
+            df -= 2.0 * w * u
+        if f <= 0.0:
             break
-        yc = yc - step
-    return yc
+        step = -f / df
+        t += step
+        if step <= 1e-15 * t:
+            break
+    return t
 
 
-def _branch_candidates(k, clusters, cl_psi, phih, V, forced, scale, along_phi=False):
-    """Stationary points with s = |y|^2 pinned to cluster k's eigenvalue.
+def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
+    """Global minimizers of the quartic marginal (the method is in the module docstring).
 
-    Forced clusters other than k take their secular coordinates; the rest of
-    the norm goes on cluster k, along its first eigenvector (a whole sphere
-    when the cluster is degenerate), or along phi's component in it when
-    `along_phi` (a forced cluster whose secular root was lost).
+    In the eigenbasis of Psi the top cluster (the trailing eigenvalues chained
+    by gaps <= EIG_GAP) counts as the one eigenvalue lambda_max, and the rest
+    have gaps g_k = lambda_max - psi_k.  When phi's top-cluster component is
+    negligible (at most _PHI_TOL scale, and small enough that ignoring it
+    leaves a gradient below RESIDUAL_TOL / 2) and y_rest = phi_rest/g_rest
+    has |y_rest|^2 < lambda_max, the minimizers are y_rest +- r v_top with
+    r^2 = lambda_max - |y_rest|^2 (the hard case).  Otherwise the minimizer
+    is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
+    gets Newton steps on the stationarity equation, and the solution is
+    certified when every one has a gradient norm <= RESIDUAL_TOL and
+    |y|^2 >= lambda_max - 1e-8 scale.  Minimizers are in original
+    coordinates, lexicographically descending.
     """
-    s = cl_psi[k]
-    if s < -1e-12:
-        return []
-    yh = np.zeros(V.shape[0])
-    for l in forced:
-        if l == k:
-            continue
-        gap = s - cl_psi[l]
-        if abs(gap) < 1e-13 * scale:
-            return []
-        yh[clusters[l]] = phih[clusters[l]] / gap
-    r2 = s - float(np.dot(yh, yh))
-    if r2 < -1e-12 * scale:
-        return []
-    r = math.sqrt(max(r2, 0.0))
-    if r <= 1e-10:
-        return [(V @ yh, False)]
-    direction = np.zeros_like(yh)
-    if along_phi:
-        c = clusters[k]
-        direction[c] = phih[c] / np.linalg.norm(phih[c])
-    else:
-        direction[clusters[k][0]] = 1.0
-    sphere = len(clusters[k]) >= 2 and not along_phi
-    return [(V @ (yh + sign * r * direction), sphere) for sign in (+1.0, -1.0)]
-
-
-def _spectrum(qm: QuarticMarginal, phi_tol: float):
-    """Eigenvalues/vectors of Psi, phi in that basis, near-equal eigenvalue clusters."""
-    psis, V = np.linalg.eigh(qm.Psi)
-    phih = V.T @ qm.phi
-    clusters = []
-    start = 0
-    for j in range(1, qm.dim_m + 1):
-        if j == qm.dim_m or psis[j] - psis[j - 1] > EIG_GAP:
-            clusters.append(list(range(start, j)))
-            start = j
-    cl_psi = [float(np.mean(psis[c])) for c in clusters]
-    forced = [k for k, c in enumerate(clusters) if float(np.sum(phih[c] ** 2)) > phi_tol**2]
-    return psis, V, phih, clusters, cl_psi, forced
-
-
-def _select(qm: QuarticMarginal, candidates, tol_value):
-    """Polish and dedupe candidates; the global set (centred, lexicographically descending)."""
-    polished = []
-    for yc, sphere in candidates:
-        yc = _polish(qm, np.asarray(yc, dtype=float))
-        g = 4.0 * (np.dot(yc, yc) * yc - qm.Psi @ yc - qm.phi)
-        if np.linalg.norm(g) > RESIDUAL_TOL:
-            continue
-        if not any(np.linalg.norm(yc - z) <= 1e-7 * (1.0 + np.linalg.norm(z)) for z, _ in polished):
-            polished.append((yc, sphere))
-    if not polished:
-        polished.append((_polish(qm, np.zeros(qm.dim_m)), False))
-
-    vals = [qm.value(yc + qm.y_shift) for yc, _ in polished]
-    best = min(vals)
-    if tol_value is None:
-        tol_value = 1e-9 * (1.0 + abs(best))
-    winners = [(yc, sphere) for (yc, sphere), v in zip(polished, vals) if v - best <= tol_value]
-    winners.sort(key=lambda item: tuple(item[0] + qm.y_shift), reverse=True)
-    return winners, best
-
-
-def minimize_quartic(qm: QuarticMarginal, tol_value: float = None) -> MarginalSolution:
-    """Global minimization of the quartic marginal via its stationarity branches.
-
-    Stationarity reads (|y|^2 I - Psi) y = phi.  In the eigenbasis of Psi,
-    coordinates with a nonzero right-hand side force a secular equation in
-    s = |y|^2; eigen-clusters with vanishing right-hand side contribute
-    branches s = psi_j with free magnitude on that eigenspace.
-
-    A global minimizer has |y|^2 >= lambda_max(Psi) (the p-regularized
-    subproblem condition).  A winner that violates it means the top
-    cluster's root was lost, as when phi's top component is tiny but not
-    zero; that cluster's branch candidates are then added and the selection
-    repeated, and a winner that still violates it is not certified.
-    """
+    Psi, phi = qm.Psi, qm.phi
+    if not (np.isfinite(Psi).all() and np.isfinite(phi).all() and math.isfinite(qm.zeta)):
+        raise NumericalError("quartic marginal with non-finite coefficients")
     m = qm.dim_m
-    scale = max(1.0, float(np.linalg.norm(qm.Psi)), float(np.linalg.norm(qm.phi)))
-    phi_tol = _PHI_TOL * scale
+    phi2 = float(np.dot(phi, phi))
+    scale = max(1.0, float(np.linalg.norm(Psi)), math.sqrt(phi2))
+    psis, V = (Psi[0], np.ones((1, 1))) if m == 1 else np.linalg.eigh(Psi)
+    psis, phih = psis.tolist(), (phi @ V).tolist()
+    lam = psis[-1]
+    top = m - 1
+    while top and psis[top] - psis[top - 1] <= EIG_GAP:
+        top -= 1
+    g = [lam - p for p in psis[:top]]
+    c = [f * f for f in phih[:top]]
+    c_top = sum(f * f for f in phih[top:])
+    if c_top <= min(_PHI_TOL * scale, RESIDUAL_TOL / 8.0) ** 2:
+        c_top = 0.0
+    rest2 = sum(ck / (gk * gk) for ck, gk in zip(c, g))
 
-    candidates = []          # (centered stationary point, from_sphere_branch)
-    spectrum = None
-
-    if m == 1:
-        psi_max = float(qm.Psi[0, 0])
-        for root in _depressed_cubic_roots(-psi_max, -float(qm.phi[0])):
-            candidates.append((np.array([root]), False))
+    if c_top or lam - rest2 <= 1e-12 * scale:
+        t = _secular_root(c, g, c_top, lam, phi2)
+        yh = np.array([f / (t + gk) for f, gk in zip(phih, g)]
+                      + [f / t if c_top else 0.0 for f in phih[top:]])
+        points, kind = [V @ yh], "unique"
     else:
-        spectrum = _spectrum(qm, phi_tol)
-        psis, V, phih, clusters, cl_psi, forced = spectrum
-        psi_max = float(psis[-1])
+        y_rest = V[:, :top] @ np.array([f / gk for f, gk in zip(phih, g)])
+        r = math.sqrt(lam - rest2)
+        points = [y_rest + r * V[:, top], y_rest - r * V[:, top]]
+        kind = "continuum" if top < m - 1 else "finite_multiple"
 
-        # secular branch: s solves sum_k rhs_k/(s - psi_k)^2 = s over forced
-        # clusters; clear denominators to a single polynomial in s
-        cl_rhs = [float(np.sum(phih[c] ** 2)) for c in clusters]
-        denom = np.poly1d([1.0])
-        for k in forced:
-            denom *= np.poly1d([1.0, -cl_psi[k]]) ** 2
-        poly = -np.poly1d([1.0, 0.0]) * denom
-        for k in forced:
-            term = np.poly1d([cl_rhs[k]])
-            for l in forced:
-                if l != k:
-                    term *= np.poly1d([1.0, -cl_psi[l]]) ** 2
-            poly = poly + term
-        for root in np.roots(poly.coefficients):
-            if abs(root.imag) > 1e-8 * scale:
-                continue
-            s = float(root.real)
-            if s < -1e-12:
-                continue
-            s = max(s, 0.0)
-            yh = np.zeros(m)
-            ok = True
-            for k in forced:
-                gap = s - cl_psi[k]
-                if abs(gap) < 1e-13 * scale:
-                    ok = False
-                    break
-                yh[clusters[k]] = phih[clusters[k]] / gap
-            if ok:
-                candidates.append((V @ yh, False))
-
-        # degenerate branches: s pinned to an unforced cluster's eigenvalue
-        for k in range(len(clusters)):
-            if k not in forced:
-                candidates += _branch_candidates(k, clusters, cl_psi, phih, V, forced, scale)
-
-        if not candidates:
-            candidates.append((np.zeros(m), False))
-
-    winners, best = _select(qm, candidates, tol_value)
-
-    def certified():
-        return all(float(np.dot(yc, yc)) >= psi_max - 1e-8 * scale for yc, _ in winners)
-
-    ok = certified()
-    if not ok:
-        if spectrum is None:
-            spectrum = _spectrum(qm, phi_tol)
-        _, V, phih, clusters, cl_psi, forced = spectrum
-        top = len(clusters) - 1
-        candidates += _branch_candidates(top, clusters, cl_psi, phih, V, forced, scale,
-                                         along_phi=top in forced)
-        winners, best = _select(qm, candidates, tol_value)
-        ok = certified()
-
-    if any(sphere for _, sphere in winners):
-        kind = "continuum"
-    elif len(winners) == 1:
-        kind = "unique"
-    else:
-        kind = "finite_multiple"
-    return MarginalSolution(minimizers=[yc + qm.y_shift for yc, _ in winners],
-                            value=float(best), multiplicity_kind=kind, certified=ok)
+    polished = [_polish(qm, yc) for yc in points]
+    certified = all(res <= RESIDUAL_TOL and float(np.dot(yc, yc)) >= lam - 1e-8 * scale
+                    for yc, res in polished)
+    minimizers = sorted((yc + qm.y_shift for yc, _ in polished), key=tuple, reverse=True)
+    return MarginalSolution(minimizers=minimizers, value=min(qm.value(y) for y in minimizers),
+                            multiplicity_kind=kind, certified=certified)
 
 
 def level_set_grid(moments: MomentSet, region, resolution: int):

@@ -59,3 +59,23 @@ def grid_oracle(qm):
                  method="Nelder-Mead",
                  options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
     return np.asarray(res.x), float(res.fun)
+
+
+def multistart_oracle(qm, rng, starts: int = 20) -> float:
+    """Lowest value BFGS reaches from random starts inside the coercivity radius.
+
+    Independent of the solver's eigen-analysis; an upper bound on the global
+    minimum of the quartic marginal.
+    """
+    from scipy.optimize import minimize as sp_min
+
+    top = max(0.0, float(np.linalg.eigvalsh(qm.Psi)[-1]))
+    radius = math.sqrt(top + float(np.linalg.norm(qm.phi)) ** (2.0 / 3.0))
+    best = qm.value(qm.y_shift)
+    for _ in range(starts):
+        y0 = rng.normal(size=qm.dim_m)
+        y0 *= radius * rng.uniform(0.0, 1.5) / max(float(np.linalg.norm(y0)), 1e-300)
+        res = sp_min(qm.value, qm.y_shift + y0, jac=qm.grad, method="BFGS",
+                     options={"gtol": 1e-12})
+        best = min(best, float(res.fun))
+    return best

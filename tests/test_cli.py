@@ -120,6 +120,16 @@ def test_levelset_malformed_json_exit_2(tmp_path):
     assert main(["levelset", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_levelset_nonfinite_moments_exit_2(tmp_path):
+    cloud = stacked_pair_cloud(10)
+    mfile = tmp_path / "m.json"
+    compute_moments(stacked_pair_plan(cloud), cloud).to_json(mfile)
+    payload = json.loads(mfile.read_text())
+    payload["S"][0][0] = float("inf")
+    mfile.write_text(json.dumps(payload))   # written as Infinity
+    assert main(["levelset", str(mfile), "--res", "3", "--out", str(tmp_path)]) == 2
+
+
 def test_bad_mds_threads_exit_2(tmp_path, monkeypatch):
     csv = tmp_path / "pair.csv"
     write_two_point_csv(csv)

@@ -10,8 +10,9 @@ distances are exact.
 
 A tolerance of 1e-10 is taken relative to the magnitude of the terms that
 each quantity sums, e.g. sum_ab m_a m_b (|x_a-x_b|^2 + |y_a-y_b|^2 + s)^2
-for the energy, where s is the plan's spread about its means (the scale of
-the moments, and so of their rounding).  A relative tolerance on the value
+for the energy, where s is the plan's spread about the origin of the moments
+(their scale, and so that of their rounding): the means, or after moves the
+means the moments were built at.  A relative tolerance on the value
 itself cannot hold for plans that embed their cloud isometrically, where the
 true energy is 0.
 """
@@ -57,15 +58,17 @@ def flat_plans(draw):
     return np.array(X), mass / mass.sum(), np.array(atoms), x_off, y_off
 
 
-def _spread(X, mass, atoms):
-    return float(mass @ (np.sum((X - mass @ X) ** 2, axis=1)
-                         + np.sum((atoms - mass @ atoms) ** 2, axis=1)))
+def _spread(X, mass, atoms, x0=None, y0=None):
+    """The plan's spread about (x0, y0), by default about its means."""
+    x0 = mass @ X if x0 is None else x0
+    y0 = mass @ atoms if y0 is None else y0
+    return float(mass @ (np.sum((X - x0) ** 2, axis=1) + np.sum((atoms - y0) ** 2, axis=1)))
 
 
-def _terms(X, mass, atoms, x, y):
-    """Per-atom |x - x_b|^2 + |y - y_b|^2 plus the plan's spread."""
-    return (np.sum((X - x) ** 2, axis=1) + np.sum((atoms - y) ** 2, axis=1)
-            + _spread(X, mass, atoms))
+def _terms(X, mass, atoms, x, y, spread=None):
+    """Per-atom |x - x_b|^2 + |y - y_b|^2 plus the plan's spread (by default about its means)."""
+    spread = _spread(X, mass, atoms) if spread is None else spread
+    return np.sum((X - x) ** 2, axis=1) + np.sum((atoms - y) ** 2, axis=1) + spread
 
 
 def _energy_scale(X, mass, atoms):
@@ -98,9 +101,12 @@ def test_quartic_values_after_moves_match_marginal_value(plan, data):
         sums.move(X[a] + x_off, atoms[a] + y_off, y_new + y_off, mass[a])
         atoms[a] = y_new
     qm = quartic_at(sums.moment_set(), X[0] + x_off)
+    # moves leave F about the origin it was built at, so its rounding scales
+    # with the spread about that origin, not about the moved means
+    spread = _spread(X, mass, atoms, sums.x0 - x_off, sums.y0 - y_off)
     for y in (atoms[0], atoms[-1], np.zeros(atoms.shape[1])):
         exact = _marginal_value_arrays(X, mass, atoms, QMDS, X[0], y)
-        scale = float(mass @ _terms(X, mass, atoms, X[0], y) ** 2)
+        scale = float(mass @ _terms(X, mass, atoms, X[0], y, spread) ** 2)
         assert abs(qm.value(y + y_off) - exact) <= RTOL * scale + FLOOR
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planmds as pm
 from planmds.quartic import (
+    RESIDUAL_TOL,
     MomentSet,
     QuarticMarginal,
     compute_moments,
@@ -16,7 +21,7 @@ from planmds.quartic import (
     select_minimizer,
 )
 
-from helpers import grid_oracle, random_cloud, random_plan
+from helpers import grid_oracle, multistart_oracle, random_cloud, random_plan
 
 
 def stacked_pair():
@@ -247,3 +252,80 @@ def test_near_hard_case_top_branch_is_found():
     assert sol.value == pytest.approx(-2.43, abs=1e-8)
     assert sol.value <= min(qm.value([0.3, 1.18743421]), qm.value([0.3, -1.18743421]))
     assert float(y @ y) >= 1.5
+
+
+def test_hard_case_minimizers_off_the_top_eigenspace():
+    # phi has no top component and y_rest = (0.3, 0) is shorter than
+    # sqrt(lambda_max): the minimizers are y_rest +- r e_2, r^2 = 1.5 - 0.09
+    qm = QuarticMarginal(Psi=np.diag([0.5, 1.5]), phi=np.array([0.3, 0.0]), zeta=0.0)
+    sol = minimize_quartic(qm)
+    r = np.sqrt(1.5 - 0.09)
+    assert sol.certified
+    assert sol.multiplicity_kind == "finite_multiple"
+    assert np.allclose(sol.minimizers, [[0.3, r], [0.3, -r]], atol=1e-12)
+    assert sol.value == pytest.approx(-2.43, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi_top, kind", [(4e-9, "unique"), (1e-9, "continuum")])
+def test_near_hard_case_at_large_scale_is_certified(phi_top, kind):
+    # scale ~ 1900 puts both top components below _PHI_TOL * scale.  The hard
+    # case ignores phi_top and leaves its points a gradient of 4 phi_top, so
+    # 4e-9 goes to the secular root instead; at 1e-9 Newton steps against
+    # the sphere's singular Hessian must not make that gradient worse
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    qm = QuarticMarginal(Psi=(Q * [400.0, 1300.0, 1300.0]) @ Q.T,
+                         phi=Q @ [300.0, 0.0, phi_top], zeta=0.0)
+    sol = minimize_quartic(qm)
+    assert sol.certified
+    assert sol.multiplicity_kind == kind
+    for y in sol.minimizers:
+        assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
+        assert qm.value(y) == pytest.approx(-1690200.0, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.floats(-14.0, 0.0), st.floats(0.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_near_hard_case_matches_multistart_oracle(m, repeat, exponent, log_scale, seed):
+    # Psi with a simple or repeated top eigenvalue, and phi's component along
+    # the top eigenspace scaled by 10^exponent: the near-hard case.  Psi and
+    # phi are scaled by 10^log_scale, which RESIDUAL_TOL does not scale with.
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    psis = np.sort(rng.normal(size=m)) * 10.0 ** log_scale
+    k = min(repeat, m)
+    psis[m - k:] = psis[-1]
+    phih = rng.normal(size=m) * 10.0 ** log_scale
+    phih[m - k:] *= 10.0 ** exponent
+    qm = QuarticMarginal(Psi=(V * psis) @ V.T, phi=V @ phih, zeta=float(rng.normal()))
+    sol = minimize_quartic(qm)
+    lam = float(np.linalg.eigvalsh(qm.Psi)[-1])
+    scale = max(1.0, float(np.linalg.norm(qm.Psi)), float(np.linalg.norm(qm.phi)))
+    assert sol.certified
+    assert sol.value <= multistart_oracle(qm, rng) + 1e-8 * (1.0 + abs(sol.value))
+    for y in sol.minimizers:
+        assert float(y @ y) >= lam - 1e-8 * scale
+        assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("Psi, phi, zeta", [
+    ([[np.inf]], [0.1], 0.0),
+    (np.eye(2), [np.nan, 0.0], 0.0),
+    (np.eye(2), [0.1, 0.0], np.inf),
+])
+def test_minimize_rejects_nonfinite_coefficients(Psi, phi, zeta):
+    qm = QuarticMarginal(Psi=np.array(Psi, dtype=float), phi=np.array(phi), zeta=zeta)
+    with pytest.raises(pm.NumericalError):
+        minimize_quartic(qm)
+
+
+def test_moments_json_nonfinite(tmp_path):
+    rng = np.random.default_rng(9)
+    cloud = random_cloud(rng, 4, 2)
+    path = tmp_path / "moments.json"
+    compute_moments(random_plan(rng, cloud, 1), cloud).to_json(path)
+    payload = json.loads(path.read_text())
+    payload["Phi"][0][1] = float("inf")
+    path.write_text(json.dumps(payload))   # written as Infinity
+    with pytest.raises(pm.InputError, match="Phi"):
+        MomentSet.from_json(path)
