@@ -316,18 +316,22 @@ class CostFamily:
     """A second-order cost c(x,x',y,y') = profile(base(x,x'), t(y,y')).
 
     ``kind`` selects the embedded-variable statistic t: "IP" uses <y,y'>,
-    "N2" uses |y-y'|^2.  Subclasses supply the scalar/vectorized profile and
-    the base statistic of the feature pair, plus capability flags.
-    ``has_moment_form`` marks the cost (|x-x'|^2 - |y-y'|^2)^2, whose energies,
-    marginals and gradients all follow from the low-rank lifted moments of
-    quartic.LiftedMoments instead of pairwise sums.
+    "N2" uses |y-y'|^2.  Subclasses supply the base statistic of the feature
+    pair and the capability flags.  The profile is quadratic in t,
+    (a - t)^2 * omega(a) with omega(a) = 1 / quadratic_scale(a), unless a
+    subclass sets ``quadratic_scale = None`` and supplies its own profile and
+    t-derivatives.  A quadratic profile makes every marginal problem exactly
+    solvable: a weighted least-squares problem for the IP kind, a weighted
+    quartic for the N2 kind.  ``has_moment_form`` marks the cost
+    (|x-x'|^2 - |y-y'|^2)^2, whose energies, marginals and gradients all
+    follow from the low-rank lifted moments of quartic.LiftedMoments instead
+    of pairwise sums.
     """
 
     name = "abstract"
     kind = "N2"
-    convex_in_t = False
+    convex_in_t = True       # as every quadratic profile is
     unique_min_at_zero = False
-    has_closed_form_marginal = False
     has_moment_form = False
 
     # --- feature-pair statistic -------------------------------------------------
@@ -354,14 +358,19 @@ class CostFamily:
         return float(np.dot(d, d))
 
     # --- profile and t-derivatives ----------------------------------------------
+    def quadratic_scale(self, a):
+        """1/omega(a) of the quadratic profile (a - t)^2 * omega(a); positive."""
+        return 1.0
+
     def profile(self, a, t):
-        raise NotImplementedError
+        return (a - t) ** 2 / self.quadratic_scale(a)
 
     def profile_dt(self, a, t):
-        raise NotImplementedError
+        return -2.0 * (a - t) / self.quadratic_scale(a)
 
     def profile_dtt(self, a, t):
-        raise NotImplementedError
+        a = np.asarray(a, dtype=float)
+        return 2.0 / self.quadratic_scale(a) * np.ones_like(a + np.asarray(t, dtype=float))
 
     def describe(self) -> dict:
         return {"name": self.name, "kind": self.kind}
@@ -372,21 +381,10 @@ class QuadraticIP(CostFamily):
 
     name = "quadratic-ip"
     kind = "IP"
-    convex_in_t = True
     unique_min_at_zero = False
-    has_closed_form_marginal = True
 
     def base_matrix(self, X1, X2):
         return X1 @ X2.T
-
-    def profile(self, a, t):
-        return (a - t) ** 2
-
-    def profile_dt(self, a, t):
-        return -2.0 * (a - t)
-
-    def profile_dtt(self, a, t):
-        return 2.0 * np.ones_like(np.asarray(a, dtype=float) + np.asarray(t, dtype=float))
 
 
 class KernelIP(CostFamily):
@@ -394,9 +392,7 @@ class KernelIP(CostFamily):
 
     name = "kernel-ip"
     kind = "IP"
-    convex_in_t = True
     unique_min_at_zero = False
-    has_closed_form_marginal = True
 
     def __init__(self, kernel: str = "rbf", sigma: float = 1.0, degree: int = 2, offset: float = 1.0):
         if kernel not in ("rbf", "polynomial"):
@@ -413,15 +409,6 @@ class KernelIP(CostFamily):
             return np.exp(-_sqdist_matrix(X1, X2) / (2.0 * self.sigma**2))
         return (X1 @ X2.T + self.offset) ** self.degree
 
-    def profile(self, a, t):
-        return (a - t) ** 2
-
-    def profile_dt(self, a, t):
-        return -2.0 * (a - t)
-
-    def profile_dtt(self, a, t):
-        return 2.0 * np.ones_like(np.asarray(a, dtype=float) + np.asarray(t, dtype=float))
-
     def describe(self):
         d = super().describe()
         d.update(kernel=self.kernel, sigma=self.sigma, degree=self.degree, offset=self.offset)
@@ -433,22 +420,11 @@ class QMDS(CostFamily):
 
     name = "qmds"
     kind = "N2"
-    convex_in_t = True
     unique_min_at_zero = True
-    has_closed_form_marginal = True
     has_moment_form = True
 
     def base_matrix(self, X1, X2):
         return _sqdist_matrix(X1, X2)
-
-    def profile(self, a, t):
-        return (a - t) ** 2
-
-    def profile_dt(self, a, t):
-        return -2.0 * (a - t)
-
-    def profile_dtt(self, a, t):
-        return 2.0 * np.ones_like(np.asarray(a, dtype=float) + np.asarray(t, dtype=float))
 
 
 class QSammon(CostFamily):
@@ -459,9 +435,7 @@ class QSammon(CostFamily):
 
     name = "qsammon"
     kind = "N2"
-    convex_in_t = True
     unique_min_at_zero = True
-    has_closed_form_marginal = False
 
     def __init__(self, eps: float = 1e-9):
         if eps <= 0:
@@ -471,14 +445,8 @@ class QSammon(CostFamily):
     def base_matrix(self, X1, X2):
         return _sqdist_matrix(X1, X2)
 
-    def profile(self, a, t):
-        return (a - t) ** 2 / (a + self.eps)
-
-    def profile_dt(self, a, t):
-        return -2.0 * (a - t) / (a + self.eps)
-
-    def profile_dtt(self, a, t):
-        return 2.0 / (np.asarray(a, dtype=float) + self.eps) * np.ones_like(np.asarray(t, dtype=float))
+    def quadratic_scale(self, a):
+        return a + self.eps
 
     def describe(self):
         d = super().describe()
@@ -497,7 +465,7 @@ class Elastic(CostFamily):
     kind = "N2"
     convex_in_t = False
     unique_min_at_zero = True
-    has_closed_form_marginal = False
+    quadratic_scale = None   # not quadratic in t: its marginal solve is best-effort
 
     def __init__(self, sigma: float = 1.0, beta: float = 1.0):
         if sigma <= 0 or beta < 0:

@@ -17,11 +17,10 @@ from .core import (
     DeterministicMap,
     EmbeddingPlan,
     InputError,
-    MERGE_TOL,
     Perturbation,
     PointCloud,
     QMDS,
-    plan_from_map,
+    _merge_row,
 )
 
 _BLOCK = 1024
@@ -70,34 +69,40 @@ def stress_plan(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
 # Marginal problem J_pi(y | x)
 # ---------------------------------------------------------------------------
 
-def _marginal_terms(X, mass, atoms, cost, x, y):
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    a = cost.base_matrix(x, X)[0]
-    t = cost.t_matrix(y, atoms)[0]
-    return a, t, y[0]
+def _marginal_objective(X, mass, atoms, cost, x):
+    """(value, gradient) of the marginal problem at x, as one function of y.
+
+    The feature-pair statistics base(x, X) are computed once, not per call.
+    """
+    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+
+    def objective(y):
+        y = np.asarray(y, dtype=float).reshape(-1)
+        t = cost.t_matrix(y.reshape(1, -1), atoms)[0]
+        g = mass * cost.profile_dt(a, t)
+        grad = g @ atoms if cost.kind == "IP" else 2.0 * (math.fsum(g) * y - g @ atoms)
+        return math.fsum(mass * cost.profile(a, t)), grad
+
+    return objective
 
 
 def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
-    a, t, _ = _marginal_terms(X, mass, atoms, cost, x, y)
-    return math.fsum(mass * cost.profile(a, t))
+    return _marginal_objective(X, mass, atoms, cost, x)(y)[0]
 
 
 def _marginal_grad_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
-    a, t, yv = _marginal_terms(X, mass, atoms, cost, x, y)
-    g = mass * cost.profile_dt(a, t)
-    if cost.kind == "IP":
-        return g @ atoms
-    return 2.0 * (math.fsum(g) * yv - g @ atoms)
+    return _marginal_objective(X, mass, atoms, cost, x)(y)[1]
 
 
 def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
-    a, t, yv = _marginal_terms(X, mass, atoms, cost, x, y)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+    t = cost.t_matrix(y.reshape(1, -1), atoms)[0]
     g1 = mass * cost.profile_dt(a, t)
     g2 = mass * cost.profile_dtt(a, t)
     if cost.kind == "IP":
         return (atoms.T * g2) @ atoms
-    diff = yv[None, :] - atoms
+    diff = y[None, :] - atoms
     H = 4.0 * (diff.T * g2) @ diff
     H += 2.0 * math.fsum(g1) * np.eye(atoms.shape[1])
     return H
@@ -177,28 +182,17 @@ def apply_perturbation(plan: EmbeddingPlan, gamma: Perturbation, eps: float) -> 
         raise InputError(f"perturbation dimension {gamma.dim_m} != plan dimension {plan.dim_m}")
     rows = []
     for i in range(plan.n_rows):
-        masses = list(map(float, plan.row_masses[i]))
-        atoms = [a for a in plan.row_atoms[i]]
+        masses, atoms = plan.row_masses[i], plan.row_atoms[i]
         if i in gamma.rows and eps != 0.0:
             d_arr, a_arr = gamma.rows[i]
-            for dq, ya in zip(d_arr, a_arr):
-                for k, yk in enumerate(atoms):
-                    if np.max(np.abs(ya - yk)) <= MERGE_TOL:
-                        masses[k] += eps * float(dq)
-                        break
-                else:
-                    atoms.append(np.asarray(ya, dtype=float))
-                    masses.append(eps * float(dq))
-        keep_m, keep_a = [], []
-        for q, ya in zip(masses, atoms):
-            if q < -1e-12:
-                raise InputError(f"row {i}: perturbation drives mass negative ({q!r})")
-            if q > 1e-15:
-                keep_m.append(q)
-                keep_a.append(ya)
-        if not keep_m:
+            masses, atoms = _merge_row(np.concatenate([masses, eps * d_arr]),
+                                       np.concatenate([atoms, a_arr]))
+        if (masses < -1e-12).any():
+            raise InputError(f"row {i}: perturbation drives mass negative ({float(masses.min())!r})")
+        keep = masses > 1e-15
+        if not keep.any():
             raise InputError(f"row {i}: perturbation removed all mass")
-        rows.append((np.array(keep_m), np.stack(keep_a)))
+        rows.append((masses[keep], atoms[keep]))
     return EmbeddingPlan(rows)
 
 

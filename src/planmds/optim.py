@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,16 +23,17 @@ from .core import (
     MERGE_TOL,
     NumericalError,
     PointCloud,
-    plan_from_map,
 )
 from .energy import (
-    _marginal_grad_arrays,
+    _marginal_objective,
     _marginal_value_arrays,
     _pair_energy,
 )
 from .quartic import (
+    RESIDUAL_TOL,
     LiftedMoments,
     MarginalSolution,
+    QuarticMarginal,
     map_objective,
     minimize_quartic,
     moments_from_arrays,
@@ -182,15 +183,6 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
 # Marginal minimization (dispatch per cost)
 # ---------------------------------------------------------------------------
 
-def _quadratic_ip_solution(X, mass, atoms, cost, x) -> MarginalSolution:
-    G = (atoms.T * mass) @ atoms
-    rhs = (atoms.T * mass) @ X @ np.asarray(x, dtype=float).reshape(-1)
-    y, _, rank, _ = np.linalg.lstsq(G, rhs, rcond=None)
-    value = _marginal_value_arrays(X, mass, atoms, cost, x, y)
-    kind = "unique" if rank == atoms.shape[1] else "continuum"
-    return MarginalSolution(minimizers=[y], value=value, multiplicity_kind=kind, certified=True)
-
-
 def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
                       extra_starts=()) -> MarginalSolution:
     from scipy.optimize import minimize as _sp_minimize
@@ -203,13 +195,11 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
     for _ in range(max(2, config.candidate_budget // 2)):
         starts.append(scale * rng.standard_normal(m))
+    objective = _marginal_objective(X, mass, atoms, cost, x)
     best_y, best_v = None, np.inf
     for y0 in starts:
         res = _sp_minimize(
-            lambda y: _marginal_value_arrays(X, mass, atoms, cost, x, y),
-            np.asarray(y0, dtype=float),
-            jac=lambda y: _marginal_grad_arrays(X, mass, atoms, cost, x, y),
-            method="L-BFGS-B",
+            objective, np.asarray(y0, dtype=float), jac=True, method="L-BFGS-B",
             options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500},
         )
         if res.fun < best_v:
@@ -220,16 +210,47 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
 
 def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
                            extra_starts=()) -> MarginalSolution:
-    if cost.has_moment_form:
-        return minimize_quartic(quartic_at(moments_from_arrays(X, mass, atoms), x))
-    if cost.name == "quadratic-ip":
-        return _quadratic_ip_solution(X, mass, atoms, cost, x)
-    return _generic_solution(X, mass, atoms, cost, x, config, extra_starts)
+    """Solve the marginal problem at x with the path its cost's profile allows.
+
+    A profile (a - t)^2 * omega(a) makes the marginal sum_a w_a (a_a - t_a(y))^2
+    with pair weights w_a = mass_a * omega(a_a): for the IP kind a
+    least-squares problem, solved by one linear system; for the N2 kind W * J,
+    W = sum w_a, with J the quartic of the lifted moments under the weights
+    w_a / W.  Both solves are global and carry a certificate.  Any other
+    profile gets the best-effort multi-start local search.
+    """
+    if cost.quadratic_scale is None:
+        return _generic_solution(X, mass, atoms, cost, x, config, extra_starts)
+    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+    w = mass / cost.quadratic_scale(a)
+    if cost.kind == "IP":
+        G = (atoms.T * w) @ atoms
+        rhs = (atoms.T * w) @ a
+        y, _, rank, _ = np.linalg.lstsq(G, rhs, rcond=None)
+        # G is positive semidefinite: a stationary point is a global minimizer
+        scale = 1.0 + np.linalg.norm(G) * np.linalg.norm(y) + np.linalg.norm(rhs)
+        return MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y),
+                                "unique" if rank == atoms.shape[1] else "continuum",
+                                bool(np.linalg.norm(G @ y - rhs) <= RESIDUAL_TOL * scale))
+    W = math.fsum(w)
+    qm = quartic_at(moments_from_arrays(X, w / W, atoms), x)
+    # minimize_quartic's tolerances are absolute, and skewed weights (qsammon's
+    # self pairs weigh 1/eps) can leave the minimizer far below unit scale; so
+    # y = s u with s a power of two near it, and J(s u) = s^4 J_s(u) exactly.
+    r = max(math.sqrt(float(np.linalg.norm(qm.Psi))), float(np.linalg.norm(qm.phi)) ** (1.0 / 3.0))
+    s = 2.0 ** math.floor(math.log2(r)) if r > 0.0 else 1.0
+    sol = minimize_quartic(QuarticMarginal(qm.Psi / s**2, qm.phi / s**3, qm.zeta / s**4))
+    return replace(sol, minimizers=[s * u + qm.y_shift for u in sol.minimizers],
+                   value=W * s**4 * sol.value)
 
 
 def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x,
                       config: DescentConfig = None) -> MarginalSolution:
-    """Global (closed form where available, else best-effort) marginal minimizer."""
+    """Global minimizer of the marginal problem at x.
+
+    Certified for every cost with a quadratic profile (see CostFamily); a
+    best-effort multi-start local search, uncertified, for any other.
+    """
     plan.validate_against(cloud)
     if config is None:
         config = DescentConfig()

@@ -100,6 +100,16 @@ class MomentSet:
             )
         except KeyError as exc:
             raise InputError(f"{path}: missing moment field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed moment field ({exc})") from None
+        m = moments.S.shape[0] if moments.S.ndim else 0
+        d = moments.Cxx.shape[0] if moments.Cxx.ndim else 0
+        shapes = {"S": (m, m), "Phi": (m, d), "b": (m,), "Cxx": (d, d),
+                  "a1": (d,), "x_mean": (d,), "y_mean": (m,)}
+        bad = [name for name, shape in shapes.items() if getattr(moments, name).shape != shape]
+        if bad:
+            raise InputError(f"{path}: moment field(s) {', '.join(bad)} do not fit "
+                             f"S ({m}x{m}) and Cxx ({d}x{d})")
         bad = [f.name for f in fields(cls) if not np.isfinite(getattr(moments, f.name)).all()]
         if bad:
             raise InputError(f"{path}: non-finite moment field(s) {', '.join(bad)}")
@@ -273,11 +283,6 @@ class QuarticMarginal:
         yc = np.asarray(y, dtype=float).reshape(-1) - self.y_shift
         return 4.0 * (np.dot(yc, yc) * yc - self.Psi @ yc - self.phi)
 
-    def hessian(self, y) -> np.ndarray:
-        yc = np.asarray(y, dtype=float).reshape(-1) - self.y_shift
-        s = float(np.dot(yc, yc))
-        return 4.0 * (s * np.eye(self.dim_m) + 2.0 * np.outer(yc, yc) - self.Psi)
-
 
 def quartic_at(moments: MomentSet, x) -> QuarticMarginal:
     """Assemble (Psi, phi, zeta) at the source point x."""
@@ -301,8 +306,9 @@ class MarginalSolution:
     "continuum" (a sphere of minimizers in a repeated top eigenspace, of
     which `minimizers` holds two representatives).  `certified` is False when
     global optimality was not established: a best-effort multi-start solve,
-    or a quartic minimizer that failed its stationarity or
-    |y|^2 >= lambda_max(Psi) check.
+    a quartic minimizer that failed its stationarity or
+    |y|^2 >= lambda_max(Psi) check, or a least-squares solve that failed its
+    residual check.
     """
 
     minimizers: list

@@ -130,6 +130,21 @@ def test_levelset_nonfinite_moments_exit_2(tmp_path):
     assert main(["levelset", str(mfile), "--res", "3", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("S", "abc"), ("s2", [1.0]), ("S", [[1.0, 0.0]]), ("Phi", [[1.0]]), ("b", [1.0, 2.0]),
+    ("Cxx", [[1.0]]), ("a1", [0.0]), ("x_mean", [0.0, 0.0, 0.0]), ("y_mean", []),
+])
+def test_levelset_malformed_moments_exit_2(tmp_path, field, value):
+    # stacked-pair moments: m = 1, d = 2; each edit breaks one field's type or shape
+    cloud = stacked_pair_cloud(10)
+    mfile = tmp_path / "m.json"
+    compute_moments(stacked_pair_plan(cloud), cloud).to_json(mfile)
+    payload = json.loads(mfile.read_text())
+    payload[field] = value
+    mfile.write_text(json.dumps(payload))
+    assert main(["levelset", str(mfile), "--res", "3", "--out", str(tmp_path)]) == 2
+
+
 def test_bad_mds_threads_exit_2(tmp_path, monkeypatch):
     csv = tmp_path / "pair.csv"
     write_two_point_csv(csv)

@@ -8,13 +8,14 @@ import pytest
 import planmds as pm
 from planmds.optim import (
     DescentConfig,
+    _generic_solution,
     marginal_sweep,
     minimize_marginal,
     particle_descent,
     pca_solve,
 )
 
-from helpers import random_cloud
+from helpers import random_cloud, random_plan
 
 
 def test_config_validation():
@@ -80,11 +81,32 @@ def test_minimize_marginal_generic_cost_best_effort():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 6, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(6, 1))))
-    sol = minimize_marginal(plan, cloud, pm.QSammon(), cloud.points[0],
+    sol = minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0],
                             DescentConfig(candidate_budget=6, seed=4))
     assert not sol.certified
-    g = pm.marginal_grad(plan, cloud, pm.QSammon(), cloud.points[0], sol.minimizers[0])
+    g = pm.marginal_grad(plan, cloud, pm.Elastic(), cloud.points[0], sol.minimizers[0])
     assert np.linalg.norm(g) < 1e-5
+
+
+@pytest.mark.parametrize("cost", [
+    pm.QMDS(), pm.QSammon(), pm.QuadraticIP(), pm.KernelIP(sigma=0.8),
+    pm.KernelIP(kernel="polynomial", degree=3, offset=0.5), pm.Elastic(),
+], ids=lambda c: c.name + ("-" + c.kernel if isinstance(c, pm.KernelIP) else ""))
+def test_minimize_marginal_exact_for_quadratic_profiles(cost):
+    # every cost with a quadratic profile gets a certified solve at least as
+    # good as the multi-start local search; elastic alone stays best-effort
+    rng = np.random.default_rng(11)
+    for m in (1, 2):
+        cloud = random_cloud(rng, 7, 2)
+        plan = random_plan(rng, cloud, m)
+        idx, mass, atoms = plan.flat()
+        for x in (cloud.points[0], cloud.points[3], rng.normal(size=2)):
+            sol = minimize_marginal(plan, cloud, cost, x)
+            assert sol.certified == (cost.quadratic_scale is not None)
+            value = min(pm.marginal_value(plan, cloud, cost, x, y) for y in sol.minimizers)
+            assert sol.value == pytest.approx(value, rel=1e-10, abs=1e-12)
+            generic = _generic_solution(cloud.points[idx], mass, atoms, cost, x, DescentConfig())
+            assert value <= generic.value + 1e-8 * (1.0 + abs(value))
 
 
 def test_sweep_collapses_split_row_in_one_sweep():
