@@ -35,6 +35,7 @@ from .energy import (
     marginal_value,
     oscillation_experiment,
     perturbation_split,
+    reported_stress,
     stress_map,
     stress_plan,
 )
@@ -67,7 +68,8 @@ __all__ = [
     "plan_from_map", "profile_derivatives",
     "DeterminismReport", "PerturbationSplit", "apply_perturbation",
     "determinism_report", "marginal_grad", "marginal_hessian", "marginal_value",
-    "oscillation_experiment", "perturbation_split", "stress_map", "stress_plan",
+    "oscillation_experiment", "perturbation_split", "reported_stress", "stress_map",
+    "stress_plan",
     "MarginalSolution", "MomentSet", "QuarticMarginal", "compute_moments",
     "level_set_grid", "minimize_quartic", "quartic_at", "select_minimizer",
     "DescentConfig", "IterationTrace", "marginal_sweep", "minimize_marginal",

@@ -22,7 +22,7 @@ from .core import (
     make_cost,
     plan_from_map,
 )
-from .energy import determinism_report, stress_plan
+from .energy import determinism_report, reported_stress
 from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment, save_embedding_csv
 from .optim import DescentConfig, _initial_images, marginal_sweep, particle_descent
 from .quartic import MomentSet, level_set_grid, save_levelset_csv
@@ -122,7 +122,7 @@ def _cmd_embed(args) -> int:
     else:
         init_map = DeterministicMap(_initial_images(cloud, dcfg))
         plan, trace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, dcfg)
-    stress = stress_plan(plan, cloud, cost)
+    stress = reported_stress(cloud, plan, cost)
     det = determinism_report(plan, 1e-10, 1e-10)
 
     base = os.path.splitext(os.path.basename(args.input))[0]

@@ -143,6 +143,8 @@ def _merge_row(masses, atoms):
     atoms = _as_matrix(atoms, "atoms")
     if masses.shape[0] != atoms.shape[0]:
         raise InputError("row masses and atoms disagree in length")
+    if masses.shape[0] == 1:   # nothing to merge
+        return masses.copy(), atoms.copy()
     out_m: list[float] = []
     out_a: list[np.ndarray] = []
     for q, y in zip(masses, atoms):
@@ -170,30 +172,28 @@ class EmbeddingPlan:
         dim_m = None
         for i, (masses, atoms) in enumerate(rows):
             m_arr, a_arr = _merge_row(masses, atoms)
-            if (m_arr <= 0).any():
-                raise InputError(f"row {i}: nonpositive atom mass after merging")
             if dim_m is None:
                 dim_m = a_arr.shape[1]
             elif a_arr.shape[1] != dim_m:
                 raise InputError(f"row {i}: atom dimension {a_arr.shape[1]} != {dim_m}")
+            m_arr.setflags(write=False)
+            a_arr.setflags(write=False)
             row_masses.append(m_arr)
             row_atoms.append(a_arr)
-        total = math.fsum(float(m) for arr in row_masses for m in arr)
+        counts = [len(m) for m in row_masses]
+        idx = np.repeat(np.arange(len(counts)), counts)
+        mass = np.concatenate(row_masses)
+        bad = np.flatnonzero(mass <= 0)
+        if bad.size:
+            raise InputError(f"row {idx[bad[0]]}: nonpositive atom mass after merging")
+        total = math.fsum(mass.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise InputError(f"plan total mass {total!r} differs from 1 beyond {MASS_TOL}")
         self.row_masses = row_masses
         self.row_atoms = row_atoms
         self.dim_m = int(dim_m)
-        for arr in row_masses:
-            arr.setflags(write=False)
-        for arr in row_atoms:
-            arr.setflags(write=False)
-        idx = np.concatenate([np.full(len(m), i, dtype=int) for i, m in enumerate(row_masses)])
-        self._flat = (
-            idx,
-            np.concatenate(row_masses),
-            np.concatenate(row_atoms, axis=0),
-        )
+        self._starts = np.cumsum(counts) - counts
+        self._flat = (idx, mass, np.concatenate(row_atoms, axis=0))
         for arr in self._flat:
             arr.setflags(write=False)
 
@@ -215,9 +215,11 @@ class EmbeddingPlan:
     def validate_against(self, cloud: PointCloud, tol: float = MASS_TOL) -> None:
         if self.n_rows != cloud.n:
             raise InputError(f"plan has {self.n_rows} rows but cloud has {cloud.n} atoms")
-        for i in range(self.n_rows):
-            if abs(self.row_weight(i) - cloud.weights[i]) > tol:
-                raise InputError(f"row {i} mass {self.row_weight(i)!r} != weight {cloud.weights[i]!r}")
+        bad = np.flatnonzero(np.abs(np.add.reduceat(self._flat[1], self._starts)
+                                    - cloud.weights) > tol)
+        if bad.size:
+            i = int(bad[0])
+            raise InputError(f"row {i} mass {self.row_weight(i)!r} != weight {cloud.weights[i]!r}")
 
     def barycenter(self) -> np.ndarray:
         _, mass, atoms = self._flat
@@ -305,10 +307,20 @@ class Perturbation:
 # ---------------------------------------------------------------------------
 
 def _sqdist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n2a = np.sum(A * A, axis=1)
-    n2b = np.sum(B * B, axis=1)
-    out = n2a[:, None] + n2b[None, :] - 2.0 * (A @ B.T)
-    np.maximum(out, 0.0, out=out)
+    """|a - b|^2 for every pair of rows, in difference form: sum_k (a_k - b_k)^2.
+
+    The expansion |a|^2 + |b|^2 - 2<a, b> cancels for near-coincident rows
+    and leaves rounding of the size of |a|^2 (which 1/(a + eps) weights then
+    amplify); the difference form is exactly 0 for equal rows and accurate to
+    a few ulps everywhere.  Coordinates are added one at a time, so no
+    K x K x m temporary is made.
+    """
+    out = np.subtract.outer(A[:, 0], B[:, 0])
+    out *= out
+    for k in range(1, A.shape[1]):
+        diff = np.subtract.outer(A[:, k], B[:, k])
+        diff *= diff
+        out += diff
     return out
 
 
@@ -350,12 +362,11 @@ class CostFamily:
         return _sqdist_matrix(Y1, Y2)
 
     def t_value(self, y, yp) -> float:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        yp = np.asarray(yp, dtype=float).reshape(-1)
+        y = np.asarray(y, dtype=float).reshape(-1).tolist()
+        yp = np.asarray(yp, dtype=float).reshape(-1).tolist()
         if self.kind == "IP":
-            return float(np.dot(y, yp))
-        d = y - yp
-        return float(np.dot(d, d))
+            return sum(a * b for a, b in zip(y, yp))
+        return sum((a - b) * (a - b) for a, b in zip(y, yp))
 
     # --- profile and t-derivatives ----------------------------------------------
     def quadratic_scale(self, a):

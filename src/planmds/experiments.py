@@ -25,9 +25,8 @@ from .core import (
 from .energy import (
     determinism_report,
     oscillation_experiment,
+    reported_stress,
     save_oscillation_csv,
-    stress_map,
-    stress_plan,
 )
 from .optim import DescentConfig, marginal_sweep, particle_descent, pca_solve
 from .quartic import compute_moments, level_set_grid, quartic_at, save_levelset_csv
@@ -117,7 +116,7 @@ def _run_circle_clusters(outdir, seed: int, params: dict) -> ExperimentReport:
     cfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-9, seed=seed,
                         init="random", dim_m=1)
     pmap, ptrace = particle_descent(cloud, cost, cfg)
-    p_stress = stress_map(cloud, pmap, cost)
+    p_stress = reported_stress(cloud, pmap, cost)
     p_plan = plan_from_map(cloud, pmap)
     p_embed = os.path.join(outdir, "circle-clusters-particle.csv")
     p_svg = os.path.join(outdir, "circle-clusters-particle.svg")
@@ -133,7 +132,7 @@ def _run_circle_clusters(outdir, seed: int, params: dict) -> ExperimentReport:
     init_map = circle_clusters_analytic_init(cloud, cluster_size)
     scfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-12, seed=seed, dim_m=1)
     splan, strace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, scfg)
-    s_stress = stress_plan(splan, cloud, cost)
+    s_stress = reported_stress(cloud, splan, cost)
     det = determinism_report(splan, 1e-10, 1e-10)
     s_embed = os.path.join(outdir, "circle-clusters-marginal.csv")
     s_svg = os.path.join(outdir, "circle-clusters-marginal.svg")
@@ -179,7 +178,7 @@ def _run_stacked_pair(outdir, seed: int, params: dict) -> ExperimentReport:
     report = ExperimentReport("stacked-pair", seed, {"n_stack": n_stack, "res": res})
     report.runs.append({
         "optimizer": "closed-form", "init": "projection",
-        "final_stress": stress_plan(plan, cloud, QMDS()),
+        "final_stress": reported_stress(cloud, plan, QMDS()),
         "sweeps": 0, "deterministic": True,
         "psi_at_15_0": float(probe.Psi[0, 0]),
         "phi_at_15_0": float(probe.phi[0]),
@@ -231,11 +230,11 @@ def _run_pca_check(outdir, seed: int, params: dict) -> ExperimentReport:
     cloud = pca_check_cloud(seed, n)
     cost = QuadraticIP()
     pca_map = pca_solve(cloud, m)
-    pca_stress = stress_map(cloud, pca_map, cost)
+    pca_stress = reported_stress(cloud, pca_map, cost)
     cfg = DescentConfig(max_sweeps=int(params.get("max_sweeps", 50)),
                         rel_tol=1e-12, seed=seed, init="pca", dim_m=m)
     plan, trace = marginal_sweep(plan_from_map(cloud, pca_map), cloud, cost, cfg)
-    sweep_stress = stress_plan(plan, cloud, cost)
+    sweep_stress = reported_stress(cloud, plan, cost)
 
     Xc = cloud.points - cloud.mean()
     C = (Xc.T * cloud.weights) @ Xc

@@ -27,7 +27,7 @@ from .core import (
 from .energy import (
     _marginal_objective,
     _marginal_value_arrays,
-    _pair_energy,
+    plan_energy,
 )
 from .quartic import (
     RESIDUAL_TOL,
@@ -42,7 +42,6 @@ from .quartic import (
 )
 
 GAIN_TOL = 1e-9    # per-unit-mass marginal gain below which a move is skipped
-ENERGY_RTOL = 1e-12  # rounding bound, relative, below which a moment energy replaces the pairwise sum
 
 
 @dataclass
@@ -265,8 +264,9 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, 
 class _SweepState:
     """Mutable flat-array view of a plan during a sweep.
 
-    Atoms of one source stay contiguous; single-atom replacement is O(1),
-    splits and merges rebuild the arrays.
+    The atoms of source i stay contiguous, at positions ptr[i]:ptr[i+1]
+    (CSR offsets), so a row lookup costs O(row length) and replacing an atom
+    O(1); only a split or a merge shifts the arrays and the offsets after it.
     """
 
     def __init__(self, plan: EmbeddingPlan, cloud: PointCloud):
@@ -277,9 +277,18 @@ class _SweepState:
         self.atoms = np.array(atoms)
         self.cloud = cloud
         self.X = cloud.points[self.idx]
+        self.ptr = np.zeros(cloud.n + 1, dtype=int)
+        np.cumsum(np.bincount(self.idx, minlength=cloud.n), out=self.ptr[1:])
 
-    def row_positions(self, i: int) -> np.ndarray:
-        return np.nonzero(self.idx == i)[0]
+    def row_positions(self, i: int) -> range:
+        return range(self.ptr[i], self.ptr[i + 1])
+
+    def find(self, i: int, y: np.ndarray):
+        """Position of an atom of row i within MERGE_TOL of y, or None."""
+        for p in self.row_positions(i):
+            if np.max(np.abs(self.atoms[p] - y)) <= MERGE_TOL:
+                return p
+        return None
 
     def replace_atom(self, pos: int, y_new: np.ndarray) -> None:
         i = self.idx[pos]
@@ -300,44 +309,32 @@ class _SweepState:
                 if drop:
                     self._delete(pos)
                 return
-        row = self.row_positions(i)
-        at = int(row[-1]) + 1
+        at = self.ptr[i + 1]
         self.idx = np.insert(self.idx, at, i)
         self.mass = np.insert(self.mass, at, frac_mass)
         self.atoms = np.insert(self.atoms, at, y_new, axis=0)
         self.X = np.insert(self.X, at, self.cloud.points[i], axis=0)
+        self.ptr[i + 1:] += 1
         if drop:
             self._delete(pos)
 
     def _delete(self, pos: int) -> None:
+        self.ptr[self.idx[pos] + 1:] -= 1
         self.idx = np.delete(self.idx, pos)
         self.mass = np.delete(self.mass, pos)
         self.atoms = np.delete(self.atoms, pos, axis=0)
         self.X = np.delete(self.X, pos, axis=0)
 
-    def energy(self, cost: CostFamily, sums: LiftedMoments = None) -> float:
-        """The plan energy: from the lifted moments when their rounding bound
-        allows, else (costs without them, near-isometric plans) the pairwise sum."""
-        if sums is not None:
-            value, rounding = sums.energy()
-            if rounding <= ENERGY_RTOL * value:
-                return value
-        return _pair_energy(self.X, self.atoms, self.mass, cost)
-
     def split_fraction(self) -> float:
         total = 0.0
-        counts = np.bincount(self.idx, minlength=self.cloud.n)
-        for i in np.nonzero(counts > 1)[0]:
-            row = self.mass[self.idx == i]
+        for i in np.flatnonzero(np.diff(self.ptr) > 1):
+            row = self.mass[self.ptr[i]:self.ptr[i + 1]]
             total += math.fsum(row) - float(np.max(row))
         return total
 
     def to_plan(self) -> EmbeddingPlan:
-        rows = []
-        for i in range(self.cloud.n):
-            sel = self.idx == i
-            rows.append((self.mass[sel], self.atoms[sel]))
-        return EmbeddingPlan(rows)
+        cuts = self.ptr[1:-1]
+        return EmbeddingPlan(list(zip(np.split(self.mass, cuts), np.split(self.atoms, cuts))))
 
 
 def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
@@ -361,7 +358,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     def marginal(x):
         """(solve, value) of the marginal problem at x for the plan as it stands."""
         if sums is not None:
-            qm = quartic_at(sums.moment_set(), x)
+            qm = quartic_at(sums, x)
             return (lambda y_start: minimize_quartic(qm)), qm.value
 
         def solve(y_start):
@@ -371,8 +368,20 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         return solve, functools.partial(_marginal_value_arrays, state.X, state.mass,
                                         state.atoms, cost, x)
 
+    def needle_quadratic(base, y_old, y_new) -> float:
+        """c(y_new, y_new) - 2 c(y_old, y_new) + c(y_old, y_old) at the row's base.
+
+        Times q^2 it is the quadratic term Q of moving mass q from y_old to
+        y_new; for the N2 kind t(y, y) = 0, so one t value does.
+        """
+        if cost.kind == "N2":
+            return 2.0 * (cost.profile(base, 0.0) - cost.profile(base, cost.t_value(y_old, y_new)))
+        return (cost.profile(base, cost.t_value(y_new, y_new))
+                - 2.0 * cost.profile(base, cost.t_value(y_old, y_new))
+                + cost.profile(base, cost.t_value(y_old, y_old)))
+
     trace = IterationTrace()
-    E = state.energy(cost, sums)
+    E = plan_energy(state.X, state.mass, state.atoms, cost, sums)
     trace.add(E, state.split_fraction(), 0.0)
     bases = [cost.base(x, x) for x in cloud.points]
 
@@ -382,27 +391,22 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         any_accepted = False
         for i in range(cloud.n):
             x, base = cloud.points[i], bases[i]
-            snapshot = [np.array(state.atoms[p]) for p in state.row_positions(i)]
-            for y_old in snapshot:
-                row = state.row_positions(i)
-                pos = None
-                for p in row:
-                    if np.max(np.abs(state.atoms[p] - y_old)) <= MERGE_TOL:
-                        pos = int(p)
-                        break
+            row = state.row_positions(i)
+            for k, y_old in enumerate(state.atoms[row.start:row.stop].copy()):
+                # the first atom is where it was; a later one may have merged away
+                pos = row.start if k == 0 else state.find(i, y_old)
                 if pos is None:
-                    continue  # merged away earlier in this row's pass
+                    continue
                 q = float(state.mass[pos])
                 solve, value = marginal(x)
-                y_new = select_minimizer(solve(y_old))
+                sol = solve(y_old)
+                y_new = select_minimizer(sol)
                 j_old = value(y_old)
                 j_new = value(y_new)
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 L = q * (j_new - j_old)
-                Q = q * q * (cost.profile(base, cost.t_value(y_new, y_new))
-                             - 2.0 * cost.profile(base, cost.t_value(y_old, y_new))
-                             + cost.profile(base, cost.t_value(y_old, y_old)))
+                Q = q * q * needle_quadratic(base, y_old, y_new)
                 if full_move:
                     eps = 1.0
                 elif Q > 0.0:
@@ -434,14 +438,13 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     _, value = marginal(x)
                     jvals = [value(state.atoms[p]) for p in row]
                     order = np.argsort(jvals)  # ties still yield distinct slots
-                    dst = int(row[order[0]])
-                    src = int(row[order[-1]])
+                    dst = row[order[0]]
+                    src = row[order[-1]]
                     q = float(state.mass[src])
                     y_old = np.array(state.atoms[src])
                     y_new = np.array(state.atoms[dst])
                     L = q * (jvals[order[0]] - jvals[order[-1]])
-                    Q = 2.0 * q * q * (cost.profile(base, 0.0)
-                                       - cost.profile(base, cost.t_value(y_old, y_new)))
+                    Q = q * q * needle_quadratic(base, y_old, y_new)
                     state.replace_atom(src, y_new)
                     if sums is not None:
                         sums.move(x, y_old, y_new, q)
@@ -450,7 +453,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     any_accepted = True
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
-        E_new = state.energy(cost, sums)
+        E_new = plan_energy(state.X, state.mass, state.atoms, cost, sums)
         trace.add(E_new, state.split_fraction(), moved,
                   max_delta if any_accepted else 0.0)
         improvement = E - E_new

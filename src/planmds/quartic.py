@@ -19,8 +19,10 @@ repeated).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,6 +64,22 @@ class MomentSet:
     def eigen(self):
         """Eigenvalues (ascending) and eigenvectors of S."""
         return np.linalg.eigh(self.S)
+
+    @functools.cached_property
+    def lifted(self) -> list:
+        """The lifted moments F about (x_mean, y_mean) whose blocks these fields are, as rows."""
+        m, d = self.dim_m, self.dim_d
+        F = np.zeros((2 + m + d, 2 + m + d))
+        F[0, 0] = 1.0
+        F[0, 1] = F[1, 0] = self.s1
+        F[1, 1] = self.s2
+        F[1, 2:2 + m] = F[2:2 + m, 1] = self.b
+        F[1, 2 + m:] = F[2 + m:, 1] = self.a1
+        F[2:2 + m, 2:2 + m] = 0.25 * (self.S + self.S.T) - 0.5 * self.s1 * np.eye(m)
+        F[2:2 + m, 2 + m:] = self.Phi
+        F[2 + m:, 2:2 + m] = self.Phi.T
+        F[2 + m:, 2 + m:] = self.Cxx
+        return F.tolist()
 
     def to_json(self, path) -> None:
         payload = {
@@ -133,11 +151,13 @@ class LiftedMoments:
     """F = sum_a m_a f_a f_a^T over the lifted features f_a of the atoms.
 
     Features are taken about a fixed origin, the atom means when the sums are
-    built, so moving an atom is a rank-one update of F.  The moment set of the
-    quartic marginal, the marginal values and the plan energy all follow from
-    F in O((d+m)^3), with no pass over the atoms.  The sums are built with
-    math.fsum: the energy cancels down from the moments, and accumulated
-    rounding in them would cost digits (and depend on the BLAS).
+    built, so moving an atom is a rank-one update of F.  The quartic marginal
+    at any x (quartic_at), the marginal values and the plan energy all follow
+    from F in O((d+m)^2), with no pass over the atoms.  The sums are built
+    with math.fsum: the energy cancels down from the moments, and accumulated
+    rounding in them would cost digits (and depend on the BLAS).  F is kept as
+    a list of rows of Python floats: a sweep reads it and updates it once per
+    step, and at (d+m+2)^2 entries Python float arithmetic beats numpy calls.
     """
 
     def __init__(self, X: np.ndarray, mass: np.ndarray, atoms: np.ndarray):
@@ -148,10 +168,10 @@ class LiftedMoments:
         f = self._features(X, atoms)
         i, j = np.triu_indices(f.shape[1])
         sums = [math.fsum(col) for col in (f[:, i] * f[:, j] * mass[:, None]).T.tolist()]
-        self.F = np.empty((f.shape[1], f.shape[1]))
-        self.F[i, j] = sums
-        self.F[j, i] = sums
-        self._moments = None
+        F = np.empty((f.shape[1], f.shape[1]))
+        F[i, j] = sums
+        F[j, i] = sums
+        self.F = F.tolist()
 
     def _features(self, X, atoms) -> np.ndarray:
         Y = atoms - self.y0
@@ -160,36 +180,49 @@ class LiftedMoments:
         return np.column_stack([np.ones(len(r)), r, Y, Xc])
 
     def move(self, x, y_from, y_to, mass: float) -> None:
-        """Move `mass` of the atoms at (x, y_from) to (x, y_to)."""
-        f = self._features(np.stack([x, x]), np.stack([y_from, y_to]))
-        self.F += (f.T * np.array([-mass, mass])) @ f
-        self._moments = None
+        """Move `mass` of the atoms at (x, y_from) to (x, y_to): F += mass (f_to f_to^T - f_from f_from^T).
+
+        The two features differ only in their r and y entries, so only those
+        rows and columns of F change; the rest change by exactly 0.
+        """
+        m = self.dim_m
+        v = (x - self.x0).tolist()
+        nx2 = sum(t * t for t in v)
+        u_to, u_from = (y_to - self.y0).tolist(), (y_from - self.y0).tolist()
+        a = [1.0, sum(t * t for t in u_to) - nx2] + u_to + v
+        b = [1.0, sum(t * t for t in u_from) - nx2] + u_from + v
+        F = self.F
+        for i in range(1, 2 + m):
+            row, ai, bi = F[i], a[i], b[i]
+            for j, (aj, bj) in enumerate(zip(a, b)):
+                row[j] += mass * (ai * aj - bi * bj)
+                if not 0 < j < 2 + m:
+                    F[j][i] = row[j]
 
     def moment_set(self) -> MomentSet:
         """The centred moment set, by an exact change of origin to the current means."""
-        if self._moments is None:
-            m = self.dim_m
-            dy, dx = self.F[0, 2:2 + m], self.F[0, 2 + m:]
-            T = np.eye(self.F.shape[0])
-            T[1, 0] = dy @ dy - dx @ dx
-            T[1, 2:2 + m] = -2.0 * dy
-            T[1, 2 + m:] = 2.0 * dx
-            T[2:, 0] = -self.F[0, 2:]
-            C = T @ self.F @ T.T
-            C = 0.5 * (C + C.T)
-            s1 = float(C[0, 1])
-            self._moments = MomentSet(
-                S=2.0 * C[2:2 + m, 2:2 + m] + s1 * np.eye(m),
-                Phi=C[2:2 + m, 2 + m:],
-                b=C[2:2 + m, 1],
-                Cxx=C[2 + m:, 2 + m:],
-                s1=s1,
-                s2=float(C[1, 1]),
-                a1=C[2 + m:, 1],
-                x_mean=self.x0 + dx,
-                y_mean=self.y0 + dy,
-            )
-        return self._moments
+        m = self.dim_m
+        F = np.array(self.F)
+        dy, dx = F[0, 2:2 + m], F[0, 2 + m:]
+        T = np.eye(F.shape[0])
+        T[1, 0] = dy @ dy - dx @ dx
+        T[1, 2:2 + m] = -2.0 * dy
+        T[1, 2 + m:] = 2.0 * dx
+        T[2:, 0] = -F[0, 2:]
+        C = T @ F @ T.T
+        C = 0.5 * (C + C.T)
+        s1 = float(C[0, 1])
+        return MomentSet(
+            S=2.0 * C[2:2 + m, 2:2 + m] + s1 * np.eye(m),
+            Phi=C[2:2 + m, 2 + m:],
+            b=C[2:2 + m, 1],
+            Cxx=C[2 + m:, 2 + m:],
+            s1=s1,
+            s2=float(C[1, 1]),
+            a1=C[2 + m:, 1],
+            x_mean=self.x0 + dx,
+            y_mean=self.y0 + dy,
+        )
 
     def energy(self) -> tuple[float, float]:
         """The plan energy sum_ab m_a m_b (f_a^T P f_b)^2 = tr(PFPF), and a bound on its rounding.
@@ -201,14 +234,15 @@ class LiftedMoments:
         signed permutation), so the rounding of the sums stays below 8 eps
         of that magnitude.
         """
-        PF = self.P @ self.F
-        magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(self.F)) * float(np.trace(self.F))
+        F = np.array(self.F)
+        PF = self.P @ F
+        magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
         return math.fsum((PF * PF.T).ravel()), 8.0 * np.finfo(float).eps * magnitude
 
 
-def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> MomentSet:
-    """Moments from flat per-atom arrays: source point, mass, and image of each atom."""
-    return LiftedMoments(X, mass, atoms).moment_set()
+def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> LiftedMoments:
+    """Lifted moments from flat per-atom arrays: source point, mass, and image of each atom."""
+    return LiftedMoments(X, mass, atoms)
 
 
 def map_objective(X: np.ndarray, w: np.ndarray, m: int):
@@ -251,7 +285,7 @@ def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> MomentSet:
     """Single pass over the plan's atoms accumulating all quartic moments."""
     plan.validate_against(cloud)
     idx, mass, atoms = plan.flat()
-    return moments_from_arrays(cloud.points[idx], mass, atoms)
+    return moments_from_arrays(cloud.points[idx], mass, atoms).moment_set()
 
 
 @dataclass(frozen=True)
@@ -275,7 +309,11 @@ class QuarticMarginal:
         return self.Psi.shape[0]
 
     def value(self, y) -> float:
-        yc = np.asarray(y, dtype=float).reshape(-1) - self.y_shift
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] == 1:
+            yc = float(y[0]) - float(self.y_shift[0])
+            return _scalar_value(float(self.Psi[0, 0]), float(self.phi[0]), self.zeta, yc)
+        yc = y - self.y_shift
         s = float(np.dot(yc, yc))
         return s * s - 2.0 * float(yc @ self.Psi @ yc) - 4.0 * float(self.phi @ yc) + self.zeta
 
@@ -284,18 +322,54 @@ class QuarticMarginal:
         return 4.0 * (np.dot(yc, yc) * yc - self.Psi @ yc - self.phi)
 
 
-def quartic_at(moments: MomentSet, x) -> QuarticMarginal:
-    """Assemble (Psi, phi, zeta) at the source point x."""
-    xc = np.asarray(x, dtype=float).reshape(-1) - moments.x_mean
-    if xc.shape[0] != moments.dim_d:
-        raise InputError(f"x has dimension {xc.shape[0]}, moments expect {moments.dim_d}")
-    nx2 = float(np.dot(xc, xc))
-    Psi = nx2 * np.eye(moments.dim_m) - moments.S
-    phi = 2.0 * moments.Phi @ xc + moments.b
-    zeta = (nx2 * nx2 + 4.0 * float(xc @ moments.Cxx @ xc)
-            - 2.0 * nx2 * moments.s1 + 4.0 * float(moments.a1 @ xc) + moments.s2)
-    return QuarticMarginal(Psi=0.5 * (Psi + Psi.T), phi=phi, zeta=float(zeta),
-                           y_shift=moments.y_mean.copy())
+def _scalar_value(psi: float, phi: float, zeta: float, y: float) -> float:
+    """J at the centred point y of a quartic marginal with m = 1, in Python floats."""
+    s = y * y
+    return s * s - 2.0 * (y * psi * y) - 4.0 * (phi * y) + zeta
+
+
+def quartic_at(moments, x) -> QuarticMarginal:
+    """Assemble (Psi, phi, zeta) at the source point x from a MomentSet or LiftedMoments.
+
+    Both are lifted moments F about an origin (x0, y0): LiftedMoments as they
+    stand after any moves, a MomentSet about its means.  With v = x - x0,
+    u = y - y0 and the lifted point e = (1, -|v|^2, 0, v) of x, the lifted
+    feature of (x, y) is e + (0, |u|^2, u, 0), and J = f^T P F P f needs F
+    only through g = F P e, with P e = (|v|^2, -1, 0, -2v):
+
+        J = |u|^4 - 4 |u|^2 mu.u + 4 u^T F_yy u - 2 g_0 |u|^2 + 4 g_y.u + (Pe).g
+
+    (F_00, the total mass, taken as 1), where mu = F[0, y] is the offset of
+    the atom mean from y0.  Shifting to that mean, u = mu + w, cancels the
+    cubic term and leaves
+
+        Psi  = (|mu|^2 + g_0) I + 2 mu mu^T - 2 F_yy
+        phi  = (2 |mu|^2 + g_0) mu - 2 F_yy mu - g_y
+        zeta = -3 |mu|^4 - 2 g_0 |mu|^2 + 4 mu.F_yy mu + 4 g_y.mu + (Pe).g,
+
+    with y_shift = y0 + mu: O((d+m)^2) Python float operations in all.
+    """
+    if isinstance(moments, LiftedMoments):
+        F, x0, y0 = moments.F, moments.x0, moments.y0
+    else:
+        F, x0, y0 = moments.lifted, moments.x_mean, moments.y_mean
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != len(x0):
+        raise InputError(f"x has dimension {x.shape[0]}, moments expect {len(x0)}")
+    m = len(y0)
+    v = (x - x0).tolist()
+    pe = [sum(t * t for t in v), -1.0] + [0.0] * m + [-2.0 * t for t in v]
+    g = [sum(map(operator.mul, row, pe)) for row in F]
+    mu, Fyy, gy = F[0][2:2 + m], [row[2:2 + m] for row in F[2:2 + m]], g[2:2 + m]
+    a = sum(t * t for t in mu)
+    k = [sum(map(operator.mul, row, mu)) for row in Fyy]
+    Psi = [[2.0 * mu[j] * mu[l] - 2.0 * Fyy[j][l] + (a + g[0] if j == l else 0.0)
+            for l in range(m)] for j in range(m)]
+    phi = [(2.0 * a + g[0]) * mu[j] - 2.0 * k[j] - gy[j] for j in range(m)]
+    zeta = (-3.0 * a * a - 2.0 * g[0] * a + 4.0 * sum(map(operator.mul, mu, k))
+            + 4.0 * sum(map(operator.mul, gy, mu)) + sum(map(operator.mul, pe, g)))
+    return QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=zeta,
+                           y_shift=y0 + np.array(mu))
 
 
 @dataclass(frozen=True)
@@ -319,32 +393,46 @@ class MarginalSolution:
 
 def select_minimizer(solution: MarginalSolution) -> np.ndarray:
     """Deterministic tie-break: lexicographically largest minimizer."""
+    if len(solution.minimizers) == 1:
+        return solution.minimizers[0]
     return max(solution.minimizers, key=lambda y: tuple(y))
 
 
-def _polish(qm: QuarticMarginal, yc: np.ndarray, iters: int = 40) -> tuple[np.ndarray, float]:
-    """Newton steps on the stationarity equation (centered); the point and its gradient norm.
+def _polish(Psi, phi, y, iters: int = 40):
+    """Newton steps on the stationarity equation (centered): the point, its gradient norm and |y|^2.
 
     A step is kept only when it lowers the gradient norm, so a point near a
-    singular Hessian (a sphere of minimizers) is never made worse.
+    singular Hessian (a sphere of minimizers) is never made worse.  At m = 1
+    Psi, phi and y are Python floats.
     """
-    m = qm.dim_m
-    y, res = yc, math.inf
+    scalar = isinstance(y, float)
+    best = (y, math.inf, 0.0)
     for _ in range(iters + 1):
-        s = float(np.dot(y, y))
-        g = 4.0 * (s * y - qm.Psi @ y - qm.phi)
-        norm = float(np.linalg.norm(g))
-        if not norm < res:
+        if scalar:
+            s = y * y
+            g = 4.0 * (s * y - Psi * y - phi)
+            norm = abs(g)
+        else:
+            s = float(np.dot(y, y))
+            g = 4.0 * (s * y - Psi @ y - phi)
+            norm = float(np.linalg.norm(g))
+        if not norm < best[1]:
             break
-        yc, res = y, norm
-        if res <= 0.1 * RESIDUAL_TOL:
+        best = (y, norm, s)
+        if norm <= 0.1 * RESIDUAL_TOL:
             break
-        H = 4.0 * (s * np.eye(m) + 2.0 * np.outer(y, y) - qm.Psi)
-        try:
-            y = y - np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            y = y - np.linalg.lstsq(H, g, rcond=None)[0]
-    return yc, res
+        if scalar:
+            h = 4.0 * (s + 2.0 * y * y - Psi)
+            if h == 0.0:
+                break
+            y = y - g / h
+        else:
+            H = 4.0 * (s * np.eye(len(y)) + 2.0 * np.outer(y, y) - Psi)
+            try:
+                y = y - np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                y = y - np.linalg.lstsq(H, g, rcond=None)[0]
+    return best
 
 
 def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> float:
@@ -391,16 +479,24 @@ def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
     gets Newton steps on the stationarity equation, and the solution is
     certified when every one has a gradient norm <= RESIDUAL_TOL and
     |y|^2 >= lambda_max - 1e-8 scale.  Minimizers are in original
-    coordinates, lexicographically descending.
+    coordinates, lexicographically descending.  At m = 1 the eigenbasis is
+    trivial and the solve, the polish and the values run on Python floats.
     """
-    Psi, phi = qm.Psi, qm.phi
-    if not (np.isfinite(Psi).all() and np.isfinite(phi).all() and math.isfinite(qm.zeta)):
-        raise NumericalError("quartic marginal with non-finite coefficients")
     m = qm.dim_m
-    phi2 = float(np.dot(phi, phi))
-    scale = max(1.0, float(np.linalg.norm(Psi)), math.sqrt(phi2))
-    psis, V = (Psi[0], np.ones((1, 1))) if m == 1 else np.linalg.eigh(Psi)
-    psis, phih = psis.tolist(), (phi @ V).tolist()
+    if m == 1:
+        psis, phih = [float(qm.Psi[0, 0])], [float(qm.phi[0])]
+        finite = math.isfinite(psis[0]) and math.isfinite(phih[0])
+    else:
+        finite = bool(np.isfinite(qm.Psi).all() and np.isfinite(qm.phi).all())
+    if not (finite and math.isfinite(qm.zeta)):
+        raise NumericalError("quartic marginal with non-finite coefficients")
+    if m == 1:
+        V, phi2, psi_norm = None, phih[0] * phih[0], abs(psis[0])
+    else:
+        phi2, psi_norm = float(np.dot(qm.phi, qm.phi)), float(np.linalg.norm(qm.Psi))
+        psis, V = np.linalg.eigh(qm.Psi)
+        psis, phih = psis.tolist(), (qm.phi @ V).tolist()
+    scale = max(1.0, psi_norm, math.sqrt(phi2))
     lam = psis[-1]
     top = m - 1
     while top and psis[top] - psis[top - 1] <= EIG_GAP:
@@ -414,19 +510,27 @@ def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
 
     if c_top or lam - rest2 <= 1e-12 * scale:
         t = _secular_root(c, g, c_top, lam, phi2)
-        yh = np.array([f / (t + gk) for f, gk in zip(phih, g)]
-                      + [f / t if c_top else 0.0 for f in phih[top:]])
-        points, kind = [V @ yh], "unique"
+        yh = ([f / (t + gk) for f, gk in zip(phih, g)]
+              + [f / t if c_top else 0.0 for f in phih[top:]])
+        points, kind = [yh[0] if V is None else V @ np.array(yh)], "unique"
     else:
-        y_rest = V[:, :top] @ np.array([f / gk for f, gk in zip(phih, g)])
         r = math.sqrt(lam - rest2)
-        points = [y_rest + r * V[:, top], y_rest - r * V[:, top]]
+        if V is None:
+            points = [r, -r]
+        else:
+            y_rest = V[:, :top] @ np.array([f / gk for f, gk in zip(phih, g)])
+            points = [y_rest + r * V[:, top], y_rest - r * V[:, top]]
         kind = "continuum" if top < m - 1 else "finite_multiple"
 
-    polished = [_polish(qm, yc) for yc in points]
-    certified = all(res <= RESIDUAL_TOL and float(np.dot(yc, yc)) >= lam - 1e-8 * scale
-                    for yc, res in polished)
-    minimizers = sorted((yc + qm.y_shift for yc, _ in polished), key=tuple, reverse=True)
+    Psi, phi = (psis[0], phih[0]) if V is None else (qm.Psi, qm.phi)
+    polished = [_polish(Psi, phi, y) for y in points]
+    certified = all(res <= RESIDUAL_TOL and s >= lam - 1e-8 * scale for _, res, s in polished)
+    if V is None:
+        shift = float(qm.y_shift[0])
+        minimizers = [np.array([y]) for y in sorted((y + shift for y, _, _ in polished),
+                                                     reverse=True)]
+    else:
+        minimizers = sorted((y + qm.y_shift for y, _, _ in polished), key=tuple, reverse=True)
     return MarginalSolution(minimizers=minimizers, value=min(qm.value(y) for y in minimizers),
                             multiplicity_kind=kind, certified=certified)
 

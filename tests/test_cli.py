@@ -226,3 +226,25 @@ def test_embed_outputs_identical_across_blas_thread_counts(tmp_path):
                                                       "report.json")]
     for optimizer in ("marginal", "particle"):
         assert files[optimizer, "1"] == files[optimizer, "2"]
+
+
+def test_experiment_outputs_identical_across_blas_thread_counts(tmp_path):
+    # circle-clusters, whose reported stresses come from lifted moments, writes
+    # the same report and CSV bytes with 1 and 2 BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
+    files = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "planmds.cli", "experiment", "circle-clusters",
+             "--cluster-size", "10", "--seed", "3", "--outdir", "out"],
+            cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
+        out = run_dir / "out"
+        files[threads] = {name: (out / name).read_bytes()
+                          for name in sorted(os.listdir(out))
+                          if name.endswith((".json", ".csv"))}
+    assert "circle-clusters-report.json" in files["1"]
+    assert files["1"] == files["2"]

@@ -139,6 +139,20 @@ def test_profile_derivatives_match_finite_differences():
             assert d2 == pytest.approx((vp - 2 * v + vm) / h**2, abs=tol)
 
 
+def test_squared_distances_in_difference_form():
+    rng = np.random.default_rng(12)
+    Y = rng.normal(size=(40, 3)) * 5.0
+    for cost in (pm.QMDS(), pm.QSammon(), pm.Elastic()):
+        assert np.all(np.diag(cost.t_matrix(Y, Y)) == 0.0)
+        assert np.all(np.diag(cost.base_matrix(Y, Y)) == 0.0)
+    # near-coincident atoms far from the origin: the expansion
+    # |y|^2 + |y'|^2 - 2<y, y'> would leave rounding of size 1e12 * eps
+    Y = 1e6 + rng.normal(size=(25, 2))
+    Z = Y + 1e-7 * rng.normal(size=Y.shape)
+    want = np.sum((Y[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
+    np.testing.assert_allclose(pm.QMDS().t_matrix(Y, Z), want, rtol=1e-15, atol=0.0)
+
+
 def test_cost_symmetry_random_tuples():
     rng = np.random.default_rng(3)
     for cost in all_costs():

@@ -2,9 +2,8 @@
 
 The fast paths (plan energy, quartic marginal values after rank-one moves,
 particle-descent gradient) are evaluated with the plan translated by an
-offset of up to 10, while the pairwise oracles see the untranslated plan:
-the qmds cost is translation invariant, and the oracles' |a|^2 + |b|^2 - 2ab
-distances lose digits at large offsets.  Coordinates lie on a grid of
+offset of up to 10, while the pairwise oracles see the untranslated plan
+(the qmds cost is translation invariant).  Coordinates lie on a grid of
 quarters, so points and atoms coincide often and the oracles' squared
 distances are exact.
 
@@ -14,7 +13,9 @@ for the energy, where s is the plan's spread about the origin of the moments
 (their scale, and so that of their rounding): the means, or after moves the
 means the moments were built at.  A relative tolerance on the value
 itself cannot hold for plans that embed their cloud isometrically, where the
-true energy is 0.
+true energy is 0.  The reported stress is held to 1e-12 of its value
+instead, since it falls back to the pairwise sum exactly where the moments
+cannot give that.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planmds as pm
+from planmds import energy
 from planmds.energy import _marginal_grad_arrays, _marginal_value_arrays, _pair_energy
-from planmds.quartic import LiftedMoments, map_objective, quartic_at
+from planmds.quartic import (
+    LiftedMoments,
+    compute_moments,
+    map_objective,
+    minimize_quartic,
+    quartic_at,
+)
 
 RTOL = 1e-10
 FLOOR = 1e-24     # absolute slack for quantities whose terms all vanish
@@ -127,3 +135,116 @@ def test_particle_gradient_matches_marginal_grad(plan):
         dist = np.sqrt(np.sum((atoms - atoms[i]) ** 2, axis=1) + _spread(X, mass, atoms))
         scale = 8.0 * mass[i] * float(mass @ (_terms(X, mass, atoms, X[i], atoms[i]) * dist))
         assert np.max(np.abs(grad[i] - want)) <= RTOL * scale + FLOOR
+
+
+@st.composite
+def clouds_and_plans(draw, max_offset=1e6):
+    """(cloud, plan) with m <= 4: random, coincident or near-isometric, maybe far from the origin.
+
+    A near-isometric plan embeds points that span at most m coordinates by
+    their first m coordinates plus a 1e-6 perturbation: its energy is about
+    1e-12 of the terms it sums, so the moment energy's rounding bound is too
+    wide for it.  Points and atoms are translated by offsets of up to
+    max_offset.
+    """
+    d, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "coincident", "isometric"]))
+    points = np.array([draw(st.lists(grid, min_size=d, max_size=d)) for _ in range(n)])
+    if kind == "coincident":
+        points[:] = points[0]
+    if kind == "isometric":
+        points[:, m:] = 0.0
+    rows = []
+    for x in points:
+        k = 1 if kind == "isometric" else draw(st.integers(1, 3))
+        if kind == "isometric":
+            y = np.zeros((1, m))
+            y[0, :min(d, m)] = x[:m]
+            y += 1e-6 * np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+        elif kind == "coincident" and draw(st.booleans()):
+            y = np.ones((k, m))
+        else:
+            y = np.array([draw(st.lists(grid, min_size=m, max_size=m)) for _ in range(k)])
+        rows.append((np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float), y))
+    total = sum(float(q.sum()) for q, _ in rows)
+    offsets = st.sampled_from([0.0, 10.0, -max_offset, max_offset])
+    x_off, y_off = draw(offsets), draw(offsets)
+    cloud = pm.PointCloud(points + x_off, [float(q.sum()) / total for q, _ in rows])
+    return cloud, pm.EmbeddingPlan([(q / total, y + y_off) for q, y in rows])
+
+
+def test_reported_stress_matches_pairwise_oracles(monkeypatch):
+    """reported_stress equals stress_plan (and stress_map for maps) to 1e-12 relative.
+
+    Near-isometric plans must take the pairwise fallback, every other case the
+    moment energy; both branches have to occur.
+    """
+    pair_calls = []
+    pair_energy = energy._pair_energy
+
+    def counted(*args, **kwargs):
+        pair_calls.append(1)
+        return pair_energy(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "_pair_energy", counted)
+    fell_back = []
+
+    @SETTINGS
+    @given(clouds_and_plans())
+    def check(case):
+        cloud, plan = case
+        before = len(pair_calls)
+        got = pm.reported_stress(cloud, plan, QMDS)
+        fell_back.append(len(pair_calls) > before)
+        exact = pm.stress_plan(plan, cloud, QMDS)
+        assert abs(got - exact) <= 1e-12 * exact
+        if plan.atom_count == cloud.n:
+            mapping = pm.DeterministicMap(plan.flat()[2])
+            exact = pm.stress_map(cloud, mapping, QMDS)
+            assert abs(pm.reported_stress(cloud, mapping, QMDS) - exact) <= 1e-12 * exact
+
+    check()
+    assert any(fell_back) and not all(fell_back)
+
+
+@SETTINGS
+@given(clouds_and_plans(max_offset=1e3), st.data())
+def test_lifted_marginal_after_moves_matches_fresh_moments(case, data):
+    """The marginal read from moved lifted moments equals the one from moments built afresh.
+
+    Offsets stop at 1e3 because the reference, a MomentSet, holds its means
+    in absolute coordinates, rounded to the ulp of the offset.
+    """
+    cloud, plan = case
+    idx, mass, atoms = plan.flat()
+    X, atoms = cloud.points[idx], atoms.copy()
+    sums = LiftedMoments(X, mass, atoms)
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = data.draw(st.integers(0, len(mass) - 1))
+        b = data.draw(st.integers(0, len(mass) - 1))
+        y_new = atoms[b].copy() if data.draw(st.booleans()) else atoms[a] + data.draw(grid)
+        sums.move(X[a], atoms[a], y_new, mass[a])
+        atoms[a] = y_new
+    moved = pm.EmbeddingPlan([(mass[idx == i], atoms[idx == i]) for i in range(cloud.n)])
+    x = cloud.points[data.draw(st.integers(0, cloud.n - 1))] + data.draw(grid)
+    got = quartic_at(sums, x)
+    want = quartic_at(compute_moments(moved, cloud), x)
+    # scale of Psi: squared distances about the means and the old origin of F
+    x_mean, y_mean = cloud.weights @ cloud.points, mass @ atoms
+    s = 1.0 + float(mass @ (np.sum((X - x_mean) ** 2, axis=1) + np.sum((atoms - y_mean) ** 2, axis=1))
+                    + np.sum((x - x_mean) ** 2) + np.sum((y_mean - sums.y0) ** 2))
+    assert np.max(np.abs(got.Psi - want.Psi)) <= 1e-12 * s
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * s**1.5
+    assert abs(got.zeta - want.zeta) <= 1e-12 * s**2
+    # the shift to the atom mean leaves no cubic term in the exact marginal:
+    # along a unit u, [J(c+2u) - J(c-2u)] - 2 [J(c+u) - J(c-u)] = 12 a3
+    c, u = got.y_shift, np.ones(len(y_mean)) / np.sqrt(len(y_mean))
+    J = [_marginal_value_arrays(X, mass, atoms, QMDS, x, c + t * u) for t in (2, -2, 1, -1)]
+    assert abs((J[0] - J[1]) - 2.0 * (J[2] - J[3])) / 12.0 <= 1e-12 * (s + 4.0) ** 2
+    sol_got, sol_want = minimize_quartic(got), minimize_quartic(want)
+    assert sol_got.multiplicity_kind == sol_want.multiplicity_kind
+    assert sol_got.certified == sol_want.certified
+    assert abs(sol_got.value - sol_want.value) <= 1e-10 * s**2
+    if sol_got.multiplicity_kind != "continuum":   # continuum representatives are arbitrary
+        for y_got, y_want in zip(sol_got.minimizers, sol_want.minimizers):
+            assert np.max(np.abs(y_got - y_want)) <= 1e-8 * (1.0 + np.max(np.abs(y_want)))
