@@ -169,33 +169,53 @@ class EmbeddingPlan:
             raise InputError("plan needs at least one row")
         row_masses: list[np.ndarray] = []
         row_atoms: list[np.ndarray] = []
-        dim_m = None
         for i, (masses, atoms) in enumerate(rows):
             m_arr, a_arr = _merge_row(masses, atoms)
-            if dim_m is None:
-                dim_m = a_arr.shape[1]
-            elif a_arr.shape[1] != dim_m:
-                raise InputError(f"row {i}: atom dimension {a_arr.shape[1]} != {dim_m}")
-            m_arr.setflags(write=False)
-            a_arr.setflags(write=False)
+            if row_atoms and a_arr.shape[1] != row_atoms[0].shape[1]:
+                raise InputError(f"row {i}: atom dimension {a_arr.shape[1]} != {row_atoms[0].shape[1]}")
             row_masses.append(m_arr)
             row_atoms.append(a_arr)
-        counts = [len(m) for m in row_masses]
+        self._set_flat([len(q) for q in row_masses], np.concatenate(row_masses),
+                       np.concatenate(row_atoms, axis=0))
+
+    @classmethod
+    def from_flat(cls, counts, mass, atoms) -> "EmbeddingPlan":
+        """The plan whose row i holds the next counts[i] entries of the flat mass and atom arrays.
+
+        A row of one atom has nothing to merge, so when every row has one
+        atom the arrays are copied and checked once, whole; otherwise the
+        rows go through the constructor.
+        """
+        counts = np.asarray(counts)
+        if not (counts == 1).all():
+            cuts = np.cumsum(counts)[:-1]
+            return cls(list(zip(np.split(mass, cuts), np.split(atoms, cuts))))
+        mass = np.array(mass, dtype=float).reshape(-1)
+        atoms = np.array(_as_matrix(atoms, "atoms"))
+        if mass.shape[0] != atoms.shape[0] or mass.shape[0] != counts.shape[0]:
+            raise InputError("row masses and atoms disagree in length")
+        plan = cls.__new__(cls)
+        plan._set_flat(counts, mass, atoms)
+        return plan
+
+    def _set_flat(self, counts, mass: np.ndarray, atoms: np.ndarray) -> None:
+        """Check the masses and keep the flat arrays; the rows are read-only views of them."""
         idx = np.repeat(np.arange(len(counts)), counts)
-        mass = np.concatenate(row_masses)
-        bad = np.flatnonzero(mass <= 0)
+        bad = np.flatnonzero(~(mass > 0))
         if bad.size:
             raise InputError(f"row {idx[bad[0]]}: nonpositive atom mass after merging")
         total = math.fsum(mass.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise InputError(f"plan total mass {total!r} differs from 1 beyond {MASS_TOL}")
-        self.row_masses = row_masses
-        self.row_atoms = row_atoms
-        self.dim_m = int(dim_m)
-        self._starts = np.cumsum(counts) - counts
-        self._flat = (idx, mass, np.concatenate(row_atoms, axis=0))
-        for arr in self._flat:
+        for arr in (idx, mass, atoms):
             arr.setflags(write=False)
+        ends = np.cumsum(counts).tolist()
+        starts = [0] + ends[:-1]
+        self.row_masses = [mass[a:b] for a, b in zip(starts, ends)]
+        self.row_atoms = [atoms[a:b] for a, b in zip(starts, ends)]
+        self.dim_m = atoms.shape[1]
+        self._starts = np.array(starts)
+        self._flat = (idx, mass, atoms)
 
     @property
     def n_rows(self) -> int:
@@ -362,8 +382,11 @@ class CostFamily:
         return _sqdist_matrix(Y1, Y2)
 
     def t_value(self, y, yp) -> float:
-        y = np.asarray(y, dtype=float).reshape(-1).tolist()
-        yp = np.asarray(yp, dtype=float).reshape(-1).tolist()
+        return self.t_floats(np.asarray(y, dtype=float).reshape(-1).tolist(),
+                             np.asarray(yp, dtype=float).reshape(-1).tolist())
+
+    def t_floats(self, y: list, yp: list) -> float:
+        """t_value of two points given as lists of Python floats."""
         if self.kind == "IP":
             return sum(a * b for a, b in zip(y, yp))
         return sum((a - b) * (a - b) for a, b in zip(y, yp))
@@ -561,5 +584,4 @@ def plan_from_map(cloud: PointCloud, mapping: DeterministicMap) -> EmbeddingPlan
     """The deterministic plan with mass w_i on (x_i, T(x_i))."""
     if mapping.n != cloud.n:
         raise InputError(f"map has {mapping.n} images but cloud has {cloud.n} atoms")
-    rows = [(np.array([w]), img.reshape(1, -1)) for w, img in zip(cloud.weights, mapping.images)]
-    return EmbeddingPlan(rows)
+    return EmbeddingPlan.from_flat(np.ones(cloud.n, dtype=int), cloud.weights, mapping.images)

@@ -9,7 +9,6 @@ needle direction is used, so the energy is non-increasing in every case.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -333,8 +332,7 @@ class _SweepState:
         return total
 
     def to_plan(self) -> EmbeddingPlan:
-        cuts = self.ptr[1:-1]
-        return EmbeddingPlan(list(zip(np.split(self.mass, cuts), np.split(self.atoms, cuts))))
+        return EmbeddingPlan.from_flat(np.diff(self.ptr), self.mass, self.atoms)
 
 
 def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
@@ -355,18 +353,11 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     full_move = cost.kind == "N2" and cost.unique_min_at_zero
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
 
-    def marginal(x):
-        """(solve, value) of the marginal problem at x for the plan as it stands."""
+    def values(x, ys) -> list:
+        """Marginal values at x of the points ys, for the plan as it stands."""
         if sums is not None:
-            qm = quartic_at(sums, x)
-            return (lambda y_start: minimize_quartic(qm)), qm.value
-
-        def solve(y_start):
-            return _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, config,
-                                          extra_starts=(y_start,))
-
-        return solve, functools.partial(_marginal_value_arrays, state.X, state.mass,
-                                        state.atoms, cost, x)
+            return [quartic_at(sums, x).value(y) for y in ys]
+        return [_marginal_value_arrays(state.X, state.mass, state.atoms, cost, x, y) for y in ys]
 
     def needle_quadratic(base, y_old, y_new) -> float:
         """c(y_new, y_new) - 2 c(y_old, y_new) + c(y_old, y_old) at the row's base.
@@ -375,34 +366,40 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         y_new; for the N2 kind t(y, y) = 0, so one t value does.
         """
         if cost.kind == "N2":
-            return 2.0 * (cost.profile(base, 0.0) - cost.profile(base, cost.t_value(y_old, y_new)))
-        return (cost.profile(base, cost.t_value(y_new, y_new))
-                - 2.0 * cost.profile(base, cost.t_value(y_old, y_new))
-                + cost.profile(base, cost.t_value(y_old, y_old)))
+            return 2.0 * (cost.profile(base, 0.0) - cost.profile(base, cost.t_floats(y_old, y_new)))
+        return (cost.profile(base, cost.t_floats(y_new, y_new))
+                - 2.0 * cost.profile(base, cost.t_floats(y_old, y_new))
+                + cost.profile(base, cost.t_floats(y_old, y_old)))
 
     trace = IterationTrace()
     E = plan_energy(state.X, state.mass, state.atoms, cost, sums)
     trace.add(E, state.split_fraction(), 0.0)
-    bases = [cost.base(x, x) for x in cloud.points]
+    # one base per distinct source point; base(x, x) is computed alone, as a
+    # blocked base_matrix diagonal could round differently
+    distinct, which = np.unique(cloud.points, axis=0, return_inverse=True)
+    bases = [cost.base(x, x) for x in distinct]
+    bases = [bases[k] for k in which.reshape(-1).tolist()]
 
     for _ in range(config.max_sweeps):
         moved = 0.0
         max_delta = -math.inf
         any_accepted = False
+        lifted = sums.lift(cloud.points) if sums is not None else None
         for i in range(cloud.n):
-            x, base = cloud.points[i], bases[i]
-            row = state.row_positions(i)
-            for k, y_old in enumerate(state.atoms[row.start:row.stop].copy()):
+            x, base, row = cloud.points[i], bases[i], state.row_positions(i)
+            for k, y_old in enumerate(state.atoms[row.start:row.stop].tolist()):
                 # the first atom is where it was; a later one may have merged away
                 pos = row.start if k == 0 else state.find(i, y_old)
                 if pos is None:
                     continue
                 q = float(state.mass[pos])
-                solve, value = marginal(x)
-                sol = solve(y_old)
-                y_new = select_minimizer(sol)
-                j_old = value(y_old)
-                j_new = value(y_new)
+                if sums is not None:
+                    y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
+                else:
+                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, config,
+                                                 extra_starts=(y_old,))
+                    y_new = select_minimizer(sol).tolist()
+                    j_old, j_new = values(x, (y_old, y_new))
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 L = q * (j_new - j_old)
@@ -423,34 +420,35 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 else:
                     state.split_atom(pos, eps * q, y_new)
                 if sums is not None:
-                    sums.move(x, y_old, y_new, eps * q)
+                    sums.move_lifted(lifted[i], y_old, y_new, eps * q)
                 moved += eps * q
                 max_delta = max(max_delta, delta)
                 any_accepted = True
-            if full_move:
+            if full_move and len(row) > 1:
                 # consolidation: with a profile uniquely minimized at zero, moving
                 # a row atom onto its best-valued sibling always lowers the energy,
-                # so split rows collapse to a single atom.
+                # so split rows collapse to a single atom (full moves never split,
+                # so a row that began the step with one atom still has one).
                 while True:
                     row = state.row_positions(i)
                     if len(row) <= 1:
                         break
-                    _, value = marginal(x)
-                    jvals = [value(state.atoms[p]) for p in row]
+                    jvals = values(x, state.atoms[row.start:row.stop])
                     order = np.argsort(jvals)  # ties still yield distinct slots
                     dst = row[order[0]]
                     src = row[order[-1]]
                     q = float(state.mass[src])
-                    y_old = np.array(state.atoms[src])
-                    y_new = np.array(state.atoms[dst])
+                    y_old = state.atoms[src].tolist()
+                    y_new = state.atoms[dst].tolist()
                     L = q * (jvals[order[0]] - jvals[order[-1]])
                     Q = q * q * needle_quadratic(base, y_old, y_new)
                     state.replace_atom(src, y_new)
                     if sums is not None:
-                        sums.move(x, y_old, y_new, q)
+                        sums.move_lifted(lifted[i], y_old, y_new, q)
                     moved += q
                     max_delta = max(max_delta, 2.0 * L + Q)
                     any_accepted = True
+        del lifted  # freed before the next sweep lifts its points: a lower memory peak
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
         E_new = plan_energy(state.X, state.mass, state.atoms, cost, sums)
@@ -473,6 +471,8 @@ def pca_solve(cloud: PointCloud, m: int) -> DeterministicMap:
         raise InputError("embedding dimension must be >= 1")
     Xc = cloud.points - cloud.mean()
     C = (Xc.T * cloud.weights) @ Xc
+    if not np.isfinite(C).all():
+        raise NumericalError("non-finite covariance: coordinates too large")
     vals, vecs = np.linalg.eigh(C)
     V = vecs[:, ::-1][:, :m]
     # fix eigenvector signs so output is stable across runs

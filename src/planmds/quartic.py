@@ -156,8 +156,9 @@ class LiftedMoments:
     from F in O((d+m)^2), with no pass over the atoms.  The sums are built
     with math.fsum: the energy cancels down from the moments, and accumulated
     rounding in them would cost digits (and depend on the BLAS).  F is kept as
-    a list of rows of Python floats: a sweep reads it and updates it once per
-    step, and at (d+m+2)^2 entries Python float arithmetic beats numpy calls.
+    a list of rows of Python floats: a sweep step (step, then move_lifted)
+    reads it and updates it once, and at (d+m+2)^2 entries Python float
+    arithmetic beats numpy calls.
     """
 
     def __init__(self, X: np.ndarray, mass: np.ndarray, atoms: np.ndarray):
@@ -167,11 +168,18 @@ class LiftedMoments:
         self.P = _residual_form(self.dim_m, X.shape[1])
         f = self._features(X, atoms)
         i, j = np.triu_indices(f.shape[1])
-        sums = [math.fsum(col) for col in (f[:, i] * f[:, j] * mass[:, None]).T.tolist()]
+        terms = (f[:, i] * f[:, j] * mass[:, None]).T
+        if not np.isfinite(terms).all():
+            raise NumericalError("non-finite lifted moment terms: coordinates too large")
+        try:
+            sums = [math.fsum(col) for col in terms.tolist()]
+        except OverflowError:
+            raise NumericalError("lifted moments overflow: coordinates too large") from None
         F = np.empty((f.shape[1], f.shape[1]))
         F[i, j] = sums
         F[j, i] = sums
         self.F = F.tolist()
+        self._y0 = self.y0.tolist()
 
     def _features(self, X, atoms) -> np.ndarray:
         Y = atoms - self.y0
@@ -179,25 +187,63 @@ class LiftedMoments:
         r = np.sum(Y * Y, axis=1) - np.sum(Xc * Xc, axis=1)
         return np.column_stack([np.ones(len(r)), r, Y, Xc])
 
+    def lift(self, X) -> list:
+        """(v, P e) of every source point x (row of X), in Python floats: what step and move read.
+
+        v = x - x0 and e = (1, -|v|^2, 0, v) is the lifted point of x, so
+        P e = (|v|^2, -1, 0, -2 v).  Moves leave x0 alone, so both stay valid.
+        """
+        m = self.dim_m
+        return [(v, _lifted_point(v, m)) for v in (np.atleast_2d(X) - self.x0).tolist()]
+
     def move(self, x, y_from, y_to, mass: float) -> None:
-        """Move `mass` of the atoms at (x, y_from) to (x, y_to): F += mass (f_to f_to^T - f_from f_from^T).
+        """Move `mass` of the atoms at (x, y_from) to (x, y_to): F += mass (f_to f_to^T - f_from f_from^T)."""
+        self.move_lifted(self.lift(x)[0], np.ravel(y_from).tolist(), np.ravel(y_to).tolist(), mass)
+
+    def move_lifted(self, lifted, y_from: list, y_to: list, mass: float) -> None:
+        """move() at the source point whose lift() is `lifted`, with the atoms as lists of floats.
 
         The two features differ only in their r and y entries, so only those
         rows and columns of F change; the rest change by exactly 0.
         """
         m = self.dim_m
-        v = (x - self.x0).tolist()
-        nx2 = sum(t * t for t in v)
-        u_to, u_from = (y_to - self.y0).tolist(), (y_from - self.y0).tolist()
-        a = [1.0, sum(t * t for t in u_to) - nx2] + u_to + v
-        b = [1.0, sum(t * t for t in u_from) - nx2] + u_from + v
+        v, nx2 = lifted[0], lifted[1][0]
+        sub, mul = operator.sub, operator.mul
+        u_to, u_from = list(map(sub, y_to, self._y0)), list(map(sub, y_from, self._y0))
+        a = [1.0, sum(map(mul, u_to, u_to)) - nx2, *u_to, *v]
+        b = [1.0, sum(map(mul, u_from, u_from)) - nx2, *u_from, *v]
         F = self.F
         for i in range(1, 2 + m):
             row, ai, bi = F[i], a[i], b[i]
-            for j, (aj, bj) in enumerate(zip(a, b)):
-                row[j] += mass * (ai * aj - bi * bj)
-                if not 0 < j < 2 + m:
-                    F[j][i] = row[j]
+            row[:] = [f + mass * (ai * aj - bi * bj) for f, aj, bj in zip(row, a, b)]
+            F[0][i] = row[0]
+            for fj, rj in zip(row[2 + m:], F[2 + m:]):
+                rj[i] = fj
+
+    def step(self, lifted, y_old: list):
+        """The sweep's move of the atom at y_old of the source point whose lift() is `lifted`.
+
+        Returns (y_new, certified, j_old, j_new): the selected (lexicographically
+        largest) global minimizer of the marginal there, whether the solve is
+        certified, and the marginal values at y_old and y_new.  These are
+        select_minimizer(minimize_quartic(quartic_at(self, x))) and its
+        QuarticMarginal.value, by the same floating-point operations in the
+        same order, with no objects in between: Python floats at m = 1, and
+        numpy only where it does the arithmetic at m >= 2 (eigh, @, dot).
+        """
+        m = self.dim_m
+        Psi, phi, zeta, mu = _coefficients(self.F, lifted[1], m)
+        if m == 1:
+            Psi, phi, shift = Psi[0][0], phi[0], self._y0[0] + mu[0]
+            points, _, certified = _minimize_centred(Psi, phi, zeta)
+            y = max(y + shift for y in points)
+            return ([y], certified, _centred_value(Psi, phi, zeta, y_old[0] - shift),
+                    _centred_value(Psi, phi, zeta, y - shift))
+        Psi, phi, shift = np.array(Psi), np.array(phi), self.y0 + np.array(mu)
+        points, _, certified = _minimize_centred(Psi, phi, zeta)
+        y = max((y + shift for y in points), key=tuple)
+        return (y.tolist(), certified, _centred_value(Psi, phi, zeta, np.array(y_old) - shift),
+                _centred_value(Psi, phi, zeta, y - shift))
 
     def moment_set(self) -> MomentSet:
         """The centred moment set, by an exact change of origin to the current means."""
@@ -311,21 +357,47 @@ class QuarticMarginal:
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] == 1:
-            yc = float(y[0]) - float(self.y_shift[0])
-            return _scalar_value(float(self.Psi[0, 0]), float(self.phi[0]), self.zeta, yc)
-        yc = y - self.y_shift
-        s = float(np.dot(yc, yc))
-        return s * s - 2.0 * float(yc @ self.Psi @ yc) - 4.0 * float(self.phi @ yc) + self.zeta
+            return _centred_value(float(self.Psi[0, 0]), float(self.phi[0]), self.zeta,
+                                  float(y[0]) - float(self.y_shift[0]))
+        return _centred_value(self.Psi, self.phi, self.zeta, y - self.y_shift)
 
     def grad(self, y) -> np.ndarray:
         yc = np.asarray(y, dtype=float).reshape(-1) - self.y_shift
         return 4.0 * (np.dot(yc, yc) * yc - self.Psi @ yc - self.phi)
 
 
-def _scalar_value(psi: float, phi: float, zeta: float, y: float) -> float:
-    """J at the centred point y of a quartic marginal with m = 1, in Python floats."""
-    s = y * y
-    return s * s - 2.0 * (y * psi * y) - 4.0 * (phi * y) + zeta
+def _centred_value(Psi, phi, zeta: float, y) -> float:
+    """J at the centred point y: Psi, phi and y are Python floats at m = 1, numpy arrays otherwise."""
+    if isinstance(phi, float):
+        s = y * y
+        return s * s - 2.0 * (y * Psi * y) - 4.0 * (phi * y) + zeta
+    s = float(np.dot(y, y))
+    return s * s - 2.0 * float(y @ Psi @ y) - 4.0 * float(phi @ y) + zeta
+
+
+def _lifted_point(v: list, m: int) -> list:
+    """P e for the lifted point e = (1, -|v|^2, 0, v) of a source point at v = x - x0."""
+    return [sum(map(operator.mul, v, v)), -1.0] + [0.0] * m + [-2.0 * t for t in v]
+
+
+def _coefficients(F: list, pe: list, m: int):
+    """(Psi as rows, phi, zeta, mu) at the lifted point pe, in Python floats: the core of quartic_at."""
+    mul = operator.mul
+    g = [sum(map(mul, row, pe)) for row in F]
+    g0, mu = g[0], F[0][2:2 + m]
+    a = sum(map(mul, mu, mu))
+    diag, b = a + g0, 2.0 * a + g0
+    Psi, phi, k = [], [], []
+    for j, (mj, row, gj) in enumerate(zip(mu, F[2:2 + m], g[2:2 + m])):
+        Fj = row[2:2 + m]
+        kj = sum(map(mul, Fj, mu))
+        Psi.append([2.0 * mj * ml - 2.0 * f + (diag if j == l else 0.0)
+                    for l, (ml, f) in enumerate(zip(mu, Fj))])
+        phi.append(b * mj - 2.0 * kj - gj)
+        k.append(kj)
+    zeta = (-3.0 * a * a - 2.0 * g0 * a + 4.0 * sum(map(mul, mu, k))
+            + 4.0 * sum(map(mul, g[2:2 + m], mu)) + sum(map(mul, pe, g)))
+    return Psi, phi, zeta, mu
 
 
 def quartic_at(moments, x) -> QuarticMarginal:
@@ -357,17 +429,7 @@ def quartic_at(moments, x) -> QuarticMarginal:
     if x.shape[0] != len(x0):
         raise InputError(f"x has dimension {x.shape[0]}, moments expect {len(x0)}")
     m = len(y0)
-    v = (x - x0).tolist()
-    pe = [sum(t * t for t in v), -1.0] + [0.0] * m + [-2.0 * t for t in v]
-    g = [sum(map(operator.mul, row, pe)) for row in F]
-    mu, Fyy, gy = F[0][2:2 + m], [row[2:2 + m] for row in F[2:2 + m]], g[2:2 + m]
-    a = sum(t * t for t in mu)
-    k = [sum(map(operator.mul, row, mu)) for row in Fyy]
-    Psi = [[2.0 * mu[j] * mu[l] - 2.0 * Fyy[j][l] + (a + g[0] if j == l else 0.0)
-            for l in range(m)] for j in range(m)]
-    phi = [(2.0 * a + g[0]) * mu[j] - 2.0 * k[j] - gy[j] for j in range(m)]
-    zeta = (-3.0 * a * a - 2.0 * g[0] * a + 4.0 * sum(map(operator.mul, mu, k))
-            + 4.0 * sum(map(operator.mul, gy, mu)) + sum(map(operator.mul, pe, g)))
+    Psi, phi, zeta, mu = _coefficients(F, _lifted_point((x - x0).tolist(), m), m)
     return QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=zeta,
                            y_shift=y0 + np.array(mu))
 
@@ -468,9 +530,28 @@ def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> fl
 def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
     """Global minimizers of the quartic marginal (the method is in the module docstring).
 
-    In the eigenbasis of Psi the top cluster (the trailing eigenvalues chained
-    by gaps <= EIG_GAP) counts as the one eigenvalue lambda_max, and the rest
-    have gaps g_k = lambda_max - psi_k.  When phi's top-cluster component is
+    Minimizers are in original coordinates, lexicographically descending;
+    the solve itself is _minimize_centred.
+    """
+    if qm.dim_m == 1:
+        Psi, phi, shift = float(qm.Psi[0, 0]), float(qm.phi[0]), float(qm.y_shift[0])
+        points, kind, certified = _minimize_centred(Psi, phi, qm.zeta)
+        minimizers = [np.array([y]) for y in sorted((y + shift for y in points), reverse=True)]
+    else:
+        points, kind, certified = _minimize_centred(qm.Psi, qm.phi, qm.zeta)
+        minimizers = sorted((y + qm.y_shift for y in points), key=tuple, reverse=True)
+    return MarginalSolution(minimizers=minimizers, value=min(qm.value(y) for y in minimizers),
+                            multiplicity_kind=kind, certified=certified)
+
+
+def _minimize_centred(Psi, phi, zeta: float):
+    """(centred minimizers, multiplicity kind, certified) of |y|^4 - 2 y^T Psi y - 4 phi^T y + zeta.
+
+    Psi and phi are Python floats at m = 1 and numpy arrays otherwise, and
+    the minimizers come back in the same form.  In the eigenbasis of Psi the
+    top cluster (the trailing eigenvalues chained by gaps <= EIG_GAP) counts
+    as the one eigenvalue lambda_max, and the rest have gaps
+    g_k = lambda_max - psi_k.  When phi's top-cluster component is
     negligible (at most _PHI_TOL scale, and small enough that ignoring it
     leaves a gradient below RESIDUAL_TOL / 2) and y_rest = phi_rest/g_rest
     has |y_rest|^2 < lambda_max, the minimizers are y_rest +- r v_top with
@@ -478,61 +559,56 @@ def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
     is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
     gets Newton steps on the stationarity equation, and the solution is
     certified when every one has a gradient norm <= RESIDUAL_TOL and
-    |y|^2 >= lambda_max - 1e-8 scale.  Minimizers are in original
-    coordinates, lexicographically descending.  At m = 1 the eigenbasis is
-    trivial and the solve, the polish and the values run on Python floats.
+    |y|^2 >= lambda_max - 1e-8 scale.  At m = 1 the eigenbasis is trivial
+    and the solve and the polish run on Python floats.
     """
-    m = qm.dim_m
-    if m == 1:
-        psis, phih = [float(qm.Psi[0, 0])], [float(qm.phi[0])]
-        finite = math.isfinite(psis[0]) and math.isfinite(phih[0])
+    scalar = isinstance(phi, float)
+    if scalar:
+        finite = math.isfinite(Psi) and math.isfinite(phi)
     else:
-        finite = bool(np.isfinite(qm.Psi).all() and np.isfinite(qm.phi).all())
-    if not (finite and math.isfinite(qm.zeta)):
+        finite = bool(np.isfinite(Psi).all() and np.isfinite(phi).all())
+    if not (finite and math.isfinite(zeta)):
         raise NumericalError("quartic marginal with non-finite coefficients")
-    if m == 1:
-        V, phi2, psi_norm = None, phih[0] * phih[0], abs(psis[0])
+    if scalar:
+        # one eigenvalue, so the top cluster holds all of phi and no gaps remain
+        phi2 = phi * phi
+        m, V, phih, lam, top, g, c, c_top, rest2 = 1, None, [phi], Psi, 0, [], [], phi2, 0.0
+        scale = max(1.0, abs(Psi), math.sqrt(phi2))
     else:
-        phi2, psi_norm = float(np.dot(qm.phi, qm.phi)), float(np.linalg.norm(qm.Psi))
-        psis, V = np.linalg.eigh(qm.Psi)
-        psis, phih = psis.tolist(), (qm.phi @ V).tolist()
-    scale = max(1.0, psi_norm, math.sqrt(phi2))
-    lam = psis[-1]
-    top = m - 1
-    while top and psis[top] - psis[top - 1] <= EIG_GAP:
-        top -= 1
-    g = [lam - p for p in psis[:top]]
-    c = [f * f for f in phih[:top]]
-    c_top = sum(f * f for f in phih[top:])
+        m = len(phi)
+        phi2, psi_norm = float(np.dot(phi, phi)), float(np.linalg.norm(Psi))
+        psis, V = np.linalg.eigh(Psi)
+        psis, phih = psis.tolist(), (phi @ V).tolist()
+        scale = max(1.0, psi_norm, math.sqrt(phi2))
+        lam = psis[-1]
+        top = m - 1
+        while top and psis[top] - psis[top - 1] <= EIG_GAP:
+            top -= 1
+        g = [lam - p for p in psis[:top]]
+        c = [f * f for f in phih[:top]]
+        c_top = sum(f * f for f in phih[top:])
+        rest2 = sum(ck / (gk * gk) for ck, gk in zip(c, g))
     if c_top <= min(_PHI_TOL * scale, RESIDUAL_TOL / 8.0) ** 2:
         c_top = 0.0
-    rest2 = sum(ck / (gk * gk) for ck, gk in zip(c, g))
 
     if c_top or lam - rest2 <= 1e-12 * scale:
         t = _secular_root(c, g, c_top, lam, phi2)
         yh = ([f / (t + gk) for f, gk in zip(phih, g)]
               + [f / t if c_top else 0.0 for f in phih[top:]])
-        points, kind = [yh[0] if V is None else V @ np.array(yh)], "unique"
+        points, kind = [yh[0] if scalar else V @ np.array(yh)], "unique"
     else:
         r = math.sqrt(lam - rest2)
-        if V is None:
+        if scalar:
             points = [r, -r]
         else:
             y_rest = V[:, :top] @ np.array([f / gk for f, gk in zip(phih, g)])
             points = [y_rest + r * V[:, top], y_rest - r * V[:, top]]
         kind = "continuum" if top < m - 1 else "finite_multiple"
 
-    Psi, phi = (psis[0], phih[0]) if V is None else (qm.Psi, qm.phi)
     polished = [_polish(Psi, phi, y) for y in points]
-    certified = all(res <= RESIDUAL_TOL and s >= lam - 1e-8 * scale for _, res, s in polished)
-    if V is None:
-        shift = float(qm.y_shift[0])
-        minimizers = [np.array([y]) for y in sorted((y + shift for y, _, _ in polished),
-                                                     reverse=True)]
-    else:
-        minimizers = sorted((y + qm.y_shift for y, _, _ in polished), key=tuple, reverse=True)
-    return MarginalSolution(minimizers=minimizers, value=min(qm.value(y) for y in minimizers),
-                            multiplicity_kind=kind, certified=certified)
+    floor = lam - 1e-8 * scale
+    certified = all(res <= RESIDUAL_TOL and s >= floor for _, res, s in polished)
+    return [y for y, _, _ in polished], kind, certified
 
 
 def level_set_grid(moments: MomentSet, region, resolution: int):

@@ -72,6 +72,32 @@ def test_plan_rejects_bad_total_mass():
         pm.EmbeddingPlan([(np.array([0.7]), np.array([[0.0]]))])
 
 
+def test_plan_rejects_nan_mass():
+    with pytest.raises(pm.InputError):
+        pm.EmbeddingPlan([(np.array([0.5, np.nan]), np.array([[0.0], [1.0]])),
+                          (np.array([0.5]), np.array([[2.0]]))])
+
+
+def test_plan_from_flat_matches_rows():
+    mass = np.array([0.1, 0.2, 0.3, 0.4])
+    atoms = np.random.default_rng(3).normal(size=(4, 2))
+    atoms[1] = atoms[0] + 1e-14   # merged where the two atoms share a row
+    for counts in ([1, 1, 1, 1], [2, 1, 1]):
+        ends = np.cumsum(counts)
+        rows = [(mass[a:b], atoms[a:b]) for a, b in zip(ends - counts, ends)]
+        got, want = pm.EmbeddingPlan.from_flat(counts, mass, atoms), pm.EmbeddingPlan(rows)
+        for a, b in zip(got.flat(), want.flat()):
+            assert a.tobytes() == b.tobytes()
+        assert [q.tolist() for q in got.row_masses] == [q.tolist() for q in want.row_masses]
+        assert all(not q.flags.writeable for q in got.row_atoms)
+    with pytest.raises(pm.InputError):
+        pm.EmbeddingPlan.from_flat([1, 1], [0.5, 0.5], [[0.0], [np.inf]])
+    with pytest.raises(pm.InputError):
+        pm.EmbeddingPlan.from_flat([1, 1], [0.5, 0.5], [[0.0]])
+    with pytest.raises(pm.InputError):
+        pm.EmbeddingPlan.from_flat([1, 1], [0.5, 0.25], [[0.0], [1.0]])
+
+
 def test_plan_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     plan = pm.EmbeddingPlan([

@@ -33,6 +33,7 @@ from planmds.quartic import (
     map_objective,
     minimize_quartic,
     quartic_at,
+    select_minimizer,
 )
 
 RTOL = 1e-10
@@ -248,3 +249,81 @@ def test_lifted_marginal_after_moves_matches_fresh_moments(case, data):
     if sol_got.multiplicity_kind != "continuum":   # continuum representatives are arbitrary
         for y_got, y_want in zip(sol_got.minimizers, sol_want.minimizers):
             assert np.max(np.abs(y_got - y_want)) <= 1e-8 * (1.0 + np.max(np.abs(y_want)))
+
+
+@st.composite
+def step_cases(draw):
+    """(X, mass, atoms, x_off, y_off, queries): a plan for the sweep's step, and points to query.
+
+    A symmetric plan is its own mirror image through (x_off, y_off), so at
+    x_off its marginal has phi = 0: the hard case, with two minimizers or a
+    continuum.  Mirrored moves keep it symmetric; a random plan gets moves of
+    single atoms.  The offsets put the moments' origin and the shift to the
+    atom mean off zero.
+    """
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "coincident", "symmetric"]))
+    half = draw(st.integers(1, 3))
+    X = [np.array(draw(st.lists(grid, min_size=d, max_size=d))) for _ in range(half)]
+    if kind == "coincident":
+        X = [X[0]] * half
+    atoms = [np.array(draw(st.lists(grid, min_size=m, max_size=m))) for _ in range(half)]
+    mass = draw(st.lists(st.integers(1, 9), min_size=half, max_size=half))
+    if kind == "symmetric":
+        X, atoms, mass = X + [-x for x in X], atoms + [-y for y in atoms], mass + mass
+    X, atoms = np.array(X), np.array(atoms)
+    mass = np.array(mass, float) / sum(mass)
+    offset = st.sampled_from([0.0, 0.3, -7.1, 1e3 + 0.1])
+    x_off, y_off = draw(offset), draw(offset)
+    moves = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, len(mass) - 1))
+        moves.append((a, np.array(draw(st.lists(grid, min_size=m, max_size=m)))))
+    queries = [np.zeros(d), X[0], np.array(draw(st.lists(grid, min_size=d, max_size=d)))]
+    return X + x_off, mass, atoms + y_off, x_off, y_off, kind, moves, queries
+
+
+def test_sweep_step_matches_public_path():
+    """LiftedMoments.step gives the public path's selection, certificate and values, bit for bit.
+
+    The public path is select_minimizer(minimize_quartic(quartic_at(sums, x)))
+    and QuarticMarginal.value; the step must reach the same floats by the
+    same operations.  Both hard-case kinds have to occur, at m >= 2 too.
+    """
+    kinds = set()
+
+    def same(a, b):
+        return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+    @SETTINGS
+    @given(step_cases())
+    def check(case):
+        X, mass, atoms, x_off, y_off, kind, moves, queries = case
+        sums = LiftedMoments(X, mass, atoms)
+        atoms = atoms.copy()
+        half = len(mass) // 2
+        for a, y in moves:
+            pairs = [(a, y + y_off)]
+            if kind == "symmetric":   # move the mirror atom to the mirror point
+                pairs.append(((a + half) % len(mass), y_off - y))
+            for b, y_new in pairs:
+                sums.move(X[b], atoms[b], y_new, mass[b])
+                atoms[b] = y_new
+        for x in queries:
+            x = x + x_off
+            lifted = sums.lift(x)[0]
+            qm = quartic_at(sums, x)
+            sol = minimize_quartic(qm)
+            want = select_minimizer(sol)
+            kinds.add((sol.multiplicity_kind, qm.dim_m > 1))
+            for y_old in [atoms[0], atoms[-1], atoms[0] + 0.25]:
+                y_new, certified, j_old, j_new = sums.step(lifted, y_old.tolist())
+                assert same(y_new, want)
+                assert certified == sol.certified
+                assert same(j_old, qm.value(y_old))
+                assert same(j_new, qm.value(want))
+
+    check()
+    for kind in ("finite_multiple", "continuum"):
+        assert (kind, True) in kinds
+    assert ("finite_multiple", False) in kinds
