@@ -23,7 +23,7 @@ from .core import (
     plan_from_map,
 )
 from .energy import determinism_report, reported_stress
-from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment, save_embedding_csv
+from .experiments import EXPERIMENTS, ExperimentReport, run_experiment, save_embedding_csv
 from .optim import DescentConfig, _initial_images, marginal_sweep, particle_descent
 from .quartic import MomentSet, level_set_grid, save_levelset_csv
 from . import svgplot
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--config", default=None, help="JSON config file")
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
-    p_exp.add_argument("name", choices=list(EXPERIMENT_NAMES))
+    p_exp.add_argument("name", choices=list(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--outdir", default=None)
     p_exp.add_argument("--res", type=int, default=None, help="grid resolution")

@@ -29,6 +29,34 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _read_csv(path, check_header, parse_row) -> tuple[list, list]:
+    """The header of a CSV file and its data rows, parsed by parse_row; blank lines are skipped.
+
+    check_header(header) raises InputError before any row is read.  A row
+    must have the header's width; a ValueError of parse_row names its line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        check_header(header)
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                records.append(parse_row(row))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    if not records:
+        raise InputError(f"{path}: no data rows")
+    return header, records
+
+
 def _as_matrix(points, name: str) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -92,33 +120,15 @@ class PointCloud:
 
     @classmethod
     def load_csv(cls, path) -> "PointCloud":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
+        def check_header(header):
             header = [h.strip() for h in header]
-            has_w = bool(header) and header[-1] == "w"
-            d = len(header) - (1 if has_w else 0)
-            if d < 1:
+            if header in ([], ["w"]):
                 raise InputError(f"{path}: header {header!r} declares no coordinates")
-            points, weights = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-                points.append(vals[:d])
-                if has_w:
-                    weights.append(vals[d])
-            if not points:
-                raise InputError(f"{path}: no data rows")
-            return cls(points, weights if has_w else None)
+
+        header, rows = _read_csv(path, check_header, lambda row: [float(v) for v in row])
+        if header[-1].strip() != "w":
+            return cls(rows)
+        return cls([r[:-1] for r in rows], [r[-1] for r in rows])
 
 
 class DeterministicMap:
@@ -137,6 +147,23 @@ class DeterministicMap:
         return self.images.shape[1]
 
 
+def _match(atoms, y, skip=None):
+    """Index of the first of `atoms` but `skip` within MERGE_TOL of y in max-norm, or None."""
+    for k, a in enumerate(atoms):
+        if k != skip and np.max(np.abs(a - y)) <= MERGE_TOL:
+            return k
+    return None
+
+
+def _split_mass(mass, ptr) -> float:
+    """sum_i fsum(row_i) - max(row_i) over the rows mass[ptr[i]:ptr[i + 1]] of two or more atoms."""
+    total = 0.0
+    for i in np.flatnonzero(np.diff(ptr) > 1):
+        row = mass[ptr[i]:ptr[i + 1]]
+        total += math.fsum(row) - float(np.max(row))
+    return total
+
+
 def _merge_row(masses, atoms):
     """Merge atoms closer than MERGE_TOL in max-norm; masses add up."""
     masses = np.asarray(masses, dtype=float).reshape(-1)
@@ -148,13 +175,12 @@ def _merge_row(masses, atoms):
     out_m: list[float] = []
     out_a: list[np.ndarray] = []
     for q, y in zip(masses, atoms):
-        for k, yk in enumerate(out_a):
-            if np.max(np.abs(y - yk)) <= MERGE_TOL:
-                out_m[k] += q
-                break
-        else:
+        k = _match(out_a, y)
+        if k is None:
             out_m.append(float(q))
             out_a.append(y)
+        else:
+            out_m[k] += q
     return np.array(out_m), np.array(out_a)
 
 
@@ -214,7 +240,7 @@ class EmbeddingPlan:
         self.row_masses = [mass[a:b] for a, b in zip(starts, ends)]
         self.row_atoms = [atoms[a:b] for a, b in zip(starts, ends)]
         self.dim_m = atoms.shape[1]
-        self._starts = np.array(starts)
+        self._ptr = np.array([0] + ends)   # row i is positions _ptr[i]:_ptr[i + 1] of the flat arrays
         self._flat = (idx, mass, atoms)
 
     @property
@@ -235,11 +261,15 @@ class EmbeddingPlan:
     def validate_against(self, cloud: PointCloud, tol: float = MASS_TOL) -> None:
         if self.n_rows != cloud.n:
             raise InputError(f"plan has {self.n_rows} rows but cloud has {cloud.n} atoms")
-        bad = np.flatnonzero(np.abs(np.add.reduceat(self._flat[1], self._starts)
+        bad = np.flatnonzero(np.abs(np.add.reduceat(self._flat[1], self._ptr[:-1])
                                     - cloud.weights) > tol)
         if bad.size:
             i = int(bad[0])
             raise InputError(f"row {i} mass {self.row_weight(i)!r} != weight {cloud.weights[i]!r}")
+
+    def split_mass(self) -> float:
+        """The mass off the heaviest atom of each row, summed: 0 for the plan of a map."""
+        return _split_mass(self._flat[1], self._ptr)
 
     def barycenter(self) -> np.ndarray:
         _, mass, atoms = self._flat
@@ -255,39 +285,22 @@ class EmbeddingPlan:
 
     @classmethod
     def load_csv(cls, path) -> "EmbeddingPlan":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
+        def check_header(header):
             if len(header) < 3 or header[0].strip() != "i" or header[1].strip() != "mass":
                 raise InputError(f"{path}: expected header i,mass,y1,...; got {header!r}")
-            m = len(header) - 2
-            by_row: dict[int, list] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-                try:
-                    i = int(row[0])
-                    q = float(row[1])
-                    y = [float(v) for v in row[2:]]
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-                by_row.setdefault(i, []).append((q, y))
-            if not by_row:
-                raise InputError(f"{path}: no data rows")
-            n = max(by_row) + 1
-            if sorted(by_row) != list(range(n)):
-                raise InputError(f"{path}: source indices must cover 0..{n - 1} without gaps")
-            rows = []
-            for i in range(n):
-                qs = [q for q, _ in by_row[i]]
-                ys = [y for _, y in by_row[i]]
-                rows.append((qs, np.array(ys).reshape(len(ys), m)))
-            return cls(rows)
+
+        header, records = _read_csv(path, check_header, lambda row: (
+            int(row[0]), float(row[1]), [float(v) for v in row[2:]]))
+        by_row: dict[int, tuple[list, list]] = {}
+        for i, q, y in records:
+            qs, ys = by_row.setdefault(i, ([], []))
+            qs.append(q)
+            ys.append(y)
+        n = max(by_row) + 1
+        if sorted(by_row) != list(range(n)):
+            raise InputError(f"{path}: source indices must cover 0..{n - 1} without gaps")
+        m = len(header) - 2
+        return cls([(qs, np.array(ys).reshape(len(ys), m)) for qs, ys in map(by_row.get, range(n))])
 
 
 class Perturbation:
@@ -406,9 +419,6 @@ class CostFamily:
         a = np.asarray(a, dtype=float)
         return 2.0 / self.quadratic_scale(a) * np.ones_like(a + np.asarray(t, dtype=float))
 
-    def describe(self) -> dict:
-        return {"name": self.name, "kind": self.kind}
-
 
 class QuadraticIP(CostFamily):
     """(<x,x'> - t)^2 with t = <y,y'>: inner-product matching (classical MDS/PCA)."""
@@ -442,11 +452,6 @@ class KernelIP(CostFamily):
         if self.kernel == "rbf":
             return np.exp(-_sqdist_matrix(X1, X2) / (2.0 * self.sigma**2))
         return (X1 @ X2.T + self.offset) ** self.degree
-
-    def describe(self):
-        d = super().describe()
-        d.update(kernel=self.kernel, sigma=self.sigma, degree=self.degree, offset=self.offset)
-        return d
 
 
 class QMDS(CostFamily):
@@ -482,11 +487,6 @@ class QSammon(CostFamily):
     def quadratic_scale(self, a):
         return a + self.eps
 
-    def describe(self):
-        d = super().describe()
-        d.update(eps=self.eps)
-        return d
-
 
 class Elastic(CostFamily):
     """t*exp(-|x-x'|^2/2 sigma^2) + beta*|x-x'|^2*exp(-t): elastic embedding cost.
@@ -518,11 +518,6 @@ class Elastic(CostFamily):
 
     def profile_dtt(self, a, t):
         return self.beta * a * np.exp(-t)
-
-    def describe(self):
-        d = super().describe()
-        d.update(sigma=self.sigma, beta=self.beta)
-        return d
 
 
 BUILTIN_COSTS = {

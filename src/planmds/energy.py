@@ -20,6 +20,7 @@ from .core import (
     Perturbation,
     PointCloud,
     QMDS,
+    _fmt,
     _merge_row,
 )
 from .quartic import LiftedMoments
@@ -28,12 +29,8 @@ _BLOCK = 1024
 ENERGY_RTOL = 1e-12  # rounding bound, relative, below which a moment energy replaces the pairwise sum
 
 
-def _pair_energy(X, Y, mass, cost: CostFamily, X2=None, Y2=None, mass2=None, exact=True):
-    """sum_ab mass_a mass2_b c(x_a, x_b, y_a, y_b), blocked over rows.
-
-    With exact=True uses math.fsum per block (reported energies); otherwise
-    numpy summation (inner optimization loops).
-    """
+def _pair_energy(X, Y, mass, cost: CostFamily, X2=None, Y2=None, mass2=None):
+    """sum_ab mass_a mass2_b c(x_a, x_b, y_a, y_b), blocked over rows, by math.fsum per block."""
     if X2 is None:
         X2, Y2, mass2 = X, Y, mass
     totals = []
@@ -45,8 +42,8 @@ def _pair_energy(X, Y, mass, cost: CostFamily, X2=None, Y2=None, mass2=None, exa
         C = cost.profile(A, T)
         C *= mass[s:e, None]
         C *= mass2[None, :]
-        totals.append(math.fsum(C.ravel()) if exact else float(np.sum(C)))
-    return math.fsum(totals) if exact else float(np.sum(totals))
+        totals.append(math.fsum(C.ravel()))
+    return math.fsum(totals)
 
 
 def plan_energy(X, mass, atoms, cost: CostFamily, sums: LiftedMoments = None) -> float:
@@ -236,11 +233,10 @@ class DeterminismReport:
 def determinism_report(plan: EmbeddingPlan, tol_mass: float = 1e-10,
                        tol_spread: float = 1e-10) -> DeterminismReport:
     """How far the plan is from being supported on the graph of a map."""
-    split = 0.0
+    split = plan.split_mass()
     spread = 0.0
-    for masses, atoms in zip(plan.row_masses, plan.row_atoms):
-        if len(masses) > 1:
-            split += math.fsum(masses) - float(np.max(masses))
+    for atoms in plan.row_atoms:
+        if len(atoms) > 1:
             d = np.sqrt(np.maximum(
                 np.sum((atoms[:, None, :] - atoms[None, :, :]) ** 2, axis=-1), 0.0))
             spread = max(spread, float(np.max(d)))
@@ -277,8 +273,6 @@ def oscillation_experiment(n_list, grid_resolution: int, v: float = 0.1):
 
 
 def save_oscillation_csv(path, pairs, stress_zero: float) -> None:
-    from .core import _fmt
-
     with open(path, "w", newline="") as fh:
         fh.write("n,stress\n")
         for n, s in pairs:

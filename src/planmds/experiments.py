@@ -32,8 +32,6 @@ from .optim import DescentConfig, marginal_sweep, particle_descent, pca_solve
 from .quartic import compute_moments, level_set_grid, quartic_at, save_levelset_csv
 from . import svgplot
 
-EXPERIMENT_NAMES = ("circle-clusters", "stacked-pair", "oscillation", "pca-check")
-
 
 @dataclass
 class ExperimentReport:
@@ -232,7 +230,7 @@ def _run_pca_check(outdir, seed: int, params: dict) -> ExperimentReport:
     pca_map = pca_solve(cloud, m)
     pca_stress = reported_stress(cloud, pca_map, cost)
     cfg = DescentConfig(max_sweeps=int(params.get("max_sweeps", 50)),
-                        rel_tol=1e-12, seed=seed, init="pca", dim_m=m)
+                        rel_tol=1e-12, seed=seed, dim_m=m)
     plan, trace = marginal_sweep(plan_from_map(cloud, pca_map), cloud, cost, cfg)
     sweep_stress = reported_stress(cloud, plan, cost)
 
@@ -258,7 +256,7 @@ def _run_pca_check(outdir, seed: int, params: dict) -> ExperimentReport:
     return report
 
 
-_RUNNERS = {
+EXPERIMENTS = {
     "circle-clusters": _run_circle_clusters,
     "stacked-pair": _run_stacked_pair,
     "oscillation": _run_oscillation,
@@ -268,9 +266,9 @@ _RUNNERS = {
 
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
     """Run a named experiment; writes artifacts under params['outdir'] (default cwd)."""
-    if name not in _RUNNERS:
-        raise InputError(f"unknown experiment {name!r}; choose from {sorted(_RUNNERS)}")
+    if name not in EXPERIMENTS:
+        raise InputError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     params = dict(params or {})
     outdir = params.pop("outdir", ".")
     os.makedirs(outdir, exist_ok=True)
-    return _RUNNERS[name](outdir, int(seed), params)
+    return EXPERIMENTS[name](outdir, int(seed), params)

@@ -19,9 +19,11 @@ from .core import (
     DeterministicMap,
     EmbeddingPlan,
     InputError,
-    MERGE_TOL,
     NumericalError,
     PointCloud,
+    _fmt,
+    _match,
+    _split_mass,
 )
 from .energy import (
     _marginal_objective,
@@ -41,25 +43,26 @@ from .quartic import (
 )
 
 GAIN_TOL = 1e-9    # per-unit-mass marginal gain below which a move is skipped
+INIT_SCALE = 1.0   # standard deviation of the random initial images
+STEP_SIZE = 1.0    # first step length tried by particle descent
+ARMIJO_C = 1e-4    # sufficient-decrease constant of its backtracking
+MAX_HALVINGS = 40  # step halvings before particle descent stops
 
 
 @dataclass
 class DescentConfig:
     """Shared knobs for both optimizers.
 
-    init may be "random", "pca", a DeterministicMap, or an EmbeddingPlan.
+    init (read by particle descent; the marginal sweep starts from its plan)
+    may be "random", "pca", or a DeterministicMap.
     """
 
     max_sweeps: int = 100
     rel_tol: float = 1e-10
     seed: int = 0
     init: object = "random"
-    init_scale: float = 1.0
     dim_m: int = 1
     candidate_budget: int = 8
-    step_size: float = 1.0
-    armijo_c: float = 1e-4
-    max_halvings: int = 40
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -89,8 +92,6 @@ class IterationTrace:
         return max(len(self.energies) - 1, 0)
 
     def save_csv(self, path) -> None:
-        from .core import _fmt
-
         with open(path, "w", newline="") as fh:
             fh.write("sweep,energy,split_mass,moved_mass\n")
             for k, (e, s, m) in enumerate(zip(self.energies, self.split_mass, self.moved_mass)):
@@ -109,7 +110,7 @@ def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:
         return np.array(pca_solve(cloud, config.dim_m).images)
     if init == "random":
         rng = np.random.default_rng(config.seed)
-        return config.init_scale * rng.standard_normal((cloud.n, config.dim_m))
+        return INIT_SCALE * rng.standard_normal((cloud.n, config.dim_m))
     raise InputError(f"unknown init {init!r}")
 
 
@@ -152,14 +153,14 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 == 0.0:
             break
-        eta = config.step_size
+        eta = STEP_SIZE
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             Y_new = Y - eta * grad
             E_new = energy(Y_new)
             if not np.isfinite(E_new):
                 raise NumericalError(f"non-finite energy at iteration {it}")
-            if E_new <= E - config.armijo_c * eta * gnorm2:
+            if E_new <= E - ARMIJO_C * eta * gnorm2:
                 accepted = True
                 break
             eta *= 0.5
@@ -271,68 +272,50 @@ class _SweepState:
     def __init__(self, plan: EmbeddingPlan, cloud: PointCloud):
         plan.validate_against(cloud)
         idx, mass, atoms = plan.flat()
-        self.idx = np.array(idx)
         self.mass = np.array(mass)
         self.atoms = np.array(atoms)
         self.cloud = cloud
-        self.X = cloud.points[self.idx]
+        self.X = cloud.points[idx]
         self.ptr = np.zeros(cloud.n + 1, dtype=int)
-        np.cumsum(np.bincount(self.idx, minlength=cloud.n), out=self.ptr[1:])
+        np.cumsum(np.bincount(idx, minlength=cloud.n), out=self.ptr[1:])
 
     def row_positions(self, i: int) -> range:
         return range(self.ptr[i], self.ptr[i + 1])
 
-    def find(self, i: int, y: np.ndarray):
-        """Position of an atom of row i within MERGE_TOL of y, or None."""
-        for p in self.row_positions(i):
-            if np.max(np.abs(self.atoms[p] - y)) <= MERGE_TOL:
-                return p
-        return None
+    def find(self, i: int, y, skip=None):
+        """Position of the atom of row i, other than position skip, that y merges into, or None."""
+        start = self.ptr[i]
+        k = _match(self.atoms[start:self.ptr[i + 1]], y, None if skip is None else skip - start)
+        return None if k is None else start + k
 
-    def replace_atom(self, pos: int, y_new: np.ndarray) -> None:
-        i = self.idx[pos]
+    def replace_atom(self, i: int, pos: int, y_new) -> None:
+        """Move the atom at pos, of row i, to y_new, merging it into a sibling there."""
         self.atoms[pos] = y_new
-        for p in self.row_positions(i):
-            if p != pos and np.max(np.abs(self.atoms[p] - y_new)) <= MERGE_TOL:
+        if self.ptr[i + 1] - self.ptr[i] > 1:   # a one-atom row has nothing to merge with
+            p = self.find(i, y_new, skip=pos)
+            if p is not None:
                 self.mass[p] += self.mass[pos]
-                self._delete(pos)
-                return
+                self._delete(i, pos)
 
-    def split_atom(self, pos: int, frac_mass: float, y_new: np.ndarray) -> None:
-        i = self.idx[pos]
+    def split_atom(self, i: int, pos: int, frac_mass: float, y_new) -> None:
+        """Move frac_mass of the atom at pos, of row i, to y_new; an atom left with <= 1e-15 goes."""
         self.mass[pos] -= frac_mass
-        drop = self.mass[pos] <= 1e-15
-        for p in self.row_positions(i):
-            if p != pos and np.max(np.abs(self.atoms[p] - y_new)) <= MERGE_TOL:
-                self.mass[p] += frac_mass
-                if drop:
-                    self._delete(pos)
-                return
-        at = self.ptr[i + 1]
-        self.idx = np.insert(self.idx, at, i)
-        self.mass = np.insert(self.mass, at, frac_mass)
-        self.atoms = np.insert(self.atoms, at, y_new, axis=0)
-        self.X = np.insert(self.X, at, self.cloud.points[i], axis=0)
-        self.ptr[i + 1:] += 1
-        if drop:
-            self._delete(pos)
+        p = self.find(i, y_new, skip=pos)
+        if p is None:   # a new atom, at the end of the row
+            p = self.ptr[i + 1]
+            self.mass = np.insert(self.mass, p, 0.0)
+            self.atoms = np.insert(self.atoms, p, y_new, axis=0)
+            self.X = np.insert(self.X, p, self.cloud.points[i], axis=0)
+            self.ptr[i + 1:] += 1
+        self.mass[p] += frac_mass
+        if self.mass[pos] <= 1e-15:
+            self._delete(i, pos)
 
-    def _delete(self, pos: int) -> None:
-        self.ptr[self.idx[pos] + 1:] -= 1
-        self.idx = np.delete(self.idx, pos)
+    def _delete(self, i: int, pos: int) -> None:
+        self.ptr[i + 1:] -= 1
         self.mass = np.delete(self.mass, pos)
         self.atoms = np.delete(self.atoms, pos, axis=0)
         self.X = np.delete(self.X, pos, axis=0)
-
-    def split_fraction(self) -> float:
-        total = 0.0
-        for i in np.flatnonzero(np.diff(self.ptr) > 1):
-            row = self.mass[self.ptr[i]:self.ptr[i + 1]]
-            total += math.fsum(row) - float(np.max(row))
-        return total
-
-    def to_plan(self) -> EmbeddingPlan:
-        return EmbeddingPlan.from_flat(np.diff(self.ptr), self.mass, self.atoms)
 
 
 def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
@@ -373,7 +356,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
 
     trace = IterationTrace()
     E = plan_energy(state.X, state.mass, state.atoms, cost, sums)
-    trace.add(E, state.split_fraction(), 0.0)
+    trace.add(E, _split_mass(state.mass, state.ptr), 0.0)
     # one base per distinct source point; base(x, x) is computed alone, as a
     # blocked base_matrix diagonal could round differently
     distinct, which = np.unique(cloud.points, axis=0, return_inverse=True)
@@ -416,9 +399,9 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     continue
                 delta = 2.0 * eps * L + eps * eps * Q
                 if eps >= 1.0:
-                    state.replace_atom(pos, y_new)
+                    state.replace_atom(i, pos, y_new)
                 else:
-                    state.split_atom(pos, eps * q, y_new)
+                    state.split_atom(i, pos, eps * q, y_new)
                 if sums is not None:
                     sums.move_lifted(lifted[i], y_old, y_new, eps * q)
                 moved += eps * q
@@ -428,11 +411,10 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 # consolidation: with a profile uniquely minimized at zero, moving
                 # a row atom onto its best-valued sibling always lowers the energy,
                 # so split rows collapse to a single atom (full moves never split,
-                # so a row that began the step with one atom still has one).
-                while True:
+                # so a row that began the step with one atom still has one).  Each
+                # move lands on a sibling and merges, so the row shrinks by one.
+                for _ in range(len(state.row_positions(i)) - 1):
                     row = state.row_positions(i)
-                    if len(row) <= 1:
-                        break
                     jvals = values(x, state.atoms[row.start:row.stop])
                     order = np.argsort(jvals)  # ties still yield distinct slots
                     dst = row[order[0]]
@@ -442,7 +424,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     y_new = state.atoms[dst].tolist()
                     L = q * (jvals[order[0]] - jvals[order[-1]])
                     Q = q * q * needle_quadratic(base, y_old, y_new)
-                    state.replace_atom(src, y_new)
+                    state.replace_atom(i, src, y_new)
                     if sums is not None:
                         sums.move_lifted(lifted[i], y_old, y_new, q)
                     moved += q
@@ -452,7 +434,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
         E_new = plan_energy(state.X, state.mass, state.atoms, cost, sums)
-        trace.add(E_new, state.split_fraction(), moved,
+        trace.add(E_new, _split_mass(state.mass, state.ptr), moved,
                   max_delta if any_accepted else 0.0)
         improvement = E - E_new
         E = E_new
@@ -460,7 +442,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
             break
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
-    return state.to_plan(), trace
+    return EmbeddingPlan.from_flat(np.diff(state.ptr), state.mass, state.atoms), trace
 
 
 def pca_solve(cloud: PointCloud, m: int) -> DeterministicMap:
@@ -470,7 +452,8 @@ def pca_solve(cloud: PointCloud, m: int) -> DeterministicMap:
     if m < 1:
         raise InputError("embedding dimension must be >= 1")
     Xc = cloud.points - cloud.mean()
-    C = (Xc.T * cloud.weights) @ Xc
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        C = (Xc.T * cloud.weights) @ Xc
     if not np.isfinite(C).all():
         raise NumericalError("non-finite covariance: coordinates too large")
     vals, vecs = np.linalg.eigh(C)

@@ -166,9 +166,10 @@ class LiftedMoments:
         self.y0 = mass @ atoms
         self.dim_m = atoms.shape[1]
         self.P = _residual_form(self.dim_m, X.shape[1])
-        f = self._features(X, atoms)
-        i, j = np.triu_indices(f.shape[1])
-        terms = (f[:, i] * f[:, j] * mass[:, None]).T
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            f = self._features(X, atoms)
+            i, j = np.triu_indices(f.shape[1])
+            terms = (f[:, i] * f[:, j] * mass[:, None]).T
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite lifted moment terms: coordinates too large")
         try:
@@ -305,7 +306,8 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
     f = np.empty((n, 2 + m + d))
     f[:, 0] = 1.0
     f[:, 2 + m:] = X - w @ X
-    nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # the energy is checked by its caller
+        nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
     P = _residual_form(m, d)
     w8 = 8.0 * w[:, None]
     last = {"Y": None}
@@ -314,7 +316,8 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
         Yc = Y - w @ Y
         f[:, 2:2 + m] = Yc
         f[:, 1] = np.einsum("ij,ij->i", Yc, Yc) - nx
-        PF = P @ ((f.T * w) @ f)
+        with np.errstate(over="ignore", invalid="ignore"):   # the energy is checked by its caller
+            PF = P @ ((f.T * w) @ f)
         last.update(Y=Y, Yc=Yc, PF=PF)
         return float(np.vdot(PF, PF.T))
 

@@ -145,26 +145,30 @@ def test_levelset_malformed_moments_exit_2(tmp_path, field, value):
     assert main(["levelset", str(mfile), "--res", "3", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e100, 1e160])
 @pytest.mark.parametrize("init", ["random", "pca"])
 @pytest.mark.parametrize("optimizer", ["marginal", "particle"])
-def test_embed_overflow_exit_3(tmp_path, scale, init, optimizer):
+def test_embed_overflow_exit_3(tmp_path, capsys, scale, init, optimizer):
     # squared coordinates overflow at 1e160, their squares (the lifted
-    # moments and the energy) already at 1e100
+    # moments and the energy) already at 1e100; the overflow is checked, so
+    # numpy must not warn about it, and the one error line is all of stderr
     csv = tmp_path / "big.csv"
     pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2)) * scale).save_csv(csv)
     rc = main(["embed", str(csv), "--optimizer", optimizer, "--init", init, "--dim", "1",
                "--out", str(tmp_path / "out")])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_overflow_raises_numerical_error():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_overflow_raises_numerical_error(capsys):
     cloud = pm.PointCloud([[0.0], [1.0], [2.0]])
     plan = pm.plan_from_map(cloud, pm.DeterministicMap([[0.0], [1e160], [-1e160]]))
     with pytest.raises(pm.NumericalError):
         pm.marginal_sweep(plan, cloud, pm.QMDS(), pm.DescentConfig(max_sweeps=2))
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_mds_threads_exit_2(tmp_path, monkeypatch):

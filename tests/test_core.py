@@ -58,6 +58,45 @@ def test_cloud_csv_bad_row_reports_line(tmp_path):
         pm.PointCloud.load_csv(path)
 
 
+# case: {loader: (file text, error message after the path, or None for a good file)};
+# both loaders share one reader, so each case is made for both
+CSV_CASES = {
+    "empty file": {"cloud": ("", ": empty file"), "plan": ("", ": empty file")},
+    "short row": {"cloud": ("x1,w\n0,0.5\n1\n", ":3: expected 2 columns, got 1"),
+                  "plan": ("i,mass,y1\n0,1.0,0\n0\n", ":3: expected 3 columns, got 1")},
+    "long row after a blank line": {
+        "cloud": ("x1,w\n\n0,0.5,3\n", ":3: expected 2 columns, got 3"),
+        "plan": ("i,mass,y1\n\n0,1.0,0,1\n", ":3: expected 3 columns, got 4")},
+    "bad field before a short row": {
+        "cloud": ("x1,w\n0,0.5\noops,0.5\n1\n", ":3: could not convert string to float: 'oops'"),
+        "plan": ("i,mass,y1\n0,1.0,0\nz,1.0,0\n0\n",
+                 ":3: invalid literal for int() with base 10: 'z'")},
+    "bad header before a short row": {
+        "cloud": ("w\n1\n0,1\n", ": header ['w'] declares no coordinates"),
+        "plan": ("i,y1\n0\n1,2,3\n", ": expected header i,mass,y1,...; got ['i', 'y1']")},
+    "no data rows": {"cloud": ("x1,w\n\n", ": no data rows"),
+                     "plan": ("i,mass,y1\n \n", ": no data rows")},
+    "blank lines skipped": {"cloud": ("x1,w\n\n0,0.5\n \n1,0.5\n\n", None),
+                            "plan": ("i,mass,y1\n\n0,0.5,0\n \n0,0.5,1\n\n", None)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+@pytest.mark.parametrize("loader", ["cloud", "plan"])
+def test_csv_loaders_share_reader_errors(tmp_path, case, loader):
+    text, error = CSV_CASES[case][loader]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    load = pm.PointCloud.load_csv if loader == "cloud" else pm.EmbeddingPlan.load_csv
+    if error is None:
+        got = load(path)
+        assert (got.points if loader == "cloud" else got.row_atoms[0]).tolist() == [[0.0], [1.0]]
+        return
+    with pytest.raises(pm.InputError) as info:
+        load(path)
+    assert str(info.value) == f"{path}{error}"
+
+
 def test_plan_merges_duplicate_atoms():
     plan = pm.EmbeddingPlan([
         (np.array([0.5, 0.25, 0.25]),

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planmds as pm
+from planmds.core import MERGE_TOL
 from planmds.optim import (
     DescentConfig,
     _generic_solution,
+    _SweepState,
     marginal_sweep,
     minimize_marginal,
     particle_descent,
@@ -175,6 +179,91 @@ def test_sweep_quadratic_ip_partial_moves_do_not_increase_energy():
                                  DescentConfig(max_sweeps=30, rel_tol=1e-12))
     for a, b in zip(trace.energies, trace.energies[1:]):
         assert b <= a + 1e-12 * (1 + abs(a))
+
+
+BOOKKEEPING = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+near = st.floats(-MERGE_TOL / 2, MERGE_TOL / 2)
+
+
+@st.composite
+def split_plans(draw):
+    """(cloud, plan): 1-3 atoms a row on a grid of quarters, some within MERGE_TOL/2 of a sibling.
+
+    Distinct atoms lie on the grid, at least 0.25 apart, so which sibling a
+    target near one of them merges into never depends on the order of a row.
+    """
+    d, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    cloud = pm.PointCloud([draw(st.lists(quarters, min_size=d, max_size=d)) for _ in range(n)])
+    rows = []
+    for i in range(n):
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            if atoms and draw(st.booleans()):
+                atoms.append([a + draw(near) for a in atoms[-1]])
+            else:
+                atoms.append(draw(st.lists(quarters, min_size=m, max_size=m)))
+        q = np.array(draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms))),
+                     float)
+        rows.append((q / q.sum() * cloud.weights[i], np.array(atoms)))
+    return cloud, pm.EmbeddingPlan(rows)
+
+
+def _rows(masses, atoms):
+    """Rows as sorted (atom, mass) lists: a plan up to the order within its rows."""
+    return [sorted(zip(a.tolist(), q.tolist())) for q, a in zip(masses, atoms)]
+
+
+@BOOKKEEPING
+@given(split_plans(), st.sampled_from(["quadratic-ip", "kernel-ip", "qmds"]))
+def test_sweep_bookkeeping(case, cost_name):
+    # quadratic-ip and kernel-ip make partial moves, so rows split; qmds consolidates them
+    cloud, plan = case
+    cost = pm.make_cost(cost_name)
+    out, trace = marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=4, rel_tol=1e-12))
+    out.validate_against(cloud)
+    for atoms in out.row_atoms:
+        for k in range(len(atoms)):
+            for j in range(k):
+                assert np.max(np.abs(atoms[k] - atoms[j])) > MERGE_TOL
+    assert trace.split_mass[-1] == pm.determinism_report(out).split_mass_fraction
+    exact = pm.stress_plan(out, cloud, cost)
+    assert abs(trace.energies[-1] - exact) <= 1e-12 * max(abs(exact), abs(trace.energies[-1]))
+
+
+@BOOKKEEPING
+@given(split_plans(), st.data())
+def test_sweep_moves_match_apply_perturbation(case, data):
+    # a sweep's moves are needles: full (replace_atom), partial (split_atom), or
+    # partial but leaving at most 1e-15 behind, which drops the atom; each must
+    # give the plan that apply_perturbation gives for the same needle
+    cloud, plan = case
+    state, ref = _SweepState(plan, cloud), plan
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, cloud.n - 1))
+        row = state.row_positions(i)
+        pos = data.draw(st.sampled_from(row))
+        y_old = state.atoms[pos].tolist()
+        if len(row) > 1 and data.draw(st.booleans()):
+            sibling = state.atoms[data.draw(st.sampled_from([p for p in row if p != pos]))]
+            y_new = [a + data.draw(near) for a in sibling.tolist()]
+        else:
+            y_new = data.draw(st.lists(quarters, min_size=plan.dim_m, max_size=plan.dim_m))
+        if np.max(np.abs(np.subtract(y_new, y_old))) <= MERGE_TOL:
+            continue
+        q = float(state.mass[pos])
+        kind = data.draw(st.sampled_from(["full", "partial", "drain"]))
+        if kind == "full":
+            frac = q
+            state.replace_atom(i, pos, y_new)
+        else:
+            frac = q * data.draw(st.floats(0.05, 0.95)) if kind == "partial" else q - 5e-16
+            state.split_atom(i, pos, frac, y_new)
+        ref = pm.apply_perturbation(ref, pm.Perturbation.needle(i, frac, y_old, y_new), 1.0)
+        cuts = state.ptr[1:-1]
+        assert (_rows(np.split(state.mass, cuts), np.split(state.atoms, cuts))
+                == _rows(ref.row_masses, ref.row_atoms))
+        assert state.X.tolist() == cloud.points[ref.flat()[0]].tolist()
 
 
 def test_pca_solve_examples():
