@@ -258,11 +258,11 @@ class EmbeddingPlan:
     def row_weight(self, i: int) -> float:
         return math.fsum(self.row_masses[i])
 
-    def validate_against(self, cloud: PointCloud, tol: float = MASS_TOL) -> None:
+    def validate_against(self, cloud: PointCloud) -> None:
         if self.n_rows != cloud.n:
             raise InputError(f"plan has {self.n_rows} rows but cloud has {cloud.n} atoms")
         bad = np.flatnonzero(np.abs(np.add.reduceat(self._flat[1], self._ptr[:-1])
-                                    - cloud.weights) > tol)
+                                    - cloud.weights) > MASS_TOL)
         if bad.size:
             i = int(bad[0])
             raise InputError(f"row {i} mass {self.row_weight(i)!r} != weight {cloud.weights[i]!r}")
@@ -375,7 +375,6 @@ class CostFamily:
 
     name = "abstract"
     kind = "N2"
-    convex_in_t = True       # as every quadratic profile is
     unique_min_at_zero = False
     has_moment_form = False
 
@@ -394,12 +393,8 @@ class CostFamily:
             return Y1 @ Y2.T
         return _sqdist_matrix(Y1, Y2)
 
-    def t_value(self, y, yp) -> float:
-        return self.t_floats(np.asarray(y, dtype=float).reshape(-1).tolist(),
-                             np.asarray(yp, dtype=float).reshape(-1).tolist())
-
     def t_floats(self, y: list, yp: list) -> float:
-        """t_value of two points given as lists of Python floats."""
+        """t(y, y') of two points given as lists of Python floats."""
         if self.kind == "IP":
             return sum(a * b for a, b in zip(y, yp))
         return sum((a - b) * (a - b) for a, b in zip(y, yp))
@@ -425,7 +420,6 @@ class QuadraticIP(CostFamily):
 
     name = "quadratic-ip"
     kind = "IP"
-    unique_min_at_zero = False
 
     def base_matrix(self, X1, X2):
         return X1 @ X2.T
@@ -436,7 +430,6 @@ class KernelIP(CostFamily):
 
     name = "kernel-ip"
     kind = "IP"
-    unique_min_at_zero = False
 
     def __init__(self, kernel: str = "rbf", sigma: float = 1.0, degree: int = 2, offset: float = 1.0):
         if kernel not in ("rbf", "polynomial"):
@@ -450,7 +443,10 @@ class KernelIP(CostFamily):
 
     def base_matrix(self, X1, X2):
         if self.kernel == "rbf":
-            return np.exp(-_sqdist_matrix(X1, X2) / (2.0 * self.sigma**2))
+            # a squared distance that overflows is inf, and exp(-inf) = 0 is
+            # its kernel value exactly: nothing is lost, so nothing warns
+            with np.errstate(over="ignore"):
+                return np.exp(-_sqdist_matrix(X1, X2) / (2.0 * self.sigma**2))
         return (X1 @ X2.T + self.offset) ** self.degree
 
 
@@ -491,13 +487,12 @@ class QSammon(CostFamily):
 class Elastic(CostFamily):
     """t*exp(-|x-x'|^2/2 sigma^2) + beta*|x-x'|^2*exp(-t): elastic embedding cost.
 
-    Convex-in-t flag is off: the second derivative vanishes at coincident inputs,
-    so strict convexity fails.
+    Not quadratic in t, and not strictly convex in it: the second derivative
+    vanishes at coincident inputs.
     """
 
     name = "elastic"
     kind = "N2"
-    convex_in_t = False
     unique_min_at_zero = True
     quadratic_scale = None   # not quadratic in t: its marginal solve is best-effort
 
@@ -551,7 +546,7 @@ def evaluate_cost(cost: CostFamily, x, xp, y, yp) -> float:
         raise InputError(f"feature dimension mismatch: {x.shape} vs {xp.shape}")
     if y.shape != yp.shape:
         raise InputError(f"embedding dimension mismatch: {y.shape} vs {yp.shape}")
-    return float(cost.profile(cost.base(x, xp), cost.t_value(y, yp)))
+    return float(cost.profile(cost.base(x, xp), cost.t_floats(y.tolist(), yp.tolist())))
 
 
 def profile_derivatives(cost: CostFamily, x, xp, t: float):
@@ -573,6 +568,13 @@ def center_plan(plan: EmbeddingPlan) -> EmbeddingPlan:
     mean = plan.barycenter()
     rows = [(m.copy(), a - mean[None, :]) for m, a in zip(plan.row_masses, plan.row_atoms)]
     return EmbeddingPlan(rows)
+
+
+def _plan_arrays(plan: EmbeddingPlan, cloud: PointCloud):
+    """(X, mass, atoms) of a plan checked against its cloud: each atom's source point, mass and image."""
+    plan.validate_against(cloud)
+    idx, mass, atoms = plan.flat()
+    return cloud.points[idx], mass, atoms
 
 
 def plan_from_map(cloud: PointCloud, mapping: DeterministicMap) -> EmbeddingPlan:

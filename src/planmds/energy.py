@@ -22,6 +22,7 @@ from .core import (
     QMDS,
     _fmt,
     _merge_row,
+    _plan_arrays,
 )
 from .quartic import LiftedMoments
 
@@ -70,22 +71,17 @@ def reported_stress(cloud: PointCloud, solution, cost: CostFamily) -> float:
     return plan_energy(*_plan_arrays(solution, cloud), cost)
 
 
-def stress_map(cloud: PointCloud, mapping: DeterministicMap, cost: CostFamily,
-               raw_count: bool = False) -> float:
+def stress_map(cloud: PointCloud, mapping: DeterministicMap, cost: CostFamily) -> float:
     """The map energy: sum_ij w_i w_j c(x_i, x_j, T(x_i), T(x_j))."""
     if mapping.n != cloud.n:
         raise InputError(f"map has {mapping.n} images but cloud has {cloud.n} atoms")
-    val = _pair_energy(cloud.points, mapping.images, cloud.weights, cost)
-    return val * cloud.n**2 if raw_count else val
+    return _pair_energy(cloud.points, mapping.images, cloud.weights, cost)
 
 
-def stress_plan(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
-                raw_count: bool = False) -> float:
+def stress_plan(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily) -> float:
     """The relaxed plan energy over all ordered atom pairs, weighted by mass products."""
-    plan.validate_against(cloud)
-    idx, mass, atoms = plan.flat()
-    val = _pair_energy(cloud.points[idx], atoms, mass, cost)
-    return val * cloud.n**2 if raw_count else val
+    X, mass, atoms = _plan_arrays(plan, cloud)
+    return _pair_energy(X, atoms, mass, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +125,6 @@ def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
     H = 4.0 * (diff.T * g2) @ diff
     H += 2.0 * math.fsum(g1) * np.eye(atoms.shape[1])
     return H
-
-
-def _plan_arrays(plan: EmbeddingPlan, cloud: PointCloud):
-    plan.validate_against(cloud)
-    idx, mass, atoms = plan.flat()
-    return cloud.points[idx], mass, atoms
 
 
 def marginal_value(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x, y) -> float:

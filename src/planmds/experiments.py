@@ -6,6 +6,7 @@ plus a JSON report into the requested output directory.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -31,6 +32,12 @@ from .energy import (
 from .optim import DescentConfig, marginal_sweep, particle_descent, pca_solve
 from .quartic import compute_moments, level_set_grid, quartic_at, save_levelset_csv
 from . import svgplot
+
+CIRCLE_POINTS = 250               # circle-clusters: points on the unit circle
+N_STACK = 500                     # stacked-pair: points in each stack
+N_LIST = tuple(range(1, 9))       # oscillation: checkerboard frequencies
+AMPLITUDE = 0.1                   # oscillation: checkerboard amplitude v
+PCA_N, PCA_M = 200, 2             # pca-check: points, and embedding dimension
 
 
 @dataclass
@@ -63,7 +70,7 @@ def save_embedding_csv(path, cloud: PointCloud, plan: EmbeddingPlan) -> None:
 
 
 def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
-                          circle_points: int = 250) -> PointCloud:
+                          circle_points: int = CIRCLE_POINTS) -> PointCloud:
     """Two heavy clusters at (0, +-0.2) plus random points on the unit circle.
 
     Circle angles are drawn by stratified jitter (one uniform draw per equal
@@ -99,17 +106,15 @@ def _plan_point_values(plan: EmbeddingPlan) -> np.ndarray:
     return vals
 
 
-def _run_circle_clusters(outdir, seed: int, params: dict) -> ExperimentReport:
-    cluster_size = int(params.get("cluster_size", 1000))
-    circle_points = int(params.get("circle_points", 250))
-    max_sweeps = int(params.get("max_sweeps", 200))
-    cloud = circle_clusters_cloud(seed, cluster_size, circle_points)
+def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
+                         max_sweeps: int = 200) -> ExperimentReport:
+    cloud = circle_clusters_cloud(seed, cluster_size)
     cost = QMDS()
     cloud_file = os.path.join(outdir, "circle-clusters-cloud.csv")
     cloud.save_csv(cloud_file)
     report = ExperimentReport("circle-clusters", seed,
                               {"cluster_size": cluster_size,
-                               "circle_points": circle_points})
+                               "circle_points": CIRCLE_POINTS})
 
     cfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-9, seed=seed,
                         init="random", dim_m=1)
@@ -148,7 +153,7 @@ def _run_circle_clusters(outdir, seed: int, params: dict) -> ExperimentReport:
     return report
 
 
-def stacked_pair_cloud(n_stack: int = 500) -> PointCloud:
+def stacked_pair_cloud(n_stack: int = N_STACK) -> PointCloud:
     pts = np.vstack([np.tile([0.0, 1.0], (n_stack, 1)),
                      np.tile([0.0, -1.0], (n_stack, 1))])
     return PointCloud(pts)
@@ -159,10 +164,8 @@ def stacked_pair_plan(cloud: PointCloud) -> EmbeddingPlan:
     return plan_from_map(cloud, DeterministicMap(cloud.points[:, 1:2]))
 
 
-def _run_stacked_pair(outdir, seed: int, params: dict) -> ExperimentReport:
-    n_stack = int(params.get("n_stack", 500))
-    res = int(params.get("res", 81))
-    cloud = stacked_pair_cloud(n_stack)
+def _run_stacked_pair(outdir, seed: int, res: int = 81) -> ExperimentReport:
+    cloud = stacked_pair_cloud()
     plan = stacked_pair_plan(cloud)
     moments = compute_moments(plan, cloud)
     mfile = os.path.join(outdir, "stacked-pair-moments.json")
@@ -173,7 +176,7 @@ def _run_stacked_pair(outdir, seed: int, params: dict) -> ExperimentReport:
     save_levelset_csv(gfile, grid)
     sfile = os.path.join(outdir, "stacked-pair-levelset.svg")
     svgplot.levelset_svg(sfile, grid, res, title="selected marginal minimizer")
-    report = ExperimentReport("stacked-pair", seed, {"n_stack": n_stack, "res": res})
+    report = ExperimentReport("stacked-pair", seed, {"n_stack": N_STACK, "res": res})
     report.runs.append({
         "optimizer": "closed-form", "init": "projection",
         "final_stress": reported_stress(cloud, plan, QMDS()),
@@ -186,15 +189,12 @@ def _run_stacked_pair(outdir, seed: int, params: dict) -> ExperimentReport:
     return report
 
 
-def _run_oscillation(outdir, seed: int, params: dict) -> ExperimentReport:
-    res = int(params.get("res", 64))
-    n_list = params.get("n_list", list(range(1, 9)))
-    v = float(params.get("v", 0.1))
-    pairs, stress_zero = oscillation_experiment(n_list, res, v)
+def _run_oscillation(outdir, seed: int, res: int = 64) -> ExperimentReport:
+    pairs, stress_zero = oscillation_experiment(N_LIST, res, AMPLITUDE)
     csv_file = os.path.join(outdir, "oscillation.csv")
     save_oscillation_csv(csv_file, pairs, stress_zero)
-    report = ExperimentReport("oscillation", seed, {"res": res, "v": v,
-                                                    "n_list": list(n_list)})
+    report = ExperimentReport("oscillation", seed, {"res": res, "v": AMPLITUDE,
+                                                    "n_list": list(N_LIST)})
     report.runs.append({
         "optimizer": "none", "init": "checkerboard",
         "final_stress": min(s for _, s in pairs),
@@ -205,7 +205,7 @@ def _run_oscillation(outdir, seed: int, params: dict) -> ExperimentReport:
     return report
 
 
-def pca_check_cloud(seed: int, n: int = 200) -> PointCloud:
+def pca_check_cloud(seed: int, n: int = PCA_N) -> PointCloud:
     """Gaussian sample in R^5 with distinct covariance eigenvalues, exactly centered."""
     rng = np.random.default_rng(seed)
     stds = np.sqrt(np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
@@ -222,28 +222,20 @@ def largest_principal_angle(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.arccos(min(1.0, max(-1.0, np.min(sv)))))
 
 
-def _run_pca_check(outdir, seed: int, params: dict) -> ExperimentReport:
-    n = int(params.get("n", 200))
-    m = int(params.get("m", 2))
-    cloud = pca_check_cloud(seed, n)
+def _run_pca_check(outdir, seed: int, max_sweeps: int = 50) -> ExperimentReport:
+    cloud = pca_check_cloud(seed)
     cost = QuadraticIP()
-    pca_map = pca_solve(cloud, m)
+    pca_map = pca_solve(cloud, PCA_M)
     pca_stress = reported_stress(cloud, pca_map, cost)
-    cfg = DescentConfig(max_sweeps=int(params.get("max_sweeps", 50)),
-                        rel_tol=1e-12, seed=seed, dim_m=m)
+    cfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-12, seed=seed, dim_m=PCA_M)
     plan, trace = marginal_sweep(plan_from_map(cloud, pca_map), cloud, cost, cfg)
     sweep_stress = reported_stress(cloud, plan, cost)
-
-    Xc = cloud.points - cloud.mean()
-    C = (Xc.T * cloud.weights) @ Xc
-    vecs = np.linalg.eigh(C)[1][:, ::-1][:, :m]
-    top_images = Xc @ vecs
-    _, mass, atoms = plan.flat()
-    angle = largest_principal_angle(atoms, top_images[plan.flat()[0]])
+    idx, _, atoms = plan.flat()
+    angle = largest_principal_angle(atoms, pca_map.images[idx])
 
     efile = os.path.join(outdir, "pca-check-embedding.csv")
     save_embedding_csv(efile, cloud, plan)
-    report = ExperimentReport("pca-check", seed, {"n": n, "m": m})
+    report = ExperimentReport("pca-check", seed, {"n": PCA_N, "m": PCA_M})
     report.runs.append({
         "optimizer": "marginal", "init": "pca",
         "final_stress": sweep_stress, "pca_stress": pca_stress,
@@ -265,10 +257,19 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
-    """Run a named experiment; writes artifacts under params['outdir'] (default cwd)."""
+    """Run a named experiment; writes artifacts under params['outdir'] (default cwd).
+
+    The other params are its runner's keyword parameters; any other key is an InputError.
+    """
     if name not in EXPERIMENTS:
         raise InputError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    runner = EXPERIMENTS[name]
     params = dict(params or {})
     outdir = params.pop("outdir", ".")
+    takes = list(inspect.signature(runner).parameters)[2:]
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise InputError(f"experiment {name} does not take {', '.join(unknown)}; "
+                         f"it takes {', '.join(takes)}")
     os.makedirs(outdir, exist_ok=True)
-    return EXPERIMENTS[name](outdir, int(seed), params)
+    return runner(outdir, int(seed), **params)

@@ -1,10 +1,10 @@
 """Optimizers: particle gradient descent, the marginal-sweep descent, and PCA.
 
 The marginal sweep repeatedly moves each plan atom toward the current global
-minimizer of its marginal problem.  For squared-distance costs whose profile
-is uniquely minimized at zero, the full reassignment is applied outright (the
-move can only lower the energy); otherwise a clamped optimal step along the
-needle direction is used, so the energy is non-increasing in every case.
+minimizer of its marginal problem, by the clamped optimal step along the
+needle direction, so the energy is non-increasing in every case.  For
+squared-distance costs whose profile is uniquely minimized at zero that step
+is always the full reassignment.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     PointCloud,
     _fmt,
     _match,
+    _plan_arrays,
     _split_mass,
 )
 from .energy import (
@@ -47,6 +48,7 @@ INIT_SCALE = 1.0   # standard deviation of the random initial images
 STEP_SIZE = 1.0    # first step length tried by particle descent
 ARMIJO_C = 1e-4    # sufficient-decrease constant of its backtracking
 MAX_HALVINGS = 40  # step halvings before particle descent stops
+CANDIDATE_BUDGET = 8   # plan-atom starts of a best-effort marginal solve; half as many random ones
 
 
 @dataclass
@@ -62,7 +64,6 @@ class DescentConfig:
     seed: int = 0
     init: object = "random"
     dim_m: int = 1
-    candidate_budget: int = 8
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -133,6 +134,7 @@ def _dense_objective(cloud: PointCloud, cost: CostFamily):
     return energy, gradient
 
 
+@np.errstate(over="ignore", invalid="ignore")   # every energy and gradient norm is checked
 def particle_descent(cloud: PointCloud, cost: CostFamily,
                      config: DescentConfig) -> tuple[DeterministicMap, IterationTrace]:
     """Gradient descent on particle positions with Armijo backtracking."""
@@ -151,6 +153,8 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
     grad = gradient(Y)
     for it in range(config.max_sweeps):
         gnorm2 = float(np.sum(grad * grad))
+        if not math.isfinite(gnorm2):
+            raise NumericalError(f"non-finite gradient at iteration {it}")
         if gnorm2 == 0.0:
             break
         eta = STEP_SIZE
@@ -175,6 +179,8 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
     trace.final_grad_norm = float(np.sqrt(np.sum(grad * grad)))
+    if not math.isfinite(trace.final_grad_norm):
+        raise NumericalError("non-finite gradient at the last iteration")
     return DeterministicMap(Y), trace
 
 
@@ -188,11 +194,11 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
 
     m = atoms.shape[1]
     order = np.argsort(mass)[::-1]
-    starts = [atoms[j] for j in order[: config.candidate_budget]]
+    starts = [atoms[j] for j in order[:CANDIDATE_BUDGET]]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
     rng = np.random.default_rng(config.seed)
     scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
-    for _ in range(max(2, config.candidate_budget // 2)):
+    for _ in range(CANDIDATE_BUDGET // 2):
         starts.append(scale * rng.standard_normal(m))
     objective = _marginal_objective(X, mass, atoms, cost, x)
     best_y, best_v = None, np.inf
@@ -203,6 +209,8 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
         )
         if res.fun < best_v:
             best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
+    if best_y is None:
+        raise NumericalError("no start of the marginal solve reached a finite value")
     return MarginalSolution(minimizers=[best_y], value=best_v,
                             multiplicity_kind="unique", certified=False)
 
@@ -250,11 +258,9 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, 
     Certified for every cost with a quadratic profile (see CostFamily); a
     best-effort multi-start local search, uncertified, for any other.
     """
-    plan.validate_against(cloud)
     if config is None:
         config = DescentConfig()
-    idx, mass, atoms = plan.flat()
-    return _solve_marginal_arrays(cloud.points[idx], mass, atoms, cost, x, config)
+    return _solve_marginal_arrays(*_plan_arrays(plan, cloud), cost, x, config)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +276,11 @@ class _SweepState:
     """
 
     def __init__(self, plan: EmbeddingPlan, cloud: PointCloud):
-        plan.validate_against(cloud)
-        idx, mass, atoms = plan.flat()
+        self.X, mass, atoms = _plan_arrays(plan, cloud)
         self.mass = np.array(mass)
         self.atoms = np.array(atoms)
         self.cloud = cloud
-        self.X = cloud.points[idx]
-        self.ptr = np.zeros(cloud.n + 1, dtype=int)
-        np.cumsum(np.bincount(idx, minlength=cloud.n), out=self.ptr[1:])
+        self.ptr = plan._ptr.copy()
 
     def row_positions(self, i: int) -> range:
         return range(self.ptr[i], self.ptr[i + 1])
@@ -322,10 +325,10 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                    config: DescentConfig) -> tuple[EmbeddingPlan, IterationTrace]:
     """Needle descent toward the minimal graph of the marginal problem.
 
-    Each atom is offered a move to the selected global marginal minimizer.
-    With a squared-distance cost uniquely minimized at zero the full move is
-    always energy-decreasing; otherwise the step along the needle is clamped
-    to the minimizing epsilon in [0, 1].
+    Each atom is offered a move to the selected global marginal minimizer,
+    of the energy-minimizing share of its mass, clamped to all of it (see
+    `needle`).  For a squared-distance cost uniquely minimized at zero every
+    move is full, and each row is then consolidated onto its best atom.
 
     For a cost with a moment form the marginal problem, its values and the
     sweep energies come from lifted moments that each move updates by rank
@@ -333,7 +336,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     not carry from one sweep to the next.
     """
     state = _SweepState(plan, cloud)
-    full_move = cost.kind == "N2" and cost.unique_min_at_zero
+    consolidate = cost.kind == "N2" and cost.unique_min_at_zero
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
 
     def values(x, ys) -> list:
@@ -354,8 +357,42 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 - 2.0 * cost.profile(base, cost.t_floats(y_old, y_new))
                 + cost.profile(base, cost.t_floats(y_old, y_old)))
 
+    def needle(i: int, pos: int, y_old: list, y_new: list, dj: float) -> None:
+        """Move eps of the mass q at pos, of row i, from y_old to y_new if the energy falls.
+
+        With dj = J(y_new) - J(y_old), the energy changes by 2 eps L + eps^2 Q,
+        L = q dj and Q = q^2 needle_quadratic; eps = min(-L/Q, 1), or 1 if Q <= 0.
+        """
+        nonlocal moved, max_delta, any_accepted
+        q = float(state.mass[pos])
+        L = q * dj
+        try:
+            Q = q * q * needle_quadratic(bases[i], y_old, y_new)
+        except OverflowError:   # a Python float ** overflows where numpy would give inf
+            raise NumericalError("needle step overflows: coordinates too large") from None
+        eps = min(-L / Q, 1.0) if Q > 0.0 else 1.0
+        delta = 2.0 * eps * L + eps * eps * Q
+        if not (eps > 0.0 and delta < 0.0):
+            return
+        if eps >= 1.0:
+            state.replace_atom(i, pos, y_new)
+        else:
+            state.split_atom(i, pos, eps * q, y_new)
+        if sums is not None:
+            sums.move_lifted(lifted[i], y_old, y_new, eps * q)
+        moved += eps * q
+        max_delta = max(max_delta, delta)
+        any_accepted = True
+
+    def checked_energy(when: str) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            E = plan_energy(state.X, state.mass, state.atoms, cost, sums)
+        if not math.isfinite(E):
+            raise NumericalError(f"non-finite energy {when}")
+        return E
+
     trace = IterationTrace()
-    E = plan_energy(state.X, state.mass, state.atoms, cost, sums)
+    E = checked_energy("at initialization")
     trace.add(E, _split_mass(state.mass, state.ptr), 0.0)
     # one base per distinct source point; base(x, x) is computed alone, as a
     # blocked base_matrix diagonal could round differently
@@ -363,19 +400,18 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     bases = [cost.base(x, x) for x in distinct]
     bases = [bases[k] for k in which.reshape(-1).tolist()]
 
-    for _ in range(config.max_sweeps):
+    for sweep in range(config.max_sweeps):
         moved = 0.0
         max_delta = -math.inf
         any_accepted = False
         lifted = sums.lift(cloud.points) if sums is not None else None
         for i in range(cloud.n):
-            x, base, row = cloud.points[i], bases[i], state.row_positions(i)
+            x, row = cloud.points[i], state.row_positions(i)
             for k, y_old in enumerate(state.atoms[row.start:row.stop].tolist()):
                 # the first atom is where it was; a later one may have merged away
                 pos = row.start if k == 0 else state.find(i, y_old)
                 if pos is None:
                     continue
-                q = float(state.mass[pos])
                 if sums is not None:
                     y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
                 else:
@@ -385,55 +421,24 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     j_old, j_new = values(x, (y_old, y_new))
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
-                L = q * (j_new - j_old)
-                Q = q * q * needle_quadratic(base, y_old, y_new)
-                if full_move:
-                    eps = 1.0
-                elif Q > 0.0:
-                    eps = min(max(-L / Q, 0.0), 1.0)
-                    if eps <= 0.0 or 2.0 * eps * L + eps * eps * Q >= 0.0:
-                        continue
-                elif 2.0 * L + Q < 0.0:
-                    eps = 1.0
-                else:
-                    continue
-                delta = 2.0 * eps * L + eps * eps * Q
-                if eps >= 1.0:
-                    state.replace_atom(i, pos, y_new)
-                else:
-                    state.split_atom(i, pos, eps * q, y_new)
-                if sums is not None:
-                    sums.move_lifted(lifted[i], y_old, y_new, eps * q)
-                moved += eps * q
-                max_delta = max(max_delta, delta)
-                any_accepted = True
-            if full_move and len(row) > 1:
-                # consolidation: with a profile uniquely minimized at zero, moving
-                # a row atom onto its best-valued sibling always lowers the energy,
-                # so split rows collapse to a single atom (full moves never split,
-                # so a row that began the step with one atom still has one).  Each
-                # move lands on a sibling and merges, so the row shrinks by one.
+                needle(i, pos, y_old, y_new, j_new - j_old)
+            if consolidate and len(row) > 1:
+                # moving an atom onto its best-valued sibling has L <= 0 and,
+                # the atoms being distinct, Q < 0, so needle makes every such
+                # move and split rows collapse to a single atom (full moves
+                # never split, so a row that began the step with one atom
+                # still has one).  Each move merges, so the row shrinks by one.
                 for _ in range(len(state.row_positions(i)) - 1):
                     row = state.row_positions(i)
                     jvals = values(x, state.atoms[row.start:row.stop])
                     order = np.argsort(jvals)  # ties still yield distinct slots
-                    dst = row[order[0]]
-                    src = row[order[-1]]
-                    q = float(state.mass[src])
-                    y_old = state.atoms[src].tolist()
-                    y_new = state.atoms[dst].tolist()
-                    L = q * (jvals[order[0]] - jvals[order[-1]])
-                    Q = q * q * needle_quadratic(base, y_old, y_new)
-                    state.replace_atom(i, src, y_new)
-                    if sums is not None:
-                        sums.move_lifted(lifted[i], y_old, y_new, q)
-                    moved += q
-                    max_delta = max(max_delta, 2.0 * L + Q)
-                    any_accepted = True
+                    src, dst = row[order[-1]], row[order[0]]
+                    needle(i, src, state.atoms[src].tolist(), state.atoms[dst].tolist(),
+                           jvals[order[0]] - jvals[order[-1]])
         del lifted  # freed before the next sweep lifts its points: a lower memory peak
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
-        E_new = plan_energy(state.X, state.mass, state.atoms, cost, sums)
+        E_new = checked_energy(f"after sweep {sweep + 1}")
         trace.add(E_new, _split_mass(state.mass, state.ptr), moved,
                   max_delta if any_accepted else 0.0)
         improvement = E - E_new

@@ -27,10 +27,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _fmt
+from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _fmt, _plan_arrays
 
 EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
 RESIDUAL_TOL = 1e-8   # stationarity residual required of returned minimizers
+POLISH_ITERS = 40     # Newton steps at most on each returned minimizer
 _PHI_TOL = 1e-11      # relative threshold for treating a phi component as zero
 
 
@@ -59,11 +60,6 @@ class MomentSet:
     @property
     def dim_d(self) -> int:
         return self.Cxx.shape[0]
-
-    @property
-    def eigen(self):
-        """Eigenvalues (ascending) and eigenvectors of S."""
-        return np.linalg.eigh(self.S)
 
     @functools.cached_property
     def lifted(self) -> list:
@@ -300,14 +296,14 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
     with grad J = 4 ((F g)_y - y (F g)_0) at g = P f_i, where _0 is the
     constant feature.  The x-columns of the features are fixed; `gradient`
     reuses the moments of the last `energy` call when it was made at the
-    same Y.
+    same Y.  Neither checks for overflow: particle descent checks every
+    energy and gradient they return.
     """
     n, d = X.shape
     f = np.empty((n, 2 + m + d))
     f[:, 0] = 1.0
     f[:, 2 + m:] = X - w @ X
-    with np.errstate(over="ignore", invalid="ignore"):   # the energy is checked by its caller
-        nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
+    nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
     P = _residual_form(m, d)
     w8 = 8.0 * w[:, None]
     last = {"Y": None}
@@ -316,8 +312,7 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
         Yc = Y - w @ Y
         f[:, 2:2 + m] = Yc
         f[:, 1] = np.einsum("ij,ij->i", Yc, Yc) - nx
-        with np.errstate(over="ignore", invalid="ignore"):   # the energy is checked by its caller
-            PF = P @ ((f.T * w) @ f)
+        PF = P @ ((f.T * w) @ f)
         last.update(Y=Y, Yc=Yc, PF=PF)
         return float(np.vdot(PF, PF.T))
 
@@ -332,9 +327,7 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
 
 def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> MomentSet:
     """Single pass over the plan's atoms accumulating all quartic moments."""
-    plan.validate_against(cloud)
-    idx, mass, atoms = plan.flat()
-    return moments_from_arrays(cloud.points[idx], mass, atoms).moment_set()
+    return moments_from_arrays(*_plan_arrays(plan, cloud)).moment_set()
 
 
 @dataclass(frozen=True)
@@ -463,7 +456,7 @@ def select_minimizer(solution: MarginalSolution) -> np.ndarray:
     return max(solution.minimizers, key=lambda y: tuple(y))
 
 
-def _polish(Psi, phi, y, iters: int = 40):
+def _polish(Psi, phi, y):
     """Newton steps on the stationarity equation (centered): the point, its gradient norm and |y|^2.
 
     A step is kept only when it lowers the gradient norm, so a point near a
@@ -472,7 +465,7 @@ def _polish(Psi, phi, y, iters: int = 40):
     """
     scalar = isinstance(y, float)
     best = (y, math.inf, 0.0)
-    for _ in range(iters + 1):
+    for _ in range(POLISH_ITERS + 1):
         if scalar:
             s = y * y
             g = 4.0 * (s * y - Psi * y - phi)

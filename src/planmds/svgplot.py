@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SIZE = 640   # width and height of every plot, in pixels
+
 _RAMP = [
     (0x44, 0x01, 0x54),
     (0x47, 0x2d, 0x7b),
@@ -36,52 +38,51 @@ def _normalize(vals: np.ndarray) -> np.ndarray:
     return (vals - lo) / (hi - lo)
 
 
-def scatter_svg(path, points, values, size: int = 640, radius: float = 3.0,
-                title: str = "") -> None:
+def scatter_svg(path, points, values, title: str = "") -> None:
     """Scatter of 2-d points colored by a scalar value per point."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float).reshape(-1)
-    pad = 0.08 * size
-    span = size - 2 * pad
+    pad = 0.08 * SIZE
+    span = SIZE - 2 * pad
     lo = points.min(axis=0)
     extent = np.maximum(points.max(axis=0) - lo, 1e-12)
     scale = span / float(np.max(extent))
     xy = (points - lo) * scale + pad
-    xy[:, 1] = size - xy[:, 1]  # flip so larger x2 is up
+    xy[:, 1] = SIZE - xy[:, 1]  # flip so larger x2 is up
     t = _normalize(values)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     if title:
-        lines.append(f'<text x="{size / 2:.0f}" y="20" text-anchor="middle" '
+        lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
     for (px, py), tv in zip(xy, t):
-        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" '
+        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
                      f'fill="{color_of(tv)}"/>')
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def levelset_svg(path, grid, resolution: int, size: int = 640, title: str = "") -> None:
+def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
     """Band rendering of a level-set grid: cells colored by the selected
     minimizer, nodes with multiple global minimizers marked in black."""
     lams = np.array([lam for _, lam, _ in grid])
     t = _normalize(lams)
-    cell = size / resolution
+    cell = SIZE / resolution
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     marks = []
     for k, ((_, _, count), tv) in enumerate(zip(grid, t)):
         r = k // resolution   # x1 index (row-major over x1 then x2)
         c = k % resolution    # x2 index
         px = r * cell
-        py = size - (c + 1) * cell
+        py = SIZE - (c + 1) * cell
         lines.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell + 0.5:.2f}" '
                      f'height="{cell + 0.5:.2f}" fill="{color_of(tv)}"/>')
         if count >= 2:
@@ -89,7 +90,7 @@ def levelset_svg(path, grid, resolution: int, size: int = 640, title: str = "") 
                          f'r="{max(cell / 4, 1.0):.2f}" fill="black"/>')
     lines.extend(marks)
     if title:
-        lines.append(f'<text x="{size / 2:.0f}" y="20" text-anchor="middle" '
+        lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14" fill="white">{title}</text>')
     lines.append("</svg>")
     with open(path, "w") as fh:

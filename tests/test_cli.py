@@ -153,13 +153,33 @@ def test_embed_overflow_exit_3(tmp_path, capsys, scale, init, optimizer):
     # squared coordinates overflow at 1e160, their squares (the lifted
     # moments and the energy) already at 1e100; the overflow is checked, so
     # numpy must not warn about it, and the one error line is all of stderr
-    csv = tmp_path / "big.csv"
-    pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2)) * scale).save_csv(csv)
-    rc = main(["embed", str(csv), "--optimizer", optimizer, "--init", init, "--dim", "1",
-               "--out", str(tmp_path / "out")])
-    assert rc == 3
+    assert _embed_big_cloud(tmp_path, scale, init, optimizer, "qmds") == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160])
+@pytest.mark.parametrize("optimizer", ["marginal", "particle"])
+@pytest.mark.parametrize("cost", ["qsammon", "quadratic-ip", "kernel-ip", "elastic"])
+def test_embed_overflow_other_costs(tmp_path, capsys, cost, optimizer, scale):
+    # kernel-ip alone finishes: an overflowing squared distance has the RBF
+    # kernel value exp(-inf) = 0, which is exact
+    rc = _embed_big_cloud(tmp_path, scale, "random", optimizer, cost)
+    err = capsys.readouterr().err
+    if cost == "kernel-ip":
+        assert rc == 0 and err == ""
+        report = json.loads((tmp_path / "out" / "big-report.json").read_text())
+        assert np.isfinite(report["runs"][0]["final_stress"])
+    else:
+        assert rc == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _embed_big_cloud(tmp_path, scale, init, optimizer, cost) -> int:
+    csv = tmp_path / "big.csv"
+    pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2)) * scale).save_csv(csv)
+    return main(["embed", str(csv), "--cost", cost, "--optimizer", optimizer, "--init", init,
+                 "--dim", "1", "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -168,6 +188,17 @@ def test_sweep_overflow_raises_numerical_error(capsys):
     plan = pm.plan_from_map(cloud, pm.DeterministicMap([[0.0], [1e160], [-1e160]]))
     with pytest.raises(pm.NumericalError):
         pm.marginal_sweep(plan, cloud, pm.QMDS(), pm.DescentConfig(max_sweeps=2))
+    assert capsys.readouterr().err == ""
+
+
+def test_needle_overflow_raises_numerical_error(capsys):
+    # the energies are finite at 1e40, but the minimizer of a marginal is
+    # about 1e80, and the needle's Python-float quadratic term overflows
+    rng = np.random.default_rng(0)
+    cloud = pm.PointCloud(rng.normal(size=(12, 2)) * 1e40)
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(12, 1))))
+    with pytest.raises(pm.NumericalError, match="needle step overflows"):
+        pm.marginal_sweep(plan, cloud, pm.QuadraticIP(), pm.DescentConfig(max_sweeps=2))
     assert capsys.readouterr().err == ""
 
 
@@ -181,6 +212,24 @@ def test_bad_mds_threads_exit_2(tmp_path, monkeypatch):
 def test_experiment_unknown_name_rejected():
     with pytest.raises(pm.InputError):
         run_experiment("nope", {}, seed=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stacked-pair", "--cluster-size", "5"],
+    ["oscillation", "--max-sweeps", "3"],
+    ["pca-check", "--res", "9"],
+], ids=["stacked-pair-cluster-size", "oscillation-max-sweeps", "pca-check-res"])
+def test_experiment_rejects_parameters_it_does_not_take(tmp_path, capsys, argv):
+    assert main(["experiment", *argv, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_experiment_rejects_unknown_parameter(tmp_path):
+    with pytest.raises(pm.InputError, match="n_lsit"):
+        run_experiment("oscillation", {"n_lsit": [1], "outdir": str(tmp_path)})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_oscillation(tmp_path):

@@ -244,7 +244,7 @@ def test_unique_min_at_zero_flagged_costs():
 def test_convex_in_t_flagged_costs():
     rng = np.random.default_rng(5)
     for cost in all_costs():
-        if not cost.convex_in_t:
+        if cost.quadratic_scale is None:
             continue
         for _ in range(50):
             x, xp = rng.normal(size=2), rng.normal(size=2)

@@ -54,13 +54,6 @@ def test_stress_plan_matches_stress_map():
         assert b == pytest.approx(a, rel=1e-12)
 
 
-def test_raw_count_mode():
-    cloud = pm.PointCloud([[0.0], [1.0]])
-    zero = pm.DeterministicMap([[0.0], [0.0]])
-    raw = pm.stress_map(cloud, zero, pm.QMDS(), raw_count=True)
-    assert raw == pytest.approx(0.5 * 4)
-
-
 def test_translation_invariance_n2():
     rng = np.random.default_rng(2)
     cloud = random_cloud(rng, 8, 2)

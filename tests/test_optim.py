@@ -11,6 +11,7 @@ import planmds as pm
 from planmds.core import MERGE_TOL
 from planmds.optim import (
     DescentConfig,
+    _dense_objective,
     _generic_solution,
     _SweepState,
     marginal_sweep,
@@ -55,6 +56,23 @@ def test_particle_descent_energy_nonincreasing():
         assert b <= a + 1e-14
 
 
+@pytest.mark.parametrize("cost", [pm.QuadraticIP(), pm.QSammon()], ids=lambda c: c.name)
+def test_dense_objective_matches_stress_map_and_marginal_grad(cost):
+    # particle descent's objective for every cost without a moment form
+    rng = np.random.default_rng(8)
+    w = rng.uniform(0.5, 1.5, size=7)
+    cloud = pm.PointCloud(rng.normal(size=(7, 3)), w / w.sum())
+    Y = rng.normal(size=(7, 2))
+    mapping = pm.DeterministicMap(Y)
+    energy, gradient = _dense_objective(cloud, cost)
+    assert energy(Y) == pytest.approx(pm.stress_map(cloud, mapping, cost), rel=1e-12, abs=0.0)
+    plan = pm.plan_from_map(cloud, mapping)
+    grad = gradient(Y)
+    for i in range(cloud.n):
+        want = 2.0 * cloud.weights[i] * pm.marginal_grad(plan, cloud, cost, cloud.points[i], Y[i])
+        assert np.allclose(grad[i], want, rtol=1e-12, atol=1e-14)
+
+
 def test_minimize_marginal_quadratic_ip_eigenmap_fixed_point():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 3)) * np.array([2.0, 1.3, 0.7])
@@ -86,7 +104,7 @@ def test_minimize_marginal_generic_cost_best_effort():
     cloud = random_cloud(rng, 6, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(6, 1))))
     sol = minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0],
-                            DescentConfig(candidate_budget=6, seed=4))
+                            DescentConfig(seed=4))
     assert not sol.certified
     g = pm.marginal_grad(plan, cloud, pm.Elastic(), cloud.points[0], sol.minimizers[0])
     assert np.linalg.norm(g) < 1e-5
@@ -166,6 +184,21 @@ def test_sweep_energy_matches_stress_plan():
         assert trace.energies[-1] == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert trace.energies[0] == pytest.approx(
             pm.stress_plan(pm.plan_from_map(cloud, init), cloud, pm.QMDS()), rel=1e-12, abs=0.0)
+
+
+def test_sweep_stops_at_rel_tol():
+    # a sweep that moved mass but gained less than rel_tol (1 + |E|) is the last
+    rng = np.random.default_rng(10)
+    cloud = random_cloud(rng, 12, 2)
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(12, 1))))
+    _, tight = marginal_sweep(plan, cloud, pm.QMDS(), DescentConfig(max_sweeps=20, rel_tol=1e-14))
+    _, loose = marginal_sweep(plan, cloud, pm.QMDS(), DescentConfig(max_sweeps=20, rel_tol=1e-3))
+    assert loose.n_sweeps < tight.n_sweeps
+    assert loose.energies == tight.energies[:len(loose.energies)]
+    assert loose.moved_mass[-1] > 0.0
+    E = loose.energies
+    assert E[-2] - E[-1] <= 1e-3 * (1.0 + abs(E[-1]))
+    assert all(a - b > 1e-3 * (1.0 + abs(b)) for a, b in zip(E[:-2], E[1:-1]))
 
 
 def test_sweep_quadratic_ip_partial_moves_do_not_increase_energy():
