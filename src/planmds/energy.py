@@ -1,14 +1,18 @@
 """Exact evaluation of map/plan energies, the marginal problem, and perturbations.
 
-All double sums run over ordered atom pairs including the diagonal, and are
-accumulated with compensated (fsum) summation in a fixed block order so
-repeated runs produce identical values.
+All double sums run over ordered atom pairs including the diagonal.  The
+pairwise sum works at two levels: rows are grouped into blocks of _BLOCK,
+each block's pair terms are added by one correctly rounded math.fsum, and the
+block totals by another, so repeated runs produce identical values; inside a
+block the terms are computed in row tiles of about _TILE_ELEMENTS pairs, so
+memory stays bounded whatever the number of atoms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .core import (
     DeterministicMap,
     EmbeddingPlan,
     InputError,
+    NumericalError,
     Perturbation,
     PointCloud,
     QMDS,
@@ -26,24 +31,40 @@ from .core import (
 )
 from .quartic import LiftedMoments
 
-_BLOCK = 1024
+_BLOCK = 1024          # rows whose pair terms one math.fsum adds
+_TILE_ELEMENTS = 1 << 16   # pair terms per row tile, the memory bound
+_TILE_MIN_ROWS = 8     # fewer rows per product can change the BLAS kernel and its rounding
 ENERGY_RTOL = 1e-12  # rounding bound, relative, below which a moment energy replaces the pairwise sum
 
 
 def _pair_energy(X, Y, mass, cost: CostFamily, X2=None, Y2=None, mass2=None):
-    """sum_ab mass_a mass2_b c(x_a, x_b, y_a, y_b), blocked over rows, by math.fsum per block."""
+    """sum_ab mass_a mass2_b c(x_a, x_b, y_a, y_b), by math.fsum per block of _BLOCK rows.
+
+    Each block's terms are computed in row tiles of max(_TILE_MIN_ROWS,
+    _TILE_ELEMENTS // K2) rows against all K2 columns and streamed, tile
+    after tile, into the block's fsum.  fsum is correctly rounded whatever
+    the order of its terms, and every term comes from the same elementwise
+    operations as in one dense block, so the tiling changes no bit of the
+    result.  Memory is bounded by the tile: each array temporary holds at
+    most max(8 K2, 2^16) terms (0.5 MB at K2 = 2250, 6.4 MB at K2 = 100k), and
+    one tile's terms at a time are Python floats (about 4x that).
+    """
     if X2 is None:
         X2, Y2, mass2 = X, Y, mass
-    totals = []
     K = X.shape[0]
-    for s in range(0, K, _BLOCK):
-        e = min(s + _BLOCK, K)
-        A = cost.base_matrix(X[s:e], X2)
-        T = cost.t_matrix(Y[s:e], Y2)
-        C = cost.profile(A, T)
+    rows = min(_BLOCK, max(_TILE_MIN_ROWS, _TILE_ELEMENTS // max(X2.shape[0], 1)))
+
+    def terms(s, e):
+        C = cost.profile(cost.base_matrix(X[s:e], X2), cost.t_matrix(Y[s:e], Y2))
         C *= mass[s:e, None]
         C *= mass2[None, :]
-        totals.append(math.fsum(C.ravel()))
+        return C.ravel().tolist()
+
+    totals = []
+    for s in range(0, K, _BLOCK):
+        e = min(s + _BLOCK, K)
+        totals.append(math.fsum(chain.from_iterable(
+            terms(r, min(r + rows, e)) for r in range(s, e, rows))))
     return math.fsum(totals)
 
 
@@ -92,6 +113,7 @@ def _marginal_objective(X, mass, atoms, cost, x):
     """(value, gradient) of the marginal problem at x, as one function of y.
 
     The feature-pair statistics base(x, X) are computed once, not per call.
+    A value or gradient that is not finite raises NumericalError.
     """
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
 
@@ -100,7 +122,13 @@ def _marginal_objective(X, mass, atoms, cost, x):
         t = cost.t_matrix(y.reshape(1, -1), atoms)[0]
         g = mass * cost.profile_dt(a, t)
         grad = g @ atoms if cost.kind == "IP" else 2.0 * (math.fsum(g) * y - g @ atoms)
-        return math.fsum(mass * cost.profile(a, t)), grad
+        try:
+            value = math.fsum(mass * cost.profile(a, t))
+        except OverflowError:   # finite terms whose sum overflows
+            value = math.inf
+        if not (math.isfinite(value) and all(map(math.isfinite, grad.tolist()))):
+            raise NumericalError("non-finite marginal value or gradient: coordinates too large")
+        return value, grad
 
     return objective
 

@@ -202,15 +202,14 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
         starts.append(scale * rng.standard_normal(m))
     objective = _marginal_objective(X, mass, atoms, cost, x)
     best_y, best_v = None, np.inf
-    for y0 in starts:
-        res = _sp_minimize(
-            objective, np.asarray(y0, dtype=float), jac=True, method="L-BFGS-B",
-            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500},
-        )
-        if res.fun < best_v:
-            best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
-    if best_y is None:
-        raise NumericalError("no start of the marginal solve reached a finite value")
+    with np.errstate(over="ignore", invalid="ignore"):   # the objective checks its values
+        for y0 in starts:
+            res = _sp_minimize(
+                objective, np.asarray(y0, dtype=float), jac=True, method="L-BFGS-B",
+                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500},
+            )
+            if res.fun < best_v:
+                best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
     return MarginalSolution(minimizers=[best_y], value=best_v,
                             multiplicity_kind="unique", certified=False)
 
@@ -231,14 +230,22 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
     w = mass / cost.quadratic_scale(a)
     if cost.kind == "IP":
-        G = (atoms.T * w) @ atoms
-        rhs = (atoms.T * w) @ a
-        y, _, rank, _ = np.linalg.lstsq(G, rhs, rcond=None)
-        # G is positive semidefinite: a stationary point is a global minimizer
-        scale = 1.0 + np.linalg.norm(G) * np.linalg.norm(y) + np.linalg.norm(rhs)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            G = (atoms.T * w) @ atoms
+            rhs = (atoms.T * w) @ a
+            # math.hypot takes the norm without overflow in its sum of squares
+            norm_G, norm_rhs = math.hypot(*G.ravel().tolist()), math.hypot(*rhs.tolist())
+            if not math.isfinite(norm_G + norm_rhs):
+                raise NumericalError("non-finite least-squares system: coordinates too large")
+            y, _, rank, _ = np.linalg.lstsq(G, rhs, rcond=None)
+            # G is positive semidefinite: a stationary point is a global minimizer
+            scale = 1.0 + norm_G * math.hypot(*y.tolist()) + norm_rhs
+            residual = math.hypot(*(G @ y - rhs).tolist())
+        if not (math.isfinite(scale) and math.isfinite(residual)):
+            raise NumericalError("non-finite least-squares certificate: coordinates too large")
         return MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y),
                                 "unique" if rank == atoms.shape[1] else "continuum",
-                                bool(np.linalg.norm(G @ y - rhs) <= RESIDUAL_TOL * scale))
+                                residual <= RESIDUAL_TOL * scale)
     W = math.fsum(w)
     qm = quartic_at(moments_from_arrays(X, w / W, atoms), x)
     # minimize_quartic's tolerances are absolute, and skewed weights (qsammon's

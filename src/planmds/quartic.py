@@ -275,12 +275,21 @@ class LiftedMoments:
         badly for plans that embed their cloud almost isometrically.  The
         moments are correctly rounded and P @ F is exact (P is a scaled
         signed permutation), so the rounding of the sums stays below 8 eps
-        of that magnitude.
+        of that magnitude.  Products of the moments that overflow raise
+        NumericalError, as moments that overflow do.
         """
         F = np.array(self.F)
         PF = self.P @ F
-        magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
-        return math.fsum((PF * PF.T).ravel()), 8.0 * np.finfo(float).eps * magnitude
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            terms = PF * PF.T
+            magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
+        if not np.isfinite(terms).all():
+            raise NumericalError("non-finite lifted energy terms: coordinates too large")
+        try:
+            value = math.fsum(terms.ravel().tolist())
+        except OverflowError:
+            raise NumericalError("lifted energy overflows: coordinates too large") from None
+        return value, 8.0 * np.finfo(float).eps * magnitude
 
 
 def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> LiftedMoments:

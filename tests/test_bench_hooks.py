@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -38,3 +40,22 @@ def test_bench_trace_hooks_install_and_restore():
     with tracing.installed(tracing.Tracer()):
         assert optim._SweepState.replace_atom is not before
     assert optim._SweepState.replace_atom is before
+
+
+def test_bench_trace_counts_pair_energy_pairs_with_x2():
+    # the tracer reads the mass arrays of _pair_energy by position (args[2],
+    # args[6]) or as mass2=: a changed signature must not zero its pair count
+    from planmds import QMDS, energy
+
+    tracing = _tracing()
+    rng = np.random.default_rng(0)
+    X, Y, mass = rng.normal(size=(5, 2)), rng.normal(size=(5, 1)), rng.uniform(size=5)
+    X2, Y2, mass2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), rng.uniform(size=3)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        energy._pair_energy(X, Y, mass, QMDS(), X2, Y2, mass2)
+        energy._pair_energy(X, Y, mass, QMDS(), X2=X2, Y2=Y2, mass2=mass2)
+        energy._pair_energy(X, Y, mass, QMDS())
+    metrics, _ = tracing.layer_metrics(tracer, [0])
+    assert metrics["energy.pair_energy.calls"] == 3
+    assert metrics["energy.pair_energy.pairs"] == 5 * 3 + 5 * 3 + 5 * 5

@@ -175,6 +175,37 @@ def test_embed_overflow_other_costs(tmp_path, capsys, cost, optimizer, scale):
         assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cost, scale", [("qmds", 1e77), ("quadratic-ip", 1e60), ("elastic", 1e120)])
+def test_embed_pca_marginal_overflow(tmp_path, capsys, cost, scale):
+    # the lifted energy's moment products (qmds), the least-squares
+    # certificate's norms (quadratic-ip) and the elastic marginal objective
+    # overflow first at these scales; each is checked, so a run either fails
+    # with the one error line or finishes with a finite stress and no output
+    # on stderr
+    rc = _embed_big_cloud(tmp_path, scale, "pca", "marginal", cost)
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == ""
+        report = json.loads((tmp_path / "out" / "big-report.json").read_text())
+        assert np.isfinite(report["runs"][0]["final_stress"])
+    else:
+        assert rc == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_embed_quadratic_ip_overflowing_norms_scale_the_stress(tmp_path):
+    # the least-squares certificate stays finite where the plain norm's sum
+    # of squares overflows, and the cost is homogeneous of degree 4 in the
+    # coordinates, so the stress at scale 1e60 is the stress at scale 1 times 1e240
+    stresses = []
+    for scale in (1.0, 1e60):
+        assert _embed_big_cloud(tmp_path, scale, "pca", "marginal", "quadratic-ip") == 0
+        report = json.loads((tmp_path / "out" / "big-report.json").read_text())
+        stresses.append(report["runs"][0]["final_stress"])
+    assert stresses[1] == pytest.approx(stresses[0] * 1e240, rel=1e-6)
+
+
 def _embed_big_cloud(tmp_path, scale, init, optimizer, cost) -> int:
     csv = tmp_path / "big.csv"
     pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2)) * scale).save_csv(csv)

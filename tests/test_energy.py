@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import planmds as pm
+from planmds import energy
 from planmds.energy import oscillation_experiment
+from planmds.experiments import circle_clusters_analytic_init, circle_clusters_cloud
 
 from helpers import random_cloud, random_plan
 
@@ -256,3 +261,53 @@ def test_nonconvexity_witness():
     j0 = pm.stress_map(cloud, pm.DeterministicMap(np.zeros_like(images)), qmds)
     assert jt == pytest.approx(jm, rel=1e-12)
     assert jt < j0
+
+
+def _untiled_pair_energy(X, Y, mass, cost, X2=None, Y2=None, mass2=None):
+    """The pairwise energy with one dense matrix per 1024-row block, and one fsum of it."""
+    if X2 is None:
+        X2, Y2, mass2 = X, Y, mass
+    totals = []
+    for s in range(0, X.shape[0], 1024):
+        e = min(s + 1024, X.shape[0])
+        C = cost.profile(cost.base_matrix(X[s:e], X2), cost.t_matrix(Y[s:e], Y2))
+        C *= mass[s:e, None]
+        C *= mass2[None, :]
+        totals.append(math.fsum(C.ravel()))
+    return math.fsum(totals)
+
+
+@pytest.mark.parametrize("cost", all_costs() + [pm.KernelIP("polynomial", degree=3)],
+                         ids=lambda c: f"{c.name}-{getattr(c, 'kernel', '')}".rstrip("-"))
+def test_tiled_pair_energy_is_bitwise_the_untiled_sum(monkeypatch, cost):
+    # d = 4 and m = 3 make the kernel and the IP statistic BLAS products with
+    # a real inner sum; K = 1100 and 2300 span more than one block, and the
+    # small budget splits even the small blocks into tiles of 8 rows
+    rng = np.random.default_rng(12)
+    for K, budget in [(1, None), (7, None), (300, None), (1100, None), (2300, None),
+                      (7, 1), (300, 1), (300, 2000)]:
+        if budget is not None:
+            monkeypatch.setattr(energy, "_TILE_ELEMENTS", budget)
+        X, Y = rng.normal(size=(K, 4)), rng.normal(size=(K, 3))
+        mass = rng.uniform(0.1, 1.0, size=K) / K
+        K2 = K // 3 + 1
+        X2, Y2, mass2 = rng.normal(size=(K2, 4)), rng.normal(size=(K2, 3)), rng.uniform(size=K2)
+        assert energy._pair_energy(X, Y, mass, cost) == _untiled_pair_energy(X, Y, mass, cost)
+        assert (energy._pair_energy(X, Y, mass, cost, X2, Y2, mass2)
+                == _untiled_pair_energy(X, Y, mass, cost, X2, Y2, mass2))
+        monkeypatch.undo()
+
+
+def test_stress_map_memory_is_bounded():
+    # the circle-clusters cloud (K = 2250) and its analytic init; one dense
+    # 1024 x 2250 block of pair terms alone would take 18 MB
+    cloud = circle_clusters_cloud(1)
+    mapping = circle_clusters_analytic_init(cloud, 1000)
+    tracemalloc.start()
+    try:
+        value = pm.stress_map(cloud, mapping, pm.QMDS())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 6.646115911108859
+    assert peak <= 8 * 2**20
