@@ -9,7 +9,6 @@ default; MDS_THREADS=0 requests it explicitly).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,6 +18,7 @@ from .core import (
     InputError,
     NumericalError,
     PointCloud,
+    _read_json,
     make_cost,
     plan_from_map,
 )
@@ -71,13 +71,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     merged = dict(defaults)
     if getattr(args, "config", None):
         path = args.config
-        if not os.path.exists(path):
-            raise InputError(f"config file not found: {path}")
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON ({exc})") from None
+        loaded = _read_json(path)
         if not isinstance(loaded, dict):
             raise InputError(f"{path}: config must be a JSON object")
         for key, val in loaded.items():
@@ -108,8 +102,6 @@ def _cmd_embed(args) -> int:
         "cost": "qmds", "dim": 1, "optimizer": "marginal", "init": "random",
         "seed": 0, "max_sweeps": 100, "rel_tol": 1e-10, "out": ".",
     })
-    if not os.path.exists(args.input):
-        raise InputError(f"input file not found: {args.input}")
     cloud = PointCloud.load_csv(args.input)
     cost = make_cost(cfg["cost"])
     outdir = cfg["out"]
@@ -165,8 +157,6 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_levelset(args) -> int:
     cfg = _merge_config(args, {"region": "-2,2,-2,2", "res": 101, "out": "."})
-    if not os.path.exists(args.moments):
-        raise InputError(f"moments file not found: {args.moments}")
     moments = MomentSet.from_json(args.moments)
     try:
         vals = [float(v) for v in str(cfg["region"]).split(",")]

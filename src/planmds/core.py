@@ -8,6 +8,8 @@ near-coincident atoms inside one plan row are merged.
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -29,32 +31,57 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file, or an InputError naming it if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"{path}: cannot read as UTF-8 text: {reason}") from None
+
+
+def _read_json(path):
+    """The JSON value in an input file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON ({exc})") from None
+
+
 def _read_csv(path, check_header, parse_row) -> tuple[list, list]:
     """The header of a CSV file and its data rows, parsed by parse_row; blank lines are skipped.
 
     check_header(header) raises InputError before any row is read.  A row
     must have the header's width; a ValueError of parse_row names its line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    check_header(header)
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        check_header(header)
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                records.append(parse_row(row))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+            records.append(parse_row(row))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise InputError(f"{path}: no data rows")
     return header, records
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write header and rows as UTF-8 CSV with LF line ends; numbers by _fmt, strings as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n"
+                      for row in rows)
 
 
 def _as_matrix(points, name: str) -> np.ndarray:
@@ -112,11 +139,8 @@ class PointCloud:
         return self.weights @ self.points
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.dim_d)] + ["w"])
-            for p, w in zip(self.points, self.weights):
-                writer.writerow([_fmt(v) for v in p] + [_fmt(w)])
+        _write_csv(path, [f"x{j + 1}" for j in range(self.dim_d)] + ["w"],
+                   (p + [w] for p, w in zip(self.points.tolist(), self.weights.tolist())))
 
     @classmethod
     def load_csv(cls, path) -> "PointCloud":
@@ -276,12 +300,9 @@ class EmbeddingPlan:
         return mass @ atoms
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "mass"] + [f"y{j + 1}" for j in range(self.dim_m)])
-            for i, (masses, atoms) in enumerate(zip(self.row_masses, self.row_atoms)):
-                for q, y in zip(masses, atoms):
-                    writer.writerow([str(i), _fmt(q)] + [_fmt(v) for v in y])
+        idx, mass, atoms = self._flat
+        _write_csv(path, ["i", "mass"] + [f"y{j + 1}" for j in range(self.dim_m)],
+                   ([i, q] + y for i, q, y in zip(idx.tolist(), mass.tolist(), atoms.tolist())))
 
     @classmethod
     def load_csv(cls, path) -> "EmbeddingPlan":

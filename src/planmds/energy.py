@@ -25,9 +25,9 @@ from .core import (
     Perturbation,
     PointCloud,
     QMDS,
-    _fmt,
     _merge_row,
     _plan_arrays,
+    _write_csv,
 )
 from .quartic import LiftedMoments
 
@@ -291,8 +291,4 @@ def oscillation_experiment(n_list, grid_resolution: int, v: float = 0.1):
 
 
 def save_oscillation_csv(path, pairs, stress_zero: float) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("n,stress\n")
-        for n, s in pairs:
-            fh.write(f"{n},{_fmt(s)}\n")
-        fh.write(f"# stress_zero,{_fmt(stress_zero)}\n")
+    _write_csv(path, ["n", "stress"], [*pairs, ("# stress_zero", stress_zero)])

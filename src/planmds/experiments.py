@@ -20,7 +20,7 @@ from .core import (
     PointCloud,
     QMDS,
     QuadraticIP,
-    _fmt,
+    _write_csv,
     plan_from_map,
 )
 from .energy import (
@@ -48,7 +48,7 @@ class ExperimentReport:
     runs: list = field(default_factory=list)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {"experiment": self.experiment, "seed": self.seed,
                  "config": self.config, "runs": self.runs},
@@ -59,14 +59,11 @@ class ExperimentReport:
 def save_embedding_csv(path, cloud: PointCloud, plan: EmbeddingPlan) -> None:
     """Rows x1..xd,mass,y1..ym — one row per plan atom."""
     idx, mass, atoms = plan.flat()
-    with open(path, "w", newline="") as fh:
-        header = ([f"x{j + 1}" for j in range(cloud.dim_d)] + ["mass"]
-                  + [f"y{j + 1}" for j in range(plan.dim_m)])
-        fh.write(",".join(header) + "\n")
-        for i, q, y in zip(idx, mass, atoms):
-            row = ([_fmt(v) for v in cloud.points[i]] + [_fmt(q)]
-                   + [_fmt(v) for v in y])
-            fh.write(",".join(row) + "\n")
+    points = cloud.points.tolist()
+    _write_csv(path, ([f"x{j + 1}" for j in range(cloud.dim_d)] + ["mass"]
+                      + [f"y{j + 1}" for j in range(plan.dim_m)]),
+               (points[i] + [q] + y
+                for i, q, y in zip(idx.tolist(), mass.tolist(), atoms.tolist())))
 
 
 def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
@@ -149,7 +146,6 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
         "split_mass_fraction": det.split_mass_fraction,
         "files": [s_embed, s_svg],
     })
-    report.to_json(os.path.join(outdir, "circle-clusters-report.json"))
     return report
 
 
@@ -185,7 +181,6 @@ def _run_stacked_pair(outdir, seed: int, res: int = 81) -> ExperimentReport:
         "phi_at_15_0": float(probe.phi[0]),
         "files": [mfile, gfile, sfile],
     })
-    report.to_json(os.path.join(outdir, "stacked-pair-report.json"))
     return report
 
 
@@ -201,7 +196,6 @@ def _run_oscillation(outdir, seed: int, res: int = 64) -> ExperimentReport:
         "stress_zero": stress_zero,
         "sweeps": 0, "deterministic": True, "files": [csv_file],
     })
-    report.to_json(os.path.join(outdir, "oscillation-report.json"))
     return report
 
 
@@ -244,7 +238,6 @@ def _run_pca_check(outdir, seed: int, max_sweeps: int = 50) -> ExperimentReport:
         "deterministic": bool(determinism_report(plan, 1e-10, 1e-10).is_deterministic),
         "files": [efile],
     })
-    report.to_json(os.path.join(outdir, "pca-check-report.json"))
     return report
 
 
@@ -257,7 +250,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
-    """Run a named experiment; writes artifacts under params['outdir'] (default cwd).
+    """Run a named experiment; writes its artifacts and <name>-report.json under params['outdir'].
 
     The other params are its runner's keyword parameters; any other key is an InputError.
     """
@@ -272,4 +265,6 @@ def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentR
         raise InputError(f"experiment {name} does not take {', '.join(unknown)}; "
                          f"it takes {', '.join(takes)}")
     os.makedirs(outdir, exist_ok=True)
-    return runner(outdir, int(seed), **params)
+    report = runner(outdir, int(seed), **params)
+    report.to_json(os.path.join(outdir, f"{name}-report.json"))
+    return report

@@ -21,10 +21,10 @@ from .core import (
     InputError,
     NumericalError,
     PointCloud,
-    _fmt,
     _match,
     _plan_arrays,
     _split_mass,
+    _write_csv,
 )
 from .energy import (
     _marginal_objective,
@@ -93,10 +93,8 @@ class IterationTrace:
         return max(len(self.energies) - 1, 0)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("sweep,energy,split_mass,moved_mass\n")
-            for k, (e, s, m) in enumerate(zip(self.energies, self.split_mass, self.moved_mass)):
-                fh.write(f"{k},{_fmt(e)},{_fmt(s)},{_fmt(m)}\n")
+        _write_csv(path, ["sweep", "energy", "split_mass", "moved_mass"],
+                   zip(range(len(self.energies)), self.energies, self.split_mass, self.moved_mass))
 
 
 def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _fmt, _plan_arrays
+from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _plan_arrays, _read_json, _write_csv
 
 EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
 RESIDUAL_TOL = 1e-8   # stationarity residual required of returned minimizers
@@ -89,29 +89,16 @@ class MomentSet:
             "x_mean": self.x_mean.tolist(),
             "y_mean": self.y_mean.tolist(),
         }
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path) -> "MomentSet":
+        payload = _read_json(path)
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON ({exc})") from None
-        try:
-            moments = cls(
-                S=np.array(payload["S"], dtype=float),
-                Phi=np.array(payload["Phi"], dtype=float),
-                b=np.array(payload["b"], dtype=float),
-                Cxx=np.array(payload["Cxx"], dtype=float),
-                s1=float(payload["s1"]),
-                s2=float(payload["s2"]),
-                a1=np.array(payload["a1"], dtype=float),
-                x_mean=np.array(payload["x_mean"], dtype=float),
-                y_mean=np.array(payload["y_mean"], dtype=float),
-            )
+            moments = cls(**{f.name: float(payload[f.name]) if f.type == "float"
+                             else np.array(payload[f.name], dtype=float) for f in fields(cls)})
         except KeyError as exc:
             raise InputError(f"{path}: missing moment field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -469,7 +456,8 @@ def _polish(Psi, phi, y):
     """Newton steps on the stationarity equation (centered): the point, its gradient norm and |y|^2.
 
     A step is kept only when it lowers the gradient norm, so a point near a
-    singular Hessian (a sphere of minimizers) is never made worse.  At m = 1
+    singular Hessian (a sphere of minimizers) is never made worse, and the
+    norm is inf only when the gradient at the start is not finite.  At m = 1
     Psi, phi and y are Python floats.
     """
     scalar = isinstance(y, float)
@@ -565,8 +553,17 @@ def _minimize_centred(Psi, phi, zeta: float):
     gets Newton steps on the stationarity equation, and the solution is
     certified when every one has a gradient norm <= RESIDUAL_TOL and
     |y|^2 >= lambda_max - 1e-8 scale.  At m = 1 the eigenbasis is trivial
-    and the solve and the polish run on Python floats.
+    and the solve and the polish run on Python floats.  A minimizer with a
+    non-finite gradient raises NumericalError, so numpy need not warn of overflow.
     """
+    if isinstance(phi, float):
+        return _solve_centred(Psi, phi, zeta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve_centred(Psi, phi, zeta)
+
+
+def _solve_centred(Psi, phi, zeta: float):
+    """The body of _minimize_centred."""
     scalar = isinstance(phi, float)
     if scalar:
         finite = math.isfinite(Psi) and math.isfinite(phi)
@@ -611,6 +608,8 @@ def _minimize_centred(Psi, phi, zeta: float):
         kind = "continuum" if top < m - 1 else "finite_multiple"
 
     polished = [_polish(Psi, phi, y) for y in points]
+    if any(res == math.inf for _, res, _ in polished):
+        raise NumericalError("quartic marginal minimizer is not finite: coefficients too large")
     floor = lam - 1e-8 * scale
     certified = all(res <= RESIDUAL_TOL and s >= floor for _, res, s in polished)
     return [y for y, _, _ in polished], kind, certified
@@ -643,7 +642,5 @@ def level_set_grid(moments: MomentSet, region, resolution: int):
 
 
 def save_levelset_csv(path, grid) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,lambda,count\n")
-        for x, lam, count in grid:
-            fh.write(f"{_fmt(x[0])},{_fmt(x[1])},{_fmt(lam)},{count}\n")
+    _write_csv(path, ["x1", "x2", "lambda", "count"],
+               ((x[0], x[1], lam, count) for x, lam, count in grid))

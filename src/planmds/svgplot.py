@@ -62,7 +62,7 @@ def scatter_svg(path, points, values, title: str = "") -> None:
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
                      f'fill="{color_of(tv)}"/>')
     lines.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -93,5 +93,5 @@ def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
         lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14" fill="white">{title}</text>')
     lines.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -59,3 +59,30 @@ def test_bench_trace_counts_pair_energy_pairs_with_x2():
     metrics, _ = tracing.layer_metrics(tracer, [0])
     assert metrics["energy.pair_energy.calls"] == 3
     assert metrics["energy.pair_energy.pairs"] == 5 * 3 + 5 * 3 + 5 * 5
+
+
+def test_bench_trace_counts_written_bytes(tmp_path):
+    # the tracer reads each writer's path by position (save_embedding_csv's
+    # first argument, a method's first after self): the bytes it counts must
+    # be the sizes of the files written
+    import planmds as pm
+    from planmds import experiments
+
+    tracing = _tracing()
+    rng = np.random.default_rng(0)
+    cloud = pm.PointCloud(rng.normal(size=(6, 2)))
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(6, 1))))
+    trace = pm.IterationTrace()
+    trace.add(2.5, 0.0, 0.0)
+    trace.add(1.25, 0.125, 1.0)
+    report = experiments.ExperimentReport("embed", 0, {"dim": 1}, [{"final_stress": 1.25}])
+    paths = [tmp_path / name for name in ("embedding.csv", "cloud.csv", "trace.csv", "report.json")]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        experiments.save_embedding_csv(str(paths[0]), cloud, plan)
+        cloud.save_csv(str(paths[1]))
+        trace.save_csv(str(paths[2]))
+        report.to_json(str(paths[3]))
+    metrics, _ = tracing.layer_metrics(tracer, [0])
+    assert all(p.stat().st_size > 0 for p in paths)
+    assert metrics["experiments.write.bytes"] == sum(p.stat().st_size for p in paths)

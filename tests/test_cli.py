@@ -42,6 +42,50 @@ def test_embed_missing_file_exit_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["not-utf8", "directory"])
+@pytest.mark.parametrize("role", ["cloud", "config", "moments"])
+def test_unreadable_input_exit_2(tmp_path, capsys, role, bad):
+    # a missing, unreadable or non-UTF-8 input file is an input error: exit 2
+    # with one error line naming the file, and no traceback
+    csv = tmp_path / "pair.csv"
+    write_two_point_csv(csv)
+    path = tmp_path / f"bad-{role}"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes({"cloud": b"x1\n0\n\xff1\n", "config": b'{"seed": "\xff"}',
+                          "moments": b'{"S": "\xff"}'}[role])
+    argv = {"cloud": ["embed", str(path)],
+            "config": ["embed", str(csv), "--config", str(path)],
+            "moments": ["levelset", str(path), "--res", "3"]}[role]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_no_default_text_encoding(tmp_path):
+    # under -X warn_default_encoding every open() without an encoding warns;
+    # numpy and scipy are left alone, but a planmds module's warning is an
+    # error, so every file planmds reads or writes names its encoding
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
+    write_two_point_csv(tmp_path / "pair.csv")
+    (tmp_path / "config.json").write_text('{"seed": 1}', encoding="utf-8")
+    script = "\n".join([
+        "import warnings",
+        "warnings.filterwarnings('error', category=EncodingWarning, module=r'planmds(\\.|$)')",
+        "from planmds.cli import main",
+        "for argv in (['embed', 'pair.csv', '--config', 'config.json', '--out', 'out'],",
+        "             ['experiment', 'stacked-pair', '--res', '3', '--outdir', 'out'],",
+        "             ['levelset', 'out/stacked-pair-moments.json', '--res', '3', '--out', 'out']):",
+        "    assert main(argv) == 0, argv",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-c", script],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "stacked-pair-levelset.csv").exists()
+
+
 def test_embed_unknown_cost_exit_2(tmp_path):
     csv = tmp_path / "pair.csv"
     write_two_point_csv(csv)
@@ -204,6 +248,17 @@ def test_embed_quadratic_ip_overflowing_norms_scale_the_stress(tmp_path):
         report = json.loads((tmp_path / "out" / "big-report.json").read_text())
         stresses.append(report["runs"][0]["final_stress"])
     assert stresses[1] == pytest.approx(stresses[0] * 1e240, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_embed_qmds_pca_marginal_nan_step_exit_3(tmp_path, capsys):
+    # at 1e60 every row's quartic marginal has coefficients so large that its
+    # minimizer overflows; the solve raises instead of handing the sweep a
+    # nan minimizer, which failed every gain test and left the PCA init as
+    # the result with exit 0
+    assert _embed_big_cloud(tmp_path, 1e60, "pca", "marginal", "qmds") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def _embed_big_cloud(tmp_path, scale, init, optimizer, cost) -> int:

@@ -317,6 +317,21 @@ def test_minimize_rejects_nonfinite_coefficients(Psi, phi, zeta):
         minimize_quartic(qm)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_minimize_rejects_overflowing_minimizer(m):
+    # with Psi = I the minimizer is about phi / |phi|^(2/3): at phi = 1e150
+    # it is about 1e50 and solves, at 1e160 the solve overflows (|phi|^2 at
+    # m = 2, the secular root at m = 1) and must raise, not return nan; at
+    # m = 2 without a numpy warning, which tier-1 turns into a failure
+    with pytest.raises(pm.NumericalError, match="not finite"):
+        minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=np.full(m, 1e160), zeta=0.0))
+    phi = np.full(m, 1e150)
+    sol = minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=phi, zeta=0.0))
+    assert np.isfinite(sol.value)
+    for y in sol.minimizers:
+        np.testing.assert_allclose(float(y @ y) * y, phi, rtol=1e-12)
+
+
 def test_moments_json_nonfinite(tmp_path):
     rng = np.random.default_rng(9)
     cloud = random_cloud(rng, 4, 2)
