@@ -66,6 +66,12 @@ def save_embedding_csv(path, cloud: PointCloud, plan: EmbeddingPlan) -> None:
                 for i, q, y in zip(idx.tolist(), mass.tolist(), atoms.tolist())))
 
 
+def _out_path(outdir, name: str) -> str:
+    """outdir/name, creating outdir: a run rejected before its first write leaves nothing behind."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
+
+
 def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
                           circle_points: int = CIRCLE_POINTS) -> PointCloud:
     """Two heavy clusters at (0, +-0.2) plus random points on the unit circle.
@@ -76,6 +82,8 @@ def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
     two-arc split of the circle away from the x2 = 0 axis, which is a
     property of the sample rather than of the embedding problem.
     """
+    if cluster_size < 0:
+        raise InputError(f"cluster_size must be >= 0, got {cluster_size!r}")
     rng = np.random.default_rng(seed)
     top = np.tile([0.0, 0.2], (cluster_size, 1))
     bottom = np.tile([0.0, -0.2], (cluster_size, 1))
@@ -107,19 +115,20 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
                          max_sweeps: int = 200) -> ExperimentReport:
     cloud = circle_clusters_cloud(seed, cluster_size)
     cost = QMDS()
-    cloud_file = os.path.join(outdir, "circle-clusters-cloud.csv")
+    cfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-9, seed=seed,
+                        init="random", dim_m=1)
+    scfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-12, seed=seed, dim_m=1)
+    cloud_file = _out_path(outdir, "circle-clusters-cloud.csv")
     cloud.save_csv(cloud_file)
     report = ExperimentReport("circle-clusters", seed,
                               {"cluster_size": cluster_size,
                                "circle_points": CIRCLE_POINTS})
 
-    cfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-9, seed=seed,
-                        init="random", dim_m=1)
     pmap, ptrace = particle_descent(cloud, cost, cfg)
     p_stress = reported_stress(cloud, pmap, cost)
     p_plan = plan_from_map(cloud, pmap)
-    p_embed = os.path.join(outdir, "circle-clusters-particle.csv")
-    p_svg = os.path.join(outdir, "circle-clusters-particle.svg")
+    p_embed = _out_path(outdir, "circle-clusters-particle.csv")
+    p_svg = _out_path(outdir, "circle-clusters-particle.svg")
     save_embedding_csv(p_embed, cloud, p_plan)
     svgplot.scatter_svg(p_svg, cloud.points, pmap.images[:, 0],
                         title="particle descent, random init")
@@ -130,12 +139,11 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
     })
 
     init_map = circle_clusters_analytic_init(cloud, cluster_size)
-    scfg = DescentConfig(max_sweeps=max_sweeps, rel_tol=1e-12, seed=seed, dim_m=1)
     splan, strace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, scfg)
     s_stress = reported_stress(cloud, splan, cost)
     det = determinism_report(splan, 1e-10, 1e-10)
-    s_embed = os.path.join(outdir, "circle-clusters-marginal.csv")
-    s_svg = os.path.join(outdir, "circle-clusters-marginal.svg")
+    s_embed = _out_path(outdir, "circle-clusters-marginal.csv")
+    s_svg = _out_path(outdir, "circle-clusters-marginal.svg")
     save_embedding_csv(s_embed, cloud, splan)
     svgplot.scatter_svg(s_svg, cloud.points, _plan_point_values(splan),
                         title="marginal sweep, analytic init")
@@ -164,13 +172,13 @@ def _run_stacked_pair(outdir, seed: int, res: int = 81) -> ExperimentReport:
     cloud = stacked_pair_cloud()
     plan = stacked_pair_plan(cloud)
     moments = compute_moments(plan, cloud)
-    mfile = os.path.join(outdir, "stacked-pair-moments.json")
-    moments.to_json(mfile)
     probe = quartic_at(moments, np.array([1.5, 0.0]))
     grid = level_set_grid(moments, ((-2.0, 2.0), (-2.0, 2.0)), res)
-    gfile = os.path.join(outdir, "stacked-pair-levelset.csv")
+    mfile = _out_path(outdir, "stacked-pair-moments.json")
+    moments.to_json(mfile)
+    gfile = _out_path(outdir, "stacked-pair-levelset.csv")
     save_levelset_csv(gfile, grid)
-    sfile = os.path.join(outdir, "stacked-pair-levelset.svg")
+    sfile = _out_path(outdir, "stacked-pair-levelset.svg")
     svgplot.levelset_svg(sfile, grid, res, title="selected marginal minimizer")
     report = ExperimentReport("stacked-pair", seed, {"n_stack": N_STACK, "res": res})
     report.runs.append({
@@ -186,7 +194,7 @@ def _run_stacked_pair(outdir, seed: int, res: int = 81) -> ExperimentReport:
 
 def _run_oscillation(outdir, seed: int, res: int = 64) -> ExperimentReport:
     pairs, stress_zero = oscillation_experiment(N_LIST, res, AMPLITUDE)
-    csv_file = os.path.join(outdir, "oscillation.csv")
+    csv_file = _out_path(outdir, "oscillation.csv")
     save_oscillation_csv(csv_file, pairs, stress_zero)
     report = ExperimentReport("oscillation", seed, {"res": res, "v": AMPLITUDE,
                                                     "n_list": list(N_LIST)})
@@ -227,7 +235,7 @@ def _run_pca_check(outdir, seed: int, max_sweeps: int = 50) -> ExperimentReport:
     idx, _, atoms = plan.flat()
     angle = largest_principal_angle(atoms, pca_map.images[idx])
 
-    efile = os.path.join(outdir, "pca-check-embedding.csv")
+    efile = _out_path(outdir, "pca-check-embedding.csv")
     save_embedding_csv(efile, cloud, plan)
     report = ExperimentReport("pca-check", seed, {"n": PCA_N, "m": PCA_M})
     report.runs.append({
@@ -249,22 +257,28 @@ EXPERIMENTS = {
 }
 
 
+def runner_parameters(name: str) -> list:
+    """The keyword parameters of an experiment's runner (inspect.Parameter, annotations resolved)."""
+    return list(inspect.signature(EXPERIMENTS[name], eval_str=True).parameters.values())[2:]
+
+
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
     """Run a named experiment; writes its artifacts and <name>-report.json under params['outdir'].
 
-    The other params are its runner's keyword parameters; any other key is an InputError.
+    The other params are its runner's keyword parameters; any other key is an
+    InputError, as is a negative seed.
     """
     if name not in EXPERIMENTS:
         raise InputError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    runner = EXPERIMENTS[name]
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed!r}")
     params = dict(params or {})
     outdir = params.pop("outdir", ".")
-    takes = list(inspect.signature(runner).parameters)[2:]
+    takes = [p.name for p in runner_parameters(name)]
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise InputError(f"experiment {name} does not take {', '.join(unknown)}; "
                          f"it takes {', '.join(takes)}")
-    os.makedirs(outdir, exist_ok=True)
-    report = runner(outdir, int(seed), **params)
+    report = EXPERIMENTS[name](outdir, int(seed), **params)
     report.to_json(os.path.join(outdir, f"{name}-report.json"))
     return report

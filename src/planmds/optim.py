@@ -68,8 +68,12 @@ class DescentConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise InputError("max_sweeps must be >= 1")
-        if self.rel_tol <= 0:
-            raise InputError("rel_tol must be positive")
+        if not self.rel_tol > 0:   # NaN too
+            raise InputError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed!r}")
+        if self.dim_m < 1:
+            raise InputError(f"embedding dimension dim_m must be >= 1, got {self.dim_m!r}")
 
 
 class IterationTrace:
@@ -246,9 +250,9 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
                                 residual <= RESIDUAL_TOL * scale)
     W = math.fsum(w)
     qm = quartic_at(moments_from_arrays(X, w / W, atoms), x)
-    # minimize_quartic's tolerances are absolute, and skewed weights (qsammon's
-    # self pairs weigh 1/eps) can leave the minimizer far below unit scale; so
-    # y = s u with s a power of two near it, and J(s u) = s^4 J_s(u) exactly.
+    # minimize_quartic's hard-case and polish tolerances are absolute, and skewed
+    # weights (qsammon's self pairs weigh 1/eps) can leave the minimizer far below
+    # unit scale; so y = s u with s a power of two near it, and J(s u) = s^4 J_s(u).
     r = max(math.sqrt(float(np.linalg.norm(qm.Psi))), float(np.linalg.norm(qm.phi)) ** (1.0 / 3.0))
     s = 2.0 ** math.floor(math.log2(r)) if r > 0.0 else 1.0
     sol = minimize_quartic(QuarticMarginal(qm.Psi / s**2, qm.phi / s**3, qm.zeta / s**4))

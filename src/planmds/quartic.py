@@ -30,7 +30,7 @@ import numpy as np
 from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _plan_arrays, _read_json, _write_csv
 
 EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
-RESIDUAL_TOL = 1e-8   # stationarity residual required of returned minimizers
+RESIDUAL_TOL = 1e-8   # stationarity residual of returned minimizers, per unit of gradient scale
 POLISH_ITERS = 40     # Newton steps at most on each returned minimizer
 _PHI_TOL = 1e-11      # relative threshold for treating a phi component as zero
 
@@ -551,9 +551,9 @@ def _minimize_centred(Psi, phi, zeta: float):
     r^2 = lambda_max - |y_rest|^2 (the hard case).  Otherwise the minimizer
     is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
     gets Newton steps on the stationarity equation, and the solution is
-    certified when every one has a gradient norm <= RESIDUAL_TOL and
-    |y|^2 >= lambda_max - 1e-8 scale.  At m = 1 the eigenbasis is trivial
-    and the solve and the polish run on Python floats.  A minimizer with a
+    certified when every one has a gradient norm <= RESIDUAL_TOL max(1,
+    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale.  At m = 1 the
+    eigenbasis is trivial and the solve and the polish run on Python floats.  A minimizer with a
     non-finite gradient raises NumericalError, so numpy need not warn of overflow.
     """
     if isinstance(phi, float):
@@ -573,15 +573,13 @@ def _solve_centred(Psi, phi, zeta: float):
         raise NumericalError("quartic marginal with non-finite coefficients")
     if scalar:
         # one eigenvalue, so the top cluster holds all of phi and no gaps remain
-        phi2 = phi * phi
+        phi2, psi_norm = phi * phi, abs(Psi)
         m, V, phih, lam, top, g, c, c_top, rest2 = 1, None, [phi], Psi, 0, [], [], phi2, 0.0
-        scale = max(1.0, abs(Psi), math.sqrt(phi2))
     else:
         m = len(phi)
         phi2, psi_norm = float(np.dot(phi, phi)), float(np.linalg.norm(Psi))
         psis, V = np.linalg.eigh(Psi)
         psis, phih = psis.tolist(), (phi @ V).tolist()
-        scale = max(1.0, psi_norm, math.sqrt(phi2))
         lam = psis[-1]
         top = m - 1
         while top and psis[top] - psis[top - 1] <= EIG_GAP:
@@ -590,6 +588,7 @@ def _solve_centred(Psi, phi, zeta: float):
         c = [f * f for f in phih[:top]]
         c_top = sum(f * f for f in phih[top:])
         rest2 = sum(ck / (gk * gk) for ck, gk in zip(c, g))
+    scale = max(1.0, psi_norm, math.sqrt(phi2))
     if c_top <= min(_PHI_TOL * scale, RESIDUAL_TOL / 8.0) ** 2:
         c_top = 0.0
 
@@ -611,7 +610,10 @@ def _solve_centred(Psi, phi, zeta: float):
     if any(res == math.inf for _, res, _ in polished):
         raise NumericalError("quartic marginal minimizer is not finite: coefficients too large")
     floor = lam - 1e-8 * scale
-    certified = all(res <= RESIDUAL_TOL and s >= floor for _, res, s in polished)
+    # the gradient's terms scale as |Psi|^(3/2) and |phi|; a product, not a
+    # power, so that a huge |Psi| gives inf rather than OverflowError
+    res_tol = RESIDUAL_TOL * max(1.0, psi_norm * math.sqrt(psi_norm), math.sqrt(phi2))
+    certified = all(res <= res_tol and s >= floor for _, res, s in polished)
     return [y for y, _, _ in polished], kind, certified
 
 

@@ -38,6 +38,18 @@ def _normalize(vals: np.ndarray) -> np.ndarray:
     return (vals - lo) / (hi - lo)
 
 
+def _write_svg(path, body: list) -> None:
+    """Write one plot: the SIZE x SIZE <svg> frame on a white background around body's lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+            f'viewBox="0 0 {SIZE} {SIZE}">',
+            f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
+            *body,
+            "</svg>",
+        ]) + "\n")
+
+
 def scatter_svg(path, points, values, title: str = "") -> None:
     """Scatter of 2-d points colored by a scalar value per point."""
     points = np.asarray(points, dtype=float)
@@ -50,20 +62,14 @@ def scatter_svg(path, points, values, title: str = "") -> None:
     xy = (points - lo) * scale + pad
     xy[:, 1] = SIZE - xy[:, 1]  # flip so larger x2 is up
     t = _normalize(values)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">',
-        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
-    ]
+    lines = []
     if title:
         lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
     for (px, py), tv in zip(xy, t):
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
                      f'fill="{color_of(tv)}"/>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_svg(path, lines)
 
 
 def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
@@ -72,11 +78,7 @@ def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
     lams = np.array([lam for _, lam, _ in grid])
     t = _normalize(lams)
     cell = SIZE / resolution
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">',
-        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
-    ]
+    lines = []
     marks = []
     for k, ((_, _, count), tv) in enumerate(zip(grid, t)):
         r = k // resolution   # x1 index (row-major over x1 then x2)
@@ -92,6 +94,4 @@ def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
     if title:
         lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14" fill="white">{title}</text>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_svg(path, lines)

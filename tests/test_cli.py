@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planmds as pm
-from planmds.cli import main
-from planmds.experiments import run_experiment, stacked_pair_cloud, stacked_pair_plan
+from planmds.cli import OPTIONS, _build_parser, _merge_config, main
+from planmds.experiments import (
+    circle_clusters_cloud,
+    run_experiment,
+    stacked_pair_cloud,
+    stacked_pair_plan,
+)
 from planmds.quartic import compute_moments
 
 
@@ -134,6 +143,135 @@ def test_config_file_unknown_key_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
     assert main(["embed", str(csv), "--config", str(cfg)]) == 2
+
+
+FLAGS = {
+    "embed": "--cost --dim --optimizer --init --seed --max-sweeps --rel-tol --out --config",
+    "experiment": "--seed --outdir --res --cluster-size --max-sweeps --config",
+    "levelset": "--region --res --out --config",
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_subcommand_flags(command):
+    # no flag added or removed; the option table builds the parser
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = [s for a in sub.choices[command]._actions if a.dest != "help" for s in a.option_strings]
+    assert sorted(got) == sorted(FLAGS[command].split())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+def test_config_value_is_typed_as_its_flag(tmp_path_factory):
+    # any JSON value of any option's key either resolves to exactly what the
+    # flag with the same text gives, or is an InputError naming file and key
+    path = str(tmp_path_factory.mktemp("config") / "c.json")
+
+    def resolve(command, config, key=None, text=None):
+        options = OPTIONS[command]
+        return _merge_config(argparse.Namespace(
+            config=config, **{k: text if k == key else None for k in options}), options)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(c, k) for c, options in OPTIONS.items() for k in options]),
+           JSON_VALUES)
+    @example(("embed", "rel_tol"), 10**400)   # an integer too large for a float
+    def check(case, value):
+        command, key = case
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({key: value}, fh)
+        try:
+            got = resolve(command, path)[key]
+        except pm.InputError as exc:
+            assert str(exc).startswith(f"{path}: config key {key!r} ")
+            return
+        want = resolve(command, None, key, value if isinstance(value, str) else repr(value))[key]
+        assert type(got) is type(want) and repr(got) == repr(want)
+        parse = OPTIONS[command][key].parse
+        assert type(got) is parse or parse not in (str, int, float)
+
+    check()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["experiment", "oscillation"], {"res": "abc"}),
+    (["embed", "pair.csv"], {"dim": "x"}),
+    (["embed", "pair.csv"], {"dim": None}),
+    (["embed", "pair.csv"], {"out": 5}),
+    (["levelset", "m.json"], {"res": "abc"}),
+    (["embed", "pair.csv"], {"optimizer": "bogus"}),
+    (["embed", "pair.csv"], {"dim": 2.7}),
+    (["embed", "pair.csv"], {"max_sweeps": True}),
+    (["embed", "pair.csv"], {"rel_tol": "1e-3"}),
+    (["levelset", "m.json"], {"region": "1,2"}),
+])
+def test_mistyped_config_value_exit_2(tmp_path, monkeypatch, capsys, argv, config):
+    # one error line naming the file and the key, before anything is written
+    monkeypatch.chdir(tmp_path)
+    write_two_point_csv(tmp_path / "pair.csv")
+    cloud = stacked_pair_cloud(10)
+    compute_moments(stacked_pair_plan(cloud), cloud).to_json("m.json")
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    before = sorted(os.listdir())
+    assert main(argv + ["--config", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: c.json: config key {next(iter(config))!r} ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "pair.csv", "--dim", "0"],
+    ["embed", "pair.csv", "--dim", "-1"],
+    ["embed", "pair.csv", "--seed", "-1", "--init", "random"],
+    ["embed", "pair.csv", "--rel-tol", "nan"],
+    ["embed", "pair.csv", "--dim", "x"],
+    ["experiment", "circle-clusters", "--cluster-size", "-3"],
+    ["experiment", "pca-check", "--seed", "-1"],
+])
+def test_out_of_range_value_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_two_point_csv(tmp_path / "pair.csv")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir() == ["pair.csv"]
+
+
+def test_negative_experiment_inputs_rejected(tmp_path):
+    with pytest.raises(pm.InputError, match="seed"):
+        run_experiment("pca-check", {"outdir": str(tmp_path / "out")}, seed=-1)
+    with pytest.raises(pm.InputError, match="cluster_size"):
+        circle_clusters_cloud(0, cluster_size=-3)
+    assert list(tmp_path.iterdir()) == []
+    assert circle_clusters_cloud(0, cluster_size=0).n == 250
+
+
+def test_config_file_writes_the_same_bytes_as_flags(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2))).save_csv("data.csv")
+    runs = [
+        (["embed", "data.csv"], {"cost": "qmds", "dim": 2, "optimizer": "particle", "init": "pca",
+                                 "seed": 4, "max_sweeps": 7, "rel_tol": 1e-9, "out": "out"}),
+        (["experiment", "stacked-pair"], {"seed": 1, "res": 9, "outdir": "out"}),
+    ]
+    for argv, values in runs:
+        written = []
+        for flags in (True, False):
+            shutil.rmtree("out", ignore_errors=True)
+            if flags:
+                extra = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v))]
+            else:
+                (tmp_path / "c.json").write_text(json.dumps(values))
+                extra = ["--config", "c.json"]
+            assert main(argv + extra) == 0
+            written.append({name: (tmp_path / "out" / name).read_bytes()
+                            for name in sorted(os.listdir("out"))})
+        assert written[0] == written[1]
 
 
 def test_levelset_command(tmp_path):

@@ -28,6 +28,9 @@ def test_config_validation():
         DescentConfig(max_sweeps=0)
     with pytest.raises(pm.InputError):
         DescentConfig(rel_tol=0.0)
+    for bad in ({"dim_m": 0}, {"dim_m": -1}, {"seed": -1}, {"rel_tol": float("nan")}):
+        with pytest.raises(pm.InputError, match=next(iter(bad))):
+            DescentConfig(**bad)
 
 
 def test_particle_descent_two_points():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import planmds as pm
 from planmds.quartic import (
     RESIDUAL_TOL,
+    LiftedMoments,
     MomentSet,
     QuarticMarginal,
     compute_moments,
@@ -279,6 +280,19 @@ def test_near_hard_case_at_large_scale_is_certified(phi_top, kind):
     for y in sol.minimizers:
         assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
         assert qm.value(y) == pytest.approx(-1690200.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e20, 1e40, 1e50])
+def test_sweep_step_certificate_is_scale_free(scale):
+    # the first sweep step of rows 0 and 1 from the PCA init: the same
+    # minimizer relative to the scale at every scale, so the same certificate;
+    # at 1e40 the polished gradients are about 1e104, 1e-16 of |Psi|^(3/2)
+    cloud = pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2)) * scale)
+    idx, mass, atoms = pm.plan_from_map(cloud, pm.pca_solve(cloud, 1)).flat()
+    sums = LiftedMoments(cloud.points[idx], mass, atoms)
+    for row in (0, 1):
+        _, certified, _, _ = sums.step(sums.lift(cloud.points[row])[0], atoms[row].tolist())
+        assert certified
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
