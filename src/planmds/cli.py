@@ -156,7 +156,7 @@ def _cmd_embed(args) -> int:
         init_map = DeterministicMap(_initial_images(cloud, dcfg))
         plan, trace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, dcfg)
     stress = reported_stress(cloud, plan, cost)
-    det = determinism_report(plan, 1e-10, 1e-10)
+    det = determinism_report(plan, 1e-10, 1e-10, cloud=cloud)
 
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
@@ -173,6 +173,7 @@ def _cmd_embed(args) -> int:
         "optimizer": cfg["optimizer"], "init": cfg["init"],
         "final_stress": stress, "sweeps": trace.n_sweeps,
         "deterministic": bool(det.is_deterministic),
+        "coincident_spread": det.coincident_spread, "swept_rows": trace.swept_rows,
         "files": [embed_file, trace_file],
     })
     report.to_json(report_file)

@@ -179,13 +179,37 @@ def _match(atoms, y, skip=None):
     return None
 
 
-def _split_mass(mass, ptr) -> float:
-    """sum_i fsum(row_i) - max(row_i) over the rows mass[ptr[i]:ptr[i + 1]] of two or more atoms."""
+def _split_mass(mass, ptr, rows=None, scale=None) -> float:
+    """sum_i fsum(row_i) - max(row_i) over the rows mass[ptr[i]:ptr[i + 1]] of two or more atoms.
+
+    With rows and scale, row i is instead scale[i] times row rows[i]: the
+    split mass of a plan whose rows are scaled copies of these, unbuilt.
+    """
+    if rows is None:
+        rows, scale = np.arange(len(ptr) - 1), np.ones(len(ptr) - 1)
     total = 0.0
-    for i in np.flatnonzero(np.diff(ptr) > 1):
-        row = mass[ptr[i]:ptr[i + 1]]
+    for i in np.flatnonzero(np.diff(ptr)[rows] > 1):
+        row = mass[ptr[rows[i]]:ptr[rows[i] + 1]] * scale[i]
         total += math.fsum(row) - float(np.max(row))
     return total
+
+
+def _distinct_points(points):
+    """(first, group): the index of each distinct point's first copy, ascending, and each
+    point's position in first.  Copies are equal in every coordinate, so 0.0 and -0.0 are one.
+    """
+    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _gather(ptr, rows):
+    """Flat positions of the atoms of the given rows, row after row, and each row's atom count."""
+    counts = np.diff(ptr)[rows]
+    offsets = np.repeat(ptr[:-1][rows] - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(offsets.size), counts
 
 
 def _merge_row(masses, atoms):

@@ -25,6 +25,7 @@ from .core import (
     Perturbation,
     PointCloud,
     QMDS,
+    _distinct_points,
     _merge_row,
     _plan_arrays,
     _write_csv,
@@ -243,22 +244,52 @@ def apply_perturbation(plan: EmbeddingPlan, gamma: Perturbation, eps: float) -> 
 
 @dataclass(frozen=True)
 class DeterminismReport:
+    """max_spread is the largest spread of the atoms of one plan row, and
+    coincident_spread that of all the atoms of the rows of one source point's
+    copies (None when determinism_report is not given the cloud)."""
+
     split_mass_fraction: float
     max_spread: float
     is_deterministic: bool
+    coincident_spread: float | None = None
+
+
+def _spread(atoms) -> float:
+    """The largest distance between two of the atoms (rows); 0 for fewer than two distinct ones."""
+    atoms = np.unique(atoms, axis=0)
+    if len(atoms) < 2:
+        return 0.0
+    if atoms.shape[1] == 1:   # sorted on a line: the ends are farthest apart
+        return float(atoms[-1, 0] - atoms[0, 0])
+    tile = max(1, _TILE_ELEMENTS // len(atoms))
+    spread = 0.0
+    for start in range(0, len(atoms), tile):
+        d2 = np.sum((atoms[start:start + tile, None, :] - atoms[None, :, :]) ** 2, axis=-1)
+        spread = max(spread, math.sqrt(float(np.max(d2))))
+    return spread
 
 
 def determinism_report(plan: EmbeddingPlan, tol_mass: float = 1e-10,
-                       tol_spread: float = 1e-10) -> DeterminismReport:
-    """How far the plan is from being supported on the graph of a map."""
+                       tol_spread: float = 1e-10, cloud: PointCloud = None) -> DeterminismReport:
+    """How far the plan is from being supported on the graph of a map.
+
+    The copies of a source point are one x, which a map sends to one image;
+    with the cloud the report measures their rows' spread too.  That spread
+    does not enter is_deterministic.
+    """
     split = plan.split_mass()
-    spread = 0.0
-    for atoms in plan.row_atoms:
-        if len(atoms) > 1:
-            d = np.sqrt(np.maximum(
-                np.sum((atoms[:, None, :] - atoms[None, :, :]) ** 2, axis=-1), 0.0))
-            spread = max(spread, float(np.max(d)))
-    return DeterminismReport(split, spread, split <= tol_mass and spread <= tol_spread)
+    spread = max((_spread(atoms) for atoms in plan.row_atoms if len(atoms) > 1), default=0.0)
+    coincident = None
+    if cloud is not None:
+        plan.validate_against(cloud)
+        _, group = _distinct_points(cloud.points)
+        idx, _, atoms = plan.flat()
+        g = group[idx]   # each atom's source point
+        copied = np.flatnonzero(np.bincount(group)[g] > 1)
+        copied = copied[np.argsort(g[copied])]
+        cuts = np.flatnonzero(np.diff(g[copied])) + 1
+        coincident = max((_spread(a) for a in np.split(atoms[copied], cuts)), default=0.0)
+    return DeterminismReport(split, spread, split <= tol_mass and spread <= tol_spread, coincident)
 
 
 # ---------------------------------------------------------------------------

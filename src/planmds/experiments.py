@@ -135,13 +135,15 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
     report.runs.append({
         "optimizer": "particle", "init": "random",
         "final_stress": p_stress, "sweeps": ptrace.n_sweeps,
-        "deterministic": True, "files": [cloud_file, p_embed, p_svg],
+        "deterministic": True,
+        "coincident_spread": determinism_report(p_plan, cloud=cloud).coincident_spread,
+        "files": [cloud_file, p_embed, p_svg],
     })
 
     init_map = circle_clusters_analytic_init(cloud, cluster_size)
     splan, strace = marginal_sweep(plan_from_map(cloud, init_map), cloud, cost, scfg)
     s_stress = reported_stress(cloud, splan, cost)
-    det = determinism_report(splan, 1e-10, 1e-10)
+    det = determinism_report(splan, 1e-10, 1e-10, cloud=cloud)
     s_embed = _out_path(outdir, "circle-clusters-marginal.csv")
     s_svg = _out_path(outdir, "circle-clusters-marginal.svg")
     save_embedding_csv(s_embed, cloud, splan)
@@ -152,6 +154,7 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
         "final_stress": s_stress, "sweeps": strace.n_sweeps,
         "deterministic": bool(det.is_deterministic),
         "split_mass_fraction": det.split_mass_fraction,
+        "coincident_spread": det.coincident_spread, "swept_rows": strace.swept_rows,
         "files": [s_embed, s_svg],
     })
     return report
@@ -265,8 +268,9 @@ def runner_parameters(name: str) -> list:
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
     """Run a named experiment; writes its artifacts and <name>-report.json under params['outdir'].
 
-    The other params are its runner's keyword parameters; any other key is an
-    InputError, as is a negative seed.
+    The other params are its runner's keyword parameters, each of the type of
+    its default (a bool is not an int; an int is a float); any other key or
+    type is an InputError, as is a negative seed.
     """
     if name not in EXPERIMENTS:
         raise InputError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -274,11 +278,15 @@ def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentR
         raise InputError(f"seed must be >= 0, got {seed!r}")
     params = dict(params or {})
     outdir = params.pop("outdir", ".")
-    takes = [p.name for p in runner_parameters(name)]
+    takes = {p.name: type(p.default) for p in runner_parameters(name)}
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise InputError(f"experiment {name} does not take {', '.join(unknown)}; "
                          f"it takes {', '.join(takes)}")
+    for key, val in params.items():
+        kind = takes[key]
+        if not (type(val) is kind or kind is float and type(val) is int):
+            raise InputError(f"experiment {name}: {key} must be {kind.__name__}, got {val!r}")
     report = EXPERIMENTS[name](outdir, int(seed), **params)
     report.to_json(os.path.join(outdir, f"{name}-report.json"))
     return report

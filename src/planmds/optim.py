@@ -21,6 +21,8 @@ from .core import (
     InputError,
     NumericalError,
     PointCloud,
+    _distinct_points,
+    _gather,
     _match,
     _plan_arrays,
     _split_mass,
@@ -77,7 +79,11 @@ class DescentConfig:
 
 
 class IterationTrace:
-    """Per-sweep record of energy, split mass, and moved mass."""
+    """Per-sweep record of energy, split mass, and moved mass.
+
+    swept_rows is the number of rows a marginal sweep sweeps, one per
+    distinct source point; None for particle descent.
+    """
 
     def __init__(self):
         self.energies: list[float] = []
@@ -85,6 +91,7 @@ class IterationTrace:
         self.moved_mass: list[float] = []
         self.max_delta: list[float] = []
         self.final_grad_norm: float | None = None
+        self.swept_rows: int | None = None
 
     def add(self, energy: float, split: float, moved: float, max_delta: float = 0.0) -> None:
         self.energies.append(float(energy))
@@ -277,19 +284,42 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, 
 # ---------------------------------------------------------------------------
 
 class _SweepState:
-    """Mutable flat-array view of a plan during a sweep.
+    """Mutable flat-array view of a plan during a sweep: one row per distinct source point.
 
-    The atoms of source i stay contiguous, at positions ptr[i]:ptr[i+1]
-    (CSR offsets), so a row lookup costs O(row length) and replacing an atom
-    O(1); only a split or a merge shifts the arrays and the offsets after it.
+    Copies of a source point are one x.  Row g holds the atoms of all its
+    copies' rows, merged as a plan row merges (masses add), and is swept
+    once; expand() gives every copy i all of row g's atoms, with masses
+    scaled by w_i / W_g, W_g the copies' total weight, so copies share their
+    atoms.  With no repeated point the rows are the plan's and w_i / W_i = 1.
+    The atoms of row g stay contiguous, at positions ptr[g]:ptr[g+1] (CSR
+    offsets), so a row lookup costs O(row length) and replacing an atom O(1);
+    only a split or a merge shifts the arrays and the offsets after it.
     """
 
     def __init__(self, plan: EmbeddingPlan, cloud: PointCloud):
-        self.X, mass, atoms = _plan_arrays(plan, cloud)
+        _, mass, atoms = _plan_arrays(plan, cloud)
+        first, self.group = _distinct_points(cloud.points)
+        self.points = cloud.points[first]
+        self.scale = cloud.weights / np.bincount(self.group, weights=cloud.weights)[self.group]
+        # the copies' rows, one distinct point after another; from_flat merges them
+        pos, _ = _gather(plan._ptr, np.argsort(self.group, kind="stable"))
+        counts = np.bincount(self.group, weights=np.diff(plan._ptr)).astype(int)
+        merged = EmbeddingPlan.from_flat(counts, mass[pos], atoms[pos])
+        idx, mass, atoms = merged.flat()
+        self.X = self.points[idx]
         self.mass = np.array(mass)
         self.atoms = np.array(atoms)
-        self.cloud = cloud
-        self.ptr = plan._ptr.copy()
+        self.ptr = merged._ptr.copy()
+
+    def expand(self) -> EmbeddingPlan:
+        """The plan on the cloud's points: copy i holds its point's row, masses times w_i / W_g."""
+        pos, counts = _gather(self.ptr, self.group)
+        return EmbeddingPlan.from_flat(counts, self.mass[pos] * np.repeat(self.scale, counts),
+                                       self.atoms[pos])
+
+    def split_mass(self) -> float:
+        """The split mass of expand(), without building it."""
+        return _split_mass(self.mass, self.ptr, self.group, self.scale)
 
     def row_positions(self, i: int) -> range:
         return range(self.ptr[i], self.ptr[i + 1])
@@ -317,7 +347,7 @@ class _SweepState:
             p = self.ptr[i + 1]
             self.mass = np.insert(self.mass, p, 0.0)
             self.atoms = np.insert(self.atoms, p, y_new, axis=0)
-            self.X = np.insert(self.X, p, self.cloud.points[i], axis=0)
+            self.X = np.insert(self.X, p, self.points[i], axis=0)
             self.ptr[i + 1:] += 1
         self.mass[p] += frac_mass
         if self.mass[pos] <= 1e-15:
@@ -334,10 +364,13 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                    config: DescentConfig) -> tuple[EmbeddingPlan, IterationTrace]:
     """Needle descent toward the minimal graph of the marginal problem.
 
-    Each atom is offered a move to the selected global marginal minimizer,
-    of the energy-minimizing share of its mass, clamped to all of it (see
-    `needle`).  For a squared-distance cost uniquely minimized at zero every
-    move is full, and each row is then consolidated onto its best atom.
+    The sweep's rows are the distinct source points (see _SweepState): the
+    copies of a point are one x, swept once, and every copy of it holds the
+    same atoms in the returned plan.  Each atom is offered a move to the
+    selected global marginal minimizer, of the energy-minimizing share of its
+    mass, clamped to all of it (see `needle`).  For a squared-distance cost
+    uniquely minimized at zero every move is full, and each row is then
+    consolidated onto its best atom.
 
     For a cost with a moment form the marginal problem, its values and the
     sweep energies come from lifted moments that each move updates by rank
@@ -401,21 +434,19 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         return E
 
     trace = IterationTrace()
+    trace.swept_rows = len(state.points)
     E = checked_energy("at initialization")
-    trace.add(E, _split_mass(state.mass, state.ptr), 0.0)
-    # one base per distinct source point; base(x, x) is computed alone, as a
-    # blocked base_matrix diagonal could round differently
-    distinct, which = np.unique(cloud.points, axis=0, return_inverse=True)
-    bases = [cost.base(x, x) for x in distinct]
-    bases = [bases[k] for k in which.reshape(-1).tolist()]
+    trace.add(E, state.split_mass(), 0.0)
+    # base(x, x) is computed alone, as a blocked base_matrix diagonal could round differently
+    bases = [cost.base(x, x) for x in state.points]
 
     for sweep in range(config.max_sweeps):
         moved = 0.0
         max_delta = -math.inf
         any_accepted = False
-        lifted = sums.lift(cloud.points) if sums is not None else None
-        for i in range(cloud.n):
-            x, row = cloud.points[i], state.row_positions(i)
+        lifted = sums.lift(state.points) if sums is not None else None
+        for i, x in enumerate(state.points):
+            row = state.row_positions(i)
             for k, y_old in enumerate(state.atoms[row.start:row.stop].tolist()):
                 # the first atom is where it was; a later one may have merged away
                 pos = row.start if k == 0 else state.find(i, y_old)
@@ -448,7 +479,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
         E_new = checked_energy(f"after sweep {sweep + 1}")
-        trace.add(E_new, _split_mass(state.mass, state.ptr), moved,
+        trace.add(E_new, state.split_mass(), moved,
                   max_delta if any_accepted else 0.0)
         improvement = E - E_new
         E = E_new
@@ -456,7 +487,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
             break
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
-    return EmbeddingPlan.from_flat(np.diff(state.ptr), state.mass, state.atoms), trace
+    return state.expand(), trace
 
 
 def pca_solve(cloud: PointCloud, m: int) -> DeterministicMap:

@@ -456,6 +456,15 @@ def test_run_experiment_rejects_unknown_parameter(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_experiment_rejects_mistyped_parameter(tmp_path):
+    # an int parameter takes an int: not a string, a float or a bool
+    for name, params in (("oscillation", {"res": "abc"}), ("circle-clusters", {"cluster_size": 2.5}),
+                         ("stacked-pair", {"res": True})):
+        with pytest.raises(pm.InputError, match=f"{next(iter(params))} must be int"):
+            run_experiment(name, {**params, "outdir": str(tmp_path)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_oscillation(tmp_path):
     rc = main(["experiment", "oscillation", "--res", "12",
                "--outdir", str(tmp_path)])
@@ -490,6 +499,30 @@ def test_experiment_circle_clusters_small(tmp_path):
     assert marginal["deterministic"]
     assert (tmp_path / "circle-clusters-particle.svg").exists()
     assert (tmp_path / "circle-clusters-marginal.svg").exists()
+
+
+def test_circle_clusters_report_coincident_points(tmp_path):
+    # each cluster is 30 copies of one point: the sweep sweeps it once and its
+    # copies share their image; particle descent spreads them
+    assert main(["experiment", "circle-clusters", "--seed", "1", "--cluster-size", "30",
+                 "--max-sweeps", "3", "--outdir", str(tmp_path)]) == 0
+    particle, marginal = json.loads((tmp_path / "circle-clusters-report.json").read_text())["runs"]
+    assert particle["coincident_spread"] > 0.1
+    assert marginal["coincident_spread"] == 0.0
+    assert marginal["swept_rows"] == 2 + 250
+
+
+def test_embed_repeated_rows_share_one_row(tmp_path):
+    csv = tmp_path / "rep.csv"
+    csv.write_text("x1,x2\n0,0\n1,0\n0,0\n0,2\n1,0\n0,0\n")
+    out = tmp_path / "out"
+    # a random init sends the copies of a point apart; the sweep merges them
+    assert main(["embed", str(csv), "--init", "random", "--seed", "2", "--out", str(out)]) == 0
+    rows = (out / "rep-embedding.csv").read_text().splitlines()
+    assert len(rows) == 7 and rows[1] == rows[3] == rows[6] and rows[2] == rows[5]
+    run = json.loads((out / "rep-report.json").read_text())["runs"][0]
+    assert run["swept_rows"] == 3 and run["coincident_spread"] == 0.0
+    assert (out / "rep-trace.csv").read_text().startswith("sweep,energy,split_mass,moved_mass\n")
 
 
 def test_experiment_pca_check(tmp_path):

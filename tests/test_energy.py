@@ -232,6 +232,34 @@ def test_determinism_report_examples():
     assert pm.determinism_report(split, 0.6, 2.5).is_deterministic
 
 
+def test_determinism_report_coincident_spread():
+    # rows 0, 2 and 4 are copies of one point: their atoms, pooled, span 5
+    cloud = pm.PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 2.0], [-0.0, 0.0]])
+    w = cloud.weights
+    plan = pm.EmbeddingPlan([
+        (w[0] * np.array([0.5, 0.5]), [[0.0, 0.0], [1.0, 1.0]]),
+        (w[1] * np.array([0.5, 0.5]), [[0.0, 0.0], [10.0, 0.0]]),   # split, but one copy
+        (w[2:3], [[3.0, 0.0]]),
+        (w[3:4], [[7.0, 7.0]]),
+        (w[4:5], [[0.0, 4.0]]),
+    ])
+    rep = pm.determinism_report(plan, 1e-10, 1e-10, cloud=cloud)
+    assert (rep.coincident_spread, rep.max_spread) == (5.0, 10.0)
+    assert pm.determinism_report(plan).coincident_spread is None
+    # a map can send copies apart: that spread is reported, not judged
+    apart = pm.plan_from_map(cloud, pm.DeterministicMap([[0.0], [1.0], [2.5], [3.0], [0.5]]))
+    rep = pm.determinism_report(apart, cloud=cloud)
+    assert rep.is_deterministic and rep.coincident_spread == 2.5
+    # many copies: the tiled (m = 2) and sorted (m = 1) spreads equal the pairwise maximum
+    rng = np.random.default_rng(4)
+    for m in (1, 2):
+        images = rng.normal(size=(300, m))
+        many = pm.PointCloud(np.zeros((300, 1)))
+        rep = pm.determinism_report(pm.plan_from_map(many, pm.DeterministicMap(images)), cloud=many)
+        pairwise = np.sqrt(np.sum((images[:, None, :] - images[None, :, :]) ** 2, axis=-1))
+        assert rep.coincident_spread == np.max(pairwise)
+
+
 def test_oscillation_zero_amplitude():
     pairs, zero = oscillation_experiment([1, 2, 3], 8, v=0.0)
     for _, s in pairs:

@@ -272,11 +272,14 @@ def test_sweep_bookkeeping(case, cost_name):
 def test_sweep_moves_match_apply_perturbation(case, data):
     # a sweep's moves are needles: full (replace_atom), partial (split_atom), or
     # partial but leaving at most 1e-15 behind, which drops the atom; each must
-    # give the plan that apply_perturbation gives for the same needle
+    # give the plan that apply_perturbation gives for the same needle.  The
+    # state's rows are the cloud's distinct points, so the reference is the
+    # plan of its rows as built (the cloud's plan when no point repeats).
     cloud, plan = case
-    state, ref = _SweepState(plan, cloud), plan
+    state = _SweepState(plan, cloud)
+    ref = pm.EmbeddingPlan.from_flat(np.diff(state.ptr), state.mass, state.atoms)
     for _ in range(data.draw(st.integers(1, 6))):
-        i = data.draw(st.integers(0, cloud.n - 1))
+        i = data.draw(st.integers(0, len(state.points) - 1))
         row = state.row_positions(i)
         pos = data.draw(st.sampled_from(row))
         y_old = state.atoms[pos].tolist()
@@ -299,7 +302,7 @@ def test_sweep_moves_match_apply_perturbation(case, data):
         cuts = state.ptr[1:-1]
         assert (_rows(np.split(state.mass, cuts), np.split(state.atoms, cuts))
                 == _rows(ref.row_masses, ref.row_atoms))
-        assert state.X.tolist() == cloud.points[ref.flat()[0]].tolist()
+        assert state.X.tolist() == state.points[ref.flat()[0]].tolist()
 
 
 def test_pca_solve_examples():
@@ -328,3 +331,57 @@ def test_pca_is_sweep_fixed_point_for_quadratic_ip():
                                  DescentConfig(max_sweeps=5, rel_tol=1e-13))
     assert trace.energies[-1] <= trace.energies[0] + 1e-12
     assert trace.energies[-1] == pytest.approx(trace.energies[0], abs=1e-10)
+
+
+UNIT = 1.0 / 64   # weights are multiples of UNIT, so every sum of them is exact
+
+
+@st.composite
+def repeated_clouds(draw):
+    """(cloud, plan, distinct, merged, group): a cloud whose points repeat, the cloud of its
+    distinct points, in order of first copy, each weighing its copies' total, the plans of one
+    map on both, and the distinct point of each copy.
+
+    Weights are whole multiples of UNIT, split among the copies, so both clouds
+    keep them exactly; the copies of a point may start at different images.
+    """
+    d, m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    points = draw(st.lists(st.tuples(*[quarters] * d), min_size=k, max_size=k, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=k - 1, max_size=k - 1, unique=True)))
+    units = np.diff([0, *cuts, 64])
+    copies = []   # (point, units, image) per copy
+    for j, u in enumerate(units.tolist()):
+        n_copies = draw(st.integers(1, min(u, 3)))
+        parts = np.diff([0, *sorted(draw(st.lists(st.integers(1, max(u - 1, 1)), min_size=n_copies - 1,
+                                                   max_size=n_copies - 1, unique=True))), u])
+        image = draw(st.lists(quarters, min_size=m, max_size=m))
+        for part in parts.tolist():
+            if draw(st.booleans()):
+                image = draw(st.lists(quarters, min_size=m, max_size=m))
+            copies.append((j, part, image))
+    copies = draw(st.permutations(copies))
+    order = list(dict.fromkeys(j for j, _, _ in copies))   # distinct points by first copy
+    cloud = pm.PointCloud([points[j] for j, _, _ in copies], [u * UNIT for _, u, _ in copies])
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap([y for _, _, y in copies]))
+    distinct = pm.PointCloud([points[j] for j in order], [units[j] * UNIT for j in order])
+    merged = pm.EmbeddingPlan([([u * UNIT for i, u, _ in copies if i == j],
+                                [y for i, _, y in copies if i == j]) for j in order])
+    return cloud, plan, distinct, merged, [order.index(j) for j, _, _ in copies]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(repeated_clouds(), st.sampled_from(["qmds", "qsammon", "quadratic-ip", "kernel-ip"]))
+def test_sweep_of_repeated_points_is_the_expanded_sweep_of_distinct_points(case, cost_name):
+    cloud, plan, distinct, merged, group = case
+    cost, config = pm.make_cost(cost_name), DescentConfig(max_sweeps=4, rel_tol=1e-12)
+    out, trace = marginal_sweep(plan, cloud, cost, config)
+    dout, dtrace = marginal_sweep(merged, distinct, cost, config)
+    assert trace.swept_rows == dtrace.swept_rows == distinct.n
+    assert (trace.energies, trace.moved_mass) == (dtrace.energies, dtrace.moved_mass)
+    # copy i of distinct point g holds g's atoms, with masses times w_i / W_g
+    for i, g in enumerate(group):
+        want = dout.row_masses[g] * (cloud.weights[i] / distinct.weights[g])
+        assert out.row_masses[i].tobytes() == want.tobytes()
+        assert out.row_atoms[i].tobytes() == dout.row_atoms[g].tobytes()
+    exact = pm.stress_plan(out, cloud, cost)
+    assert abs(trace.energies[-1] - exact) <= 1e-12 * max(abs(exact), abs(trace.energies[-1]))
