@@ -17,6 +17,7 @@ import numpy as np
 MERGE_TOL = 1e-12        # max-norm tolerance for merging coincident atoms
 MASS_TOL = 1e-12         # tolerance on mass bookkeeping invariants
 WEIGHT_SUM_TOL = 1e-6    # tolerated deviation of raw weight sums from 1
+CHUNK_ROWS = 1024        # rows a writer formats into one string: bounds its memory at any size
 
 
 class InputError(ValueError):
@@ -25,10 +26,6 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Non-finite values or a numeric routine that failed to make progress."""
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _read_text(path) -> str:
@@ -76,12 +73,28 @@ def _read_csv(path, check_header, parse_row) -> tuple[list, list]:
     return header, records
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write header and rows as UTF-8 CSV with LF line ends; numbers by _fmt, strings as given."""
+def _chunks(row_template: str, table: np.ndarray):
+    """row_template % row for each row of table, CHUNK_ROWS rows joined to one string at a time."""
+    for start in range(0, len(table), CHUNK_ROWS):
+        chunk = table[start:start + CHUNK_ROWS]
+        yield (row_template * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _write_csv(path, header, table, trailer=None) -> None:
+    """Write header and the rows of a 2-D float table as UTF-8 CSV with LF line ends.
+
+    Every number is written as "%.17g", the text of format(v, ".17g"): it
+    reads back to the same float, and an integer below 2**53 keeps its
+    digits.  trailer, a (label, values) pair, is one last row whose first
+    cell is the text label.
+    """
+    table = np.reshape(np.asarray(table, dtype=float), (len(table), len(header)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n"
-                      for row in rows)
+        fh.writelines(_chunks(",".join(["%.17g"] * len(header)) + "\n", table))
+        if trailer is not None:
+            label, values = trailer
+            fh.write(label + (",%.17g" * len(values)) % tuple(map(float, values)) + "\n")
 
 
 def _as_matrix(points, name: str) -> np.ndarray:
@@ -140,7 +153,7 @@ class PointCloud:
 
     def save_csv(self, path) -> None:
         _write_csv(path, [f"x{j + 1}" for j in range(self.dim_d)] + ["w"],
-                   (p + [w] for p, w in zip(self.points.tolist(), self.weights.tolist())))
+                   np.column_stack([self.points, self.weights]))
 
     @classmethod
     def load_csv(cls, path) -> "PointCloud":
@@ -213,7 +226,13 @@ def _gather(ptr, rows):
 
 
 def _merge_row(masses, atoms):
-    """Merge atoms closer than MERGE_TOL in max-norm; masses add up."""
+    """Merge atoms closer than MERGE_TOL in max-norm; masses add up, in input order.
+
+    Each atom joins the first kept atom within MERGE_TOL of it, or is kept.
+    An exact repeat of an atom seen before joins the same kept atom, so it
+    is looked up by value rather than matched again; its mass is still added
+    at its place in the row, so every sum is that of the plain loop.
+    """
     masses = np.asarray(masses, dtype=float).reshape(-1)
     atoms = _as_matrix(atoms, "atoms")
     if masses.shape[0] != atoms.shape[0]:
@@ -222,12 +241,18 @@ def _merge_row(masses, atoms):
         return masses.copy(), atoms.copy()
     out_m: list[float] = []
     out_a: list[np.ndarray] = []
-    for q, y in zip(masses, atoms):
-        k = _match(out_a, y)
+    slot: dict[bytes, int] = {}   # exact atom value -> index of the kept atom it joins
+    for q, y in zip(masses.tolist(), atoms):
+        key = y.tobytes()
+        k = slot.get(key)
         if k is None:
-            out_m.append(float(q))
+            k = _match(out_a, y)
+        if k is None:
+            slot[key] = len(out_m)
+            out_m.append(q)
             out_a.append(y)
         else:
+            slot[key] = k
             out_m[k] += q
     return np.array(out_m), np.array(out_a)
 
@@ -326,7 +351,7 @@ class EmbeddingPlan:
     def save_csv(self, path) -> None:
         idx, mass, atoms = self._flat
         _write_csv(path, ["i", "mass"] + [f"y{j + 1}" for j in range(self.dim_m)],
-                   ([i, q] + y for i, q, y in zip(idx.tolist(), mass.tolist(), atoms.tolist())))
+                   np.column_stack([idx, mass, atoms]))
 
     @classmethod
     def load_csv(cls, path) -> "EmbeddingPlan":

@@ -322,4 +322,4 @@ def oscillation_experiment(n_list, grid_resolution: int, v: float = 0.1):
 
 
 def save_oscillation_csv(path, pairs, stress_zero: float) -> None:
-    _write_csv(path, ["n", "stress"], [*pairs, ("# stress_zero", stress_zero)])
+    _write_csv(path, ["n", "stress"], pairs, trailer=("# stress_zero", [stress_zero]))

@@ -59,11 +59,9 @@ class ExperimentReport:
 def save_embedding_csv(path, cloud: PointCloud, plan: EmbeddingPlan) -> None:
     """Rows x1..xd,mass,y1..ym — one row per plan atom."""
     idx, mass, atoms = plan.flat()
-    points = cloud.points.tolist()
     _write_csv(path, ([f"x{j + 1}" for j in range(cloud.dim_d)] + ["mass"]
                       + [f"y{j + 1}" for j in range(plan.dim_m)]),
-               (points[i] + [q] + y
-                for i, q, y in zip(idx.tolist(), mass.tolist(), atoms.tolist())))
+               np.column_stack([cloud.points[idx], mass, atoms]))
 
 
 def _out_path(outdir, name: str) -> str:
@@ -104,9 +102,17 @@ def circle_clusters_analytic_init(cloud: PointCloud, cluster_size: int) -> Deter
 
 
 def _plan_point_values(plan: EmbeddingPlan) -> np.ndarray:
-    """A scalar per source point for coloring: mass-weighted mean of atoms."""
-    vals = np.empty(plan.n_rows)
-    for i, (m, a) in enumerate(zip(plan.row_masses, plan.row_atoms)):
+    """A scalar per source point for coloring: mass-weighted mean of atoms.
+
+    Rows of one atom are computed together, as m @ a / sum(m) gives them:
+    the dot product's sum starts at +0.0, which turns a -0.0 product into 0.0.
+    """
+    idx, mass, atoms = plan.flat()
+    counts = np.bincount(idx, minlength=plan.n_rows)
+    first = np.cumsum(counts) - counts
+    vals = (0.0 + mass[first] * atoms[first, 0]) / mass[first]
+    for i in np.flatnonzero(counts > 1):
+        m, a = plan.row_masses[i], plan.row_atoms[i]
         vals[i] = float(m @ a[:, 0]) / float(np.sum(m))
     return vals
 

@@ -105,7 +105,8 @@ class IterationTrace:
 
     def save_csv(self, path) -> None:
         _write_csv(path, ["sweep", "energy", "split_mass", "moved_mass"],
-                   zip(range(len(self.energies)), self.energies, self.split_mass, self.moved_mass))
+                   np.column_stack([np.arange(len(self.energies)), self.energies,
+                                    self.split_mass, self.moved_mass]))
 
 
 def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:

@@ -645,4 +645,4 @@ def level_set_grid(moments: MomentSet, region, resolution: int):
 
 def save_levelset_csv(path, grid) -> None:
     _write_csv(path, ["x1", "x2", "lambda", "count"],
-               ((x[0], x[1], lam, count) for x, lam, count in grid))
+               np.array([(x[0], x[1], lam, count) for x, lam, count in grid]))

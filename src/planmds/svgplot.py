@@ -1,12 +1,20 @@
-"""Minimal SVG scatter / band plots with a viridis-style ramp, no dependencies."""
+"""Minimal SVG scatter / band plots with a viridis-style ramp, no dependencies.
+
+Colours are computed for a whole value array at once, and the mark lines are
+formatted from one %-template per chunk of rows (core.CHUNK_ROWS).
+"""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+from .core import _chunks
 
 SIZE = 640   # width and height of every plot, in pixels
 
-_RAMP = [
+_RAMP = np.array([
     (0x44, 0x01, 0x54),
     (0x47, 0x2d, 0x7b),
     (0x3b, 0x52, 0x8b),
@@ -16,18 +24,23 @@ _RAMP = [
     (0x5e, 0xc9, 0x62),
     (0xad, 0xdc, 0x30),
     (0xfd, 0xe7, 0x25),
-]
+], dtype=float)
 
 
-def color_of(t: float) -> str:
-    """Hex color from the 9-stop ramp, t clipped to [0, 1]."""
-    t = min(max(float(t), 0.0), 1.0)
-    pos = t * (len(_RAMP) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(_RAMP) - 1)
-    frac = pos - lo
-    rgb = [round((1 - frac) * a + frac * b) for a, b in zip(_RAMP[lo], _RAMP[hi])]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def color_of(t) -> np.ndarray:
+    """RGB channels (n, 3) of the 9-stop ramp at each value of t, clipped to [0, 1].
+
+    Between two stops each channel is (1 - frac) * a + frac * b, rounded
+    half to even.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if np.isnan(t).any():
+        raise ValueError("cannot colour NaN")
+    pos = np.clip(t, 0.0, 1.0) * (len(_RAMP) - 1)
+    lo = pos.astype(int)
+    hi = np.minimum(lo + 1, len(_RAMP) - 1)
+    frac = (pos - lo)[:, None]
+    return np.rint((1 - frac) * _RAMP[lo] + frac * _RAMP[hi]).astype(int)
 
 
 def _normalize(vals: np.ndarray) -> np.ndarray:
@@ -38,16 +51,27 @@ def _normalize(vals: np.ndarray) -> np.ndarray:
     return (vals - lo) / (hi - lo)
 
 
-def _write_svg(path, body: list) -> None:
-    """Write one plot: the SIZE x SIZE <svg> frame on a white background around body's lines."""
+def _cells(*columns) -> np.ndarray:
+    """The columns side by side, each value a Python float or int: %02x takes only ints."""
+    return np.array(columns, dtype=object).T
+
+
+def _title(title: str, fill: str = "") -> list:
+    if not title:
+        return []
+    return [f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14"{fill}>{title}</text>\n']
+
+
+def _write_svg(path, body) -> None:
+    """Write one plot: the SIZE x SIZE <svg> frame on a white background around body,
+    an iterable of text blocks of whole lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-            f'viewBox="0 0 {SIZE} {SIZE}">',
-            f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
-            *body,
-            "</svg>",
-        ]) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+                 f'viewBox="0 0 {SIZE} {SIZE}">\n'
+                 f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>\n')
+        fh.writelines(body)
+        fh.write("</svg>\n")
 
 
 def scatter_svg(path, points, values, title: str = "") -> None:
@@ -61,37 +85,26 @@ def scatter_svg(path, points, values, title: str = "") -> None:
     scale = span / float(np.max(extent))
     xy = (points - lo) * scale + pad
     xy[:, 1] = SIZE - xy[:, 1]  # flip so larger x2 is up
-    t = _normalize(values)
-    lines = []
-    if title:
-        lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
-    for (px, py), tv in zip(xy, t):
-        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
-                     f'fill="{color_of(tv)}"/>')
-    _write_svg(path, lines)
+    rgb = color_of(_normalize(values))
+    circles = _chunks('<circle cx="%.2f" cy="%.2f" r="3.0" fill="#%02x%02x%02x"/>\n',
+                      _cells(xy[:, 0], xy[:, 1], *rgb.T))
+    _write_svg(path, chain(_title(title), circles))
 
 
 def levelset_svg(path, grid, resolution: int, title: str = "") -> None:
     """Band rendering of a level-set grid: cells colored by the selected
     minimizer, nodes with multiple global minimizers marked in black."""
     lams = np.array([lam for _, lam, _ in grid])
-    t = _normalize(lams)
+    counts = np.array([count for _, _, count in grid])
+    rgb = color_of(_normalize(lams))
     cell = SIZE / resolution
-    lines = []
-    marks = []
-    for k, ((_, _, count), tv) in enumerate(zip(grid, t)):
-        r = k // resolution   # x1 index (row-major over x1 then x2)
-        c = k % resolution    # x2 index
-        px = r * cell
-        py = SIZE - (c + 1) * cell
-        lines.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell + 0.5:.2f}" '
-                     f'height="{cell + 0.5:.2f}" fill="{color_of(tv)}"/>')
-        if count >= 2:
-            marks.append(f'<circle cx="{px + cell / 2:.2f}" cy="{py + cell / 2:.2f}" '
-                         f'r="{max(cell / 4, 1.0):.2f}" fill="black"/>')
-    lines.extend(marks)
-    if title:
-        lines.append(f'<text x="{SIZE / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14" fill="white">{title}</text>')
-    _write_svg(path, lines)
+    k = np.arange(len(grid))
+    px = k // resolution * cell              # x1 index (row-major over x1 then x2)
+    py = SIZE - (k % resolution + 1) * cell  # x2 index
+    rects = _chunks(f'<rect x="%.2f" y="%.2f" width="{cell + 0.5:.2f}" '
+                    f'height="{cell + 0.5:.2f}" fill="#%02x%02x%02x"/>\n',
+                    _cells(px, py, *rgb.T))
+    multiple = counts >= 2
+    marks = _chunks(f'<circle cx="%.2f" cy="%.2f" r="{max(cell / 4, 1.0):.2f}" fill="black"/>\n',
+                    np.column_stack([px[multiple] + cell / 2, py[multiple] + cell / 2]))
+    _write_svg(path, chain(rects, marks, _title(title, ' fill="white"')))

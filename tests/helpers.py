@@ -79,3 +79,96 @@ def multistart_oracle(qm, rng, starts: int = 20) -> float:
                      options={"gtol": 1e-12})
         best = min(best, float(res.fun))
     return best
+
+
+# The writers' per-value formulas from before they formatted whole arrays at
+# once.  The array writers must give these bytes exactly.
+
+def reference_csv_text(header, rows) -> str:
+    """CSV text with every number as format(float(v), ".17g") and strings as given."""
+    return "".join([",".join(header) + "\n"] + [
+        ",".join([v if isinstance(v, str) else format(float(v), ".17g") for v in row]) + "\n"
+        for row in rows])
+
+
+_REF_RAMP = [(0x44, 0x01, 0x54), (0x47, 0x2d, 0x7b), (0x3b, 0x52, 0x8b),
+             (0x2c, 0x72, 0x8e), (0x21, 0x91, 0x8c), (0x28, 0xae, 0x80),
+             (0x5e, 0xc9, 0x62), (0xad, 0xdc, 0x30), (0xfd, 0xe7, 0x25)]
+
+
+def reference_color_of(t: float) -> str:
+    """Hex colour of one value on the 9-stop ramp, t clipped to [0, 1]."""
+    t = min(max(float(t), 0.0), 1.0)
+    pos = t * (len(_REF_RAMP) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(_REF_RAMP) - 1)
+    frac = pos - lo
+    rgb = [round((1 - frac) * a + frac * b) for a, b in zip(_REF_RAMP[lo], _REF_RAMP[hi])]
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def _reference_normalize(vals: np.ndarray) -> np.ndarray:
+    lo = float(np.min(vals))
+    hi = float(np.max(vals))
+    if hi - lo < 1e-300:
+        return np.full(vals.shape, 0.5)
+    return (vals - lo) / (hi - lo)
+
+
+def _reference_svg(lines) -> str:
+    return "\n".join(['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+                      'viewBox="0 0 640 640">',
+                      '<rect width="640" height="640" fill="white"/>',
+                      *lines, "</svg>"]) + "\n"
+
+
+def reference_scatter_svg(points, values, title: str = "") -> str:
+    size = 640
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    pad = 0.08 * size
+    lo = points.min(axis=0)
+    extent = np.maximum(points.max(axis=0) - lo, 1e-12)
+    xy = (points - lo) * ((size - 2 * pad) / float(np.max(extent))) + pad
+    xy[:, 1] = size - xy[:, 1]
+    lines = []
+    if title:
+        lines.append(f'<text x="{size / 2:.0f}" y="20" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="14">{title}</text>')
+    for (px, py), tv in zip(xy, _reference_normalize(values)):
+        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
+                     f'fill="{reference_color_of(tv)}"/>')
+    return _reference_svg(lines)
+
+
+def reference_levelset_svg(grid, resolution: int, title: str = "") -> str:
+    size = 640
+    t = _reference_normalize(np.array([lam for _, lam, _ in grid]))
+    cell = size / resolution
+    lines, marks = [], []
+    for k, ((_, _, count), tv) in enumerate(zip(grid, t)):
+        px = k // resolution * cell
+        py = size - (k % resolution + 1) * cell
+        lines.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell + 0.5:.2f}" '
+                     f'height="{cell + 0.5:.2f}" fill="{reference_color_of(tv)}"/>')
+        if count >= 2:
+            marks.append(f'<circle cx="{px + cell / 2:.2f}" cy="{py + cell / 2:.2f}" '
+                         f'r="{max(cell / 4, 1.0):.2f}" fill="black"/>')
+    lines.extend(marks)
+    if title:
+        lines.append(f'<text x="{size / 2:.0f}" y="20" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="14" fill="white">{title}</text>')
+    return _reference_svg(lines)
+
+
+def reference_merge_row(masses, atoms, tol):
+    """Merge each atom into the first kept atom within tol in max-norm, matching every atom."""
+    out_m, out_a = [], []
+    for q, y in zip(masses, atoms):
+        k = next((k for k, a in enumerate(out_a) if np.max(np.abs(a - y)) <= tol), None)
+        if k is None:
+            out_m.append(float(q))
+            out_a.append(y)
+        else:
+            out_m[k] += q
+    return np.array(out_m), np.array(out_a)

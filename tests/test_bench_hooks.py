@@ -62,11 +62,11 @@ def test_bench_trace_counts_pair_energy_pairs_with_x2():
 
 
 def test_bench_trace_counts_written_bytes(tmp_path):
-    # the tracer reads each writer's path by position (save_embedding_csv's
-    # first argument, a method's first after self): the bytes it counts must
-    # be the sizes of the files written
+    # the tracer reads each writer's path by position (a function's first
+    # argument, a method's first after self): the bytes it counts must be the
+    # sizes of the files written
     import planmds as pm
-    from planmds import experiments
+    from planmds import experiments, svgplot
 
     tracing = _tracing()
     rng = np.random.default_rng(0)
@@ -77,12 +77,16 @@ def test_bench_trace_counts_written_bytes(tmp_path):
     trace.add(1.25, 0.125, 1.0)
     report = experiments.ExperimentReport("embed", 0, {"dim": 1}, [{"final_stress": 1.25}])
     paths = [tmp_path / name for name in ("embedding.csv", "cloud.csv", "trace.csv", "report.json")]
+    svgs = [tmp_path / name for name in ("scatter.svg", "levelset.svg")]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         experiments.save_embedding_csv(str(paths[0]), cloud, plan)
         cloud.save_csv(str(paths[1]))
         trace.save_csv(str(paths[2]))
         report.to_json(str(paths[3]))
+        svgplot.scatter_svg(str(svgs[0]), cloud.points, plan.flat()[2][:, 0], title="scatter")
+        svgplot.levelset_svg(str(svgs[1]), [(x, float(x[0]), 1 + (x[1] > 0)) for x in cloud.points], 3)
     metrics, _ = tracing.layer_metrics(tracer, [0])
-    assert all(p.stat().st_size > 0 for p in paths)
+    assert all(p.stat().st_size > 0 for p in paths + svgs)
     assert metrics["experiments.write.bytes"] == sum(p.stat().st_size for p in paths)
+    assert metrics["svgplot.write.bytes"] == sum(p.stat().st_size for p in svgs)

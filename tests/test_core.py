@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import planmds as pm
-from planmds.core import MERGE_TOL
+from planmds.core import MERGE_TOL, _merge_row
+
+from helpers import reference_merge_row
 
 
 def all_costs():
@@ -306,3 +308,18 @@ def test_merge_tolerance_is_max_norm():
     atoms = np.array([[0.0, 0.0], [MERGE_TOL / 2, 0.0], [0.0, 10 * MERGE_TOL]])
     plan = pm.EmbeddingPlan([(np.array([0.4, 0.4, 0.2]), atoms)])
     assert len(plan.row_masses[0]) == 2
+
+
+def test_merge_row_adds_repeated_atoms_in_input_order():
+    # exact repeats interleave with distinct atoms within MERGE_TOL of an earlier one;
+    # masses of many magnitudes make the sums depend on the order they are added in
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        base = rng.normal(size=(3, 2))
+        near = base + rng.uniform(-0.5, 0.5, size=base.shape) * MERGE_TOL
+        atoms = np.concatenate([base, near])[rng.integers(6, size=30)]
+        masses = rng.uniform(size=30) * 10.0 ** rng.integers(-8, 1, size=30)
+        got, want = _merge_row(masses, atoms), reference_merge_row(masses, atoms, MERGE_TOL)
+        assert len(want[0]) < 6
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
