@@ -434,10 +434,15 @@ class CostFamily:
     "N2" uses |y-y'|^2.  Subclasses supply the base statistic of the feature
     pair and the capability flags.  The profile is quadratic in t,
     (a - t)^2 * omega(a) with omega(a) = 1 / quadratic_scale(a), unless a
-    subclass sets ``quadratic_scale = None`` and supplies its own profile and
-    t-derivatives.  A quadratic profile makes every marginal problem exactly
-    solvable: a weighted least-squares problem for the IP kind, a weighted
-    quartic for the N2 kind.  ``has_moment_form`` marks the cost
+    subclass sets ``quadratic_scale = None``.  Such a subclass must be of the
+    N2 kind with the attraction-repulsion profile
+    attraction(a) * t + repulsion(a) * exp(-t), both factors nonnegative: it
+    supplies attraction, repulsion, the profile and its t-derivatives.  A
+    quadratic profile makes every marginal problem exactly solvable: a
+    weighted least-squares problem for the IP kind, a weighted quartic for
+    the N2 kind.  An attraction-repulsion marginal is a quadratic plus a
+    bounded sum of Gaussians, which a branch and bound solves to a certified
+    gap (optim._generic_solution).  ``has_moment_form`` marks the cost
     (|x-x'|^2 - |y-y'|^2)^2, whose energies, marginals and gradients all
     follow from the low-rank lifted moments of quartic.LiftedMoments instead
     of pairwise sums.
@@ -557,14 +562,16 @@ class QSammon(CostFamily):
 class Elastic(CostFamily):
     """t*exp(-|x-x'|^2/2 sigma^2) + beta*|x-x'|^2*exp(-t): elastic embedding cost.
 
-    Not quadratic in t, and not strictly convex in it: the second derivative
-    vanishes at coincident inputs.
+    The elastic embedding of Carreira-Perpinan (2010): an attraction-repulsion
+    profile, attraction(a) * t + repulsion(a) * exp(-t), so its marginal is
+    solved by branch and bound.  Not quadratic in t, and not strictly convex
+    in it: the second derivative vanishes at coincident inputs.
     """
 
     name = "elastic"
     kind = "N2"
     unique_min_at_zero = True
-    quadratic_scale = None   # not quadratic in t: its marginal solve is best-effort
+    quadratic_scale = None   # an attraction-repulsion profile instead
 
     def __init__(self, sigma: float = 1.0, beta: float = 1.0):
         if sigma <= 0 or beta < 0:
@@ -575,14 +582,20 @@ class Elastic(CostFamily):
     def base_matrix(self, X1, X2):
         return _sqdist_matrix(X1, X2)
 
+    def attraction(self, a):
+        return np.exp(-a / (2.0 * self.sigma**2))
+
+    def repulsion(self, a):
+        return self.beta * a
+
     def profile(self, a, t):
-        return t * np.exp(-a / (2.0 * self.sigma**2)) + self.beta * a * np.exp(-t)
+        return t * self.attraction(a) + self.repulsion(a) * np.exp(-t)
 
     def profile_dt(self, a, t):
-        return np.exp(-a / (2.0 * self.sigma**2)) - self.beta * a * np.exp(-t)
+        return self.attraction(a) - self.repulsion(a) * np.exp(-t)
 
     def profile_dtt(self, a, t):
-        return self.beta * a * np.exp(-t)
+        return self.repulsion(a) * np.exp(-t)
 
 
 BUILTIN_COSTS = {

@@ -50,7 +50,14 @@ INIT_SCALE = 1.0   # standard deviation of the random initial images
 STEP_SIZE = 1.0    # first step length tried by particle descent
 ARMIJO_C = 1e-4    # sufficient-decrease constant of its backtracking
 MAX_HALVINGS = 40  # step halvings before particle descent stops
-CANDIDATE_BUDGET = 8   # plan-atom starts of a best-effort marginal solve; half as many random ones
+GAP_RTOL = 1e-9    # a certified branch-and-bound value is within GAP_RTOL (1 + |value|) of the minimum
+ROUNDING_ULPS = 64   # ... plus this many ulps of the scale of its bounds, their rounding allowance
+BOX_BUDGET = 1 << 17   # boxes a branch and bound may bound before it returns its best point uncertified
+BOX_TILE = 1 << 15   # box-atom-coordinate elements of one chunk of boxes: the memory of a round
+NEWTON_STEPS = 16  # damped Newton steps at most per refinement
+REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
+ROOT_CELLS = 4     # boxes per axis the branch and bound's first cube is cut into
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -198,30 +205,258 @@ def particle_descent(cloud: PointCloud, cost: CostFamily,
 # Marginal minimization (dispatch per cost)
 # ---------------------------------------------------------------------------
 
+def _quad_min(g, lam, dlo, dhi):
+    """Per row, the minimum over d in the box [dlo, dhi] of g.d + lam |d|^2 / 2.
+
+    Each coordinate's minimum lies at the clipped stationary point when
+    lam > 0 and at an end otherwise, so the least of the three values is it.
+    """
+    lam = lam[:, None]
+    d = np.clip(-g / np.where(lam > 0.0, lam, np.inf), dlo, dhi)
+    q = [g * e + 0.5 * lam * e * e for e in (dlo, dhi, d)]
+    return np.sum(np.minimum(np.minimum(q[0], q[1]), q[2]), axis=1)
+
+
+class _AttractionRepulsion:
+    """J(c + z) = sum_b wk_b |z - z_b|^2 + wr_b exp(-|z - z_b|^2) = K |z - cz|^2 + q0 + G(z).
+
+    An attraction-repulsion marginal in coordinates z about the attraction
+    mean c: K = sum wk, cz (about 0) the wk-mean of the atoms z_b,
+    q0 = sum wk |z_b - cz|^2, and 0 <= G <= B = sum wr.  Every term is
+    nonnegative.  The methods take rows of points or boxes in chunks of at
+    most BOX_TILE box-atom-coordinate elements, so their memory does not grow
+    with the number of rows; a non-finite value, gradient or bound raises
+    NumericalError.
+    """
+
+    def __init__(self, Z, wk, wr):
+        self.Z, self.wk, self.wr = Z, wk, wr
+        self.K = math.fsum(wk.tolist())
+        self.cz = np.sum(wk[:, None] * Z, axis=0) / self.K
+        self.q0 = math.fsum((wk * np.sum((Z - self.cz) ** 2, axis=1)).tolist())
+        self.B = math.fsum(wr.tolist())
+        self.rows = max(1, BOX_TILE // Z.size)
+
+    def gap(self, U: float) -> float:
+        """GAP_RTOL (1 + |U|) plus ROUNDING_ULPS ulps of m U + B, the scale of J and its
+        bounds in the root box (K |z - cz|^2 <= m (U - q0) there)."""
+        return GAP_RTOL * (1.0 + abs(U)) + ROUNDING_ULPS * EPS * (self.Z.shape[1] * abs(U) + self.B)
+
+    def _chunked(self, fn, *arrays):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked by callers
+            if len(arrays[0]) <= self.rows:
+                return fn(*arrays)
+            parts = [fn(*(a[s:s + self.rows] for a in arrays))
+                     for s in range(0, len(arrays[0]), self.rows)]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    def _terms(self, P):
+        D = P[:, None, :] - self.Z
+        s = np.einsum("nkj,nkj->nk", D, D)
+        re = self.wr * np.exp(-s)
+        return D, re, np.sum(self.wk * s + re, axis=1), 2.0 * np.einsum("nk,nkj->nj", self.wk - re, D)
+
+    def evaluate(self, P):
+        """Values, gradients and Hessians at the rows of P."""
+        m = P.shape[1]
+
+        def chunk(P):
+            D, re, val, grad = self._terms(P)
+            H = 4.0 * np.einsum("nk,nki,nkj->nij", re, D, D)
+            H += (2.0 * np.sum(self.wk - re, axis=1))[:, None, None] * np.eye(m)
+            return val, grad, H
+
+        val, grad, H = self._chunked(chunk, P)
+        if not (np.isfinite(val).all() and np.isfinite(grad).all() and np.isfinite(H).all()):
+            raise NumericalError("non-finite marginal value or gradient: coordinates too large")
+        return val, grad, H
+
+    def bounds(self, lo, hi):
+        """Midpoints, their values, Hessian eigenvalue lower bounds lam and the lower
+        bounds (i) and (ii) of J on the boxes [lo, hi] (see _generic_solution)."""
+        m = lo.shape[1]
+
+        def chunk(lo, hi):
+            mid = 0.5 * (lo + hi)
+            h = np.maximum(hi - mid, mid - lo)
+            D, _, val, grad = self._terms(mid)
+            A = np.abs(D)
+            near = np.maximum(A - h[:, None, :], 0.0)
+            smin = np.sum(near * near, axis=2)
+            smax = np.sum((A + h[:, None, :]) ** 2, axis=2)
+            e_near, e_far = np.exp(-smin), np.exp(-smax)
+            # the Hessian of exp(-s_b) has eigenvalue e^-s (4 s - 2), unimodal in s, along
+            # z - z_b and, at m >= 2, -2 e^-s >= -2 e^-smin across it
+            curv = (np.minimum(e_near * (4.0 * smin - 2.0), e_far * (4.0 * smax - 2.0)) if m == 1
+                    else -2.0 * e_near)
+            lam = 2.0 * self.K + np.sum(self.wr * curv, axis=1)
+            dist = np.maximum(np.abs(mid - self.cz) - h, 0.0)
+            lb1 = self.K * np.sum(dist * dist, axis=1) + self.q0 + np.sum(self.wr * e_far, axis=1)
+            return mid, val, lam, lb1, val + _quad_min(grad, lam, -h, h)
+
+        mid, val, lam, lb1, lb2 = self._chunked(chunk, lo, hi)
+        if not (np.isfinite(lb1).all() and np.isfinite(lb2).all()):
+            raise NumericalError("non-finite marginal bound: coordinates too large")
+        return mid, val, lam, np.maximum(lb1, lb2)
+
+    def newton(self, P, lo, hi, steps=NEWTON_STEPS):
+        """At most `steps` projected Newton steps from the rows of P in the boxes [lo, hi].
+
+        A coordinate at a face of its box whose gradient points out of it is
+        held; the others take a Newton step on their block of the Hessian,
+        whose eigenvalues are replaced by their absolute values, floored at
+        1e-9 (K + B), so the step descends.  A step, projected onto the box,
+        is kept when it lowers the value, or keeps it within rounding and
+        lowers the gradient's max-norm, and halved otherwise (Bertsekas 1982).
+        Returns the points, their values and gradients.
+        """
+        def free(P, grad):
+            return ~(((P <= lo) & (grad > 0.0)) | ((P >= hi) & (grad < 0.0)))
+
+        val, grad, H = self.evaluate(P)
+        t = np.ones(len(P))
+        eye = np.eye(P.shape[1], dtype=bool)
+        for _ in range(steps):
+            f = free(P, grad)
+            g = np.where(f, grad, 0.0)
+            w, V = np.linalg.eigh(np.where(f[:, :, None] & f[:, None, :], H, eye))
+            w = np.maximum(np.abs(w), 1e-9 * (self.K + self.B))
+            step = np.einsum("nij,nj->ni", V, np.einsum("nji,nj->ni", V, g) / w)
+            with np.errstate(over="ignore"):   # an overflowing step is clipped to the box
+                Q = np.clip(P - t[:, None] * step, lo, hi)
+            if (np.abs(Q - P) <= 4.0 * EPS * (1.0 + np.abs(P))).all():
+                break
+            v2, g2, H2 = self.evaluate(Q)
+            g2f = np.where(free(Q, g2), g2, 0.0)
+            keep = (v2 < val) | ((v2 <= val + ROUNDING_ULPS * EPS * val)
+                                 & (np.max(np.abs(g2f), axis=1) < np.max(np.abs(g), axis=1)))
+            P, val, grad, H = (np.where(keep.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                               for a, b in ((P, Q), (val, v2), (grad, g2), (H, H2)))
+            t = np.where(keep, 1.0, 0.5 * t)
+        return P, val, grad
+
+
 def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
                       extra_starts=()) -> MarginalSolution:
-    from scipy.optimize import minimize as _sp_minimize
+    """Global minimizer of an attraction-repulsion marginal, by spatial branch and bound.
 
+    With a_b = |x - x_b|^2, wk_b = m_b attraction(a_b), wr_b = m_b repulsion(a_b)
+    and s_b = |y - y_b|^2 the marginal is
+
+        J(y) = sum_b wk_b s_b + wr_b exp(-s_b) = K |y - c|^2 + q0 + G(y),  0 <= G <= B,
+
+    with c the wk-mean of the atoms (see _AttractionRepulsion); the search
+    is the classical one of Horst & Tuy (1996).  The incumbent value U
+    starts as the least value at the atoms, at extra_starts (the sweep's old
+    atom) and at c, the best REFINED_STARTS of them refined by Newton steps.
+    Every point with J <= U lies in K |y - c|^2 <= U - q0, so the search
+    starts from the cube about c of that half-width, cut into ROOT_CELLS^m
+    equal boxes (the first rounds of halving would prune none).  A box is
+    bounded below by the largest of
+      (i) K dist^2(c, box) + q0 + sum_b wr_b exp(-farthest^2(y_b, box));
+      (ii) J(mid) + the minimum over the box of g.d + lam |d|^2 / 2, with g the
+           gradient at the midpoint and lam a lower bound of the Hessian's
+           eigenvalues on the box;
+      (iii) where lam > 0 (J convex on the box), the same about the box's
+           minimizer, found by projected Newton steps, in place of the midpoint.
+    A box whose bound exceeds U - gap is pruned, any other split in two along
+    its longest side; midpoints and box minimizers lower U.  When no box is
+    left no point is below U - gap, gap = GAP_RTOL (1 + |U|) plus a rounding
+    allowance, and the minimizers are the Newton-polished points of the
+    incumbent and of the pruned boxes that may hold a value within the gap
+    of U, one per MERGE_TOL cluster: more than one is "finite_multiple".
+    Past BOX_BUDGET boxes, or when K = 0 and J, which then tends to its
+    infimum 0 far from the atoms, has no minimizer, the best point found is
+    returned uncertified.  config is not read: the search draws no random
+    start.
+    """
     m = atoms.shape[1]
-    order = np.argsort(mass)[::-1]
-    starts = [atoms[j] for j in order[:CANDIDATE_BUDGET]]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    rng = np.random.default_rng(config.seed)
-    scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
-    for _ in range(CANDIDATE_BUDGET // 2):
-        starts.append(scale * rng.standard_normal(m))
+    starts = np.concatenate([atoms, np.reshape(np.asarray(extra_starts, dtype=float), (-1, m))])
     objective = _marginal_objective(X, mass, atoms, cost, x)
-    best_y, best_v = None, np.inf
-    with np.errstate(over="ignore", invalid="ignore"):   # the objective checks its values
-        for y0 in starts:
-            res = _sp_minimize(
-                objective, np.asarray(y0, dtype=float), jac=True, method="L-BFGS-B",
-                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500},
-            )
-            if res.fun < best_v:
-                best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
-    return MarginalSolution(minimizers=[best_y], value=best_v,
-                            multiplicity_kind="unique", certified=False)
+    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
+    K = math.fsum(wk.tolist())
+    if not (math.isfinite(K) and np.isfinite(wr).all()):
+        raise NumericalError("non-finite marginal weights: coordinates too large")
+
+    def uncertified(y):
+        return MarginalSolution([y], objective(y)[0], "unique", certified=False)
+
+    if K == 0.0:
+        return uncertified(min(starts, key=lambda y: objective(y)[0]))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        c = np.sum(wk[:, None] * atoms, axis=0) / K
+    if not np.isfinite(c).all():
+        raise NumericalError("non-finite attraction mean: coordinates too large")
+    J = _AttractionRepulsion(atoms - c, wk, wr)
+    P = np.concatenate([starts - c, J.cz[None, :]])
+    val = J.evaluate(P)[0]
+    best = int(np.argmin(val))
+    U, y_best = float(val[best]), P[best]
+    R = math.sqrt(max(U + J.gap(U) - J.q0, 0.0) / J.K)
+    if not math.isfinite(R):
+        return uncertified(c + y_best)
+    edges = J.cz + R * np.linspace(-1.0, 1.0, ROOT_CELLS + 1)[:, None]
+    root_lo, root_hi = edges[:1], edges[-1:]
+
+    def lower(points, values):
+        nonlocal U, y_best
+        k = int(np.argmin(values))
+        if values[k] < U:
+            U, y_best = float(values[k]), points[k]
+
+    lower(*J.newton(P[np.argsort(val, kind="stable")[:REFINED_STARTS]], root_lo, root_hi)[:2])
+    cells = np.indices((ROOT_CELLS,) * m).reshape(m, -1).T
+    lo, hi = edges[cells, np.arange(m)], edges[cells + 1, np.arange(m)]
+    near_points, near_bounds = [], []
+    boxes = 0
+    while len(lo):
+        boxes += len(lo)
+        if boxes > BOX_BUDGET:
+            return uncertified(c + y_best)
+        mid, val, lam, lb = J.bounds(lo, hi)
+        lower(mid, val)
+        rep = mid.copy()   # the box's best point: its midpoint or minimizer
+        # (iii) where J is convex: about the incumbent clipped into the box,
+        # and where that does not prune, about the end of Newton steps from it
+        for steps in (0, NEWTON_STEPS):
+            convex = np.flatnonzero((lb <= U - J.gap(U)) & (lam > 0.0))
+            if not convex.size:
+                break
+            box_lo, box_hi = lo[convex], hi[convex]
+            y, v, g = J.newton(np.clip(y_best, box_lo, box_hi), box_lo, box_hi, steps)
+            lb3 = v + _quad_min(g, lam[convex], box_lo - y, box_hi - y)
+            if not np.isfinite(lb3).all():
+                raise NumericalError("non-finite marginal bound: coordinates too large")
+            lb[convex] = np.maximum(lb[convex], lb3)
+            rep[convex] = y
+            lower(y, v)
+        gap = J.gap(U)
+        live = lb <= U - gap
+        near = ~live & (lb <= U + gap)
+        near_points.append(rep[near])
+        near_bounds.append(lb[near])
+        lo, hi, mid = lo[live], hi[live], mid[live]
+        rows = np.arange(len(lo))
+        j = np.argmax(hi - lo, axis=1)
+        lo2, hi1 = lo.copy(), hi.copy()
+        lo2[rows, j] = hi1[rows, j] = mid[rows, j]
+        lo, hi = np.concatenate([lo, lo2]), np.concatenate([hi1, hi])
+
+    near = np.concatenate(near_bounds) <= U + J.gap(U)
+    P, val, _ = J.newton(np.concatenate([y_best[None, :], np.concatenate(near_points)[near]]),
+                         root_lo, root_hi)
+    U = min(U, float(np.min(val)))
+    gap = J.gap(U)
+    minimizers = []
+    for k in np.argsort(val, kind="stable"):
+        if val[k] > U + gap:
+            break
+        if _match(minimizers, c + P[k]) is None:
+            minimizers.append(c + P[k])
+    return MarginalSolution(minimizers, min(objective(y)[0] for y in minimizers),
+                            "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
 
 
 def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
@@ -232,8 +467,9 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
     with pair weights w_a = mass_a * omega(a_a): for the IP kind a
     least-squares problem, solved by one linear system; for the N2 kind W * J,
     W = sum w_a, with J the quartic of the lifted moments under the weights
-    w_a / W.  Both solves are global and carry a certificate.  Any other
-    profile gets the best-effort multi-start local search.
+    w_a / W.  Both solves are global and carry a certificate.  An
+    attraction-repulsion profile (quadratic_scale None) gets the branch and
+    bound of _generic_solution, certified to its gap.
     """
     if cost.quadratic_scale is None:
         return _generic_solution(X, mass, atoms, cost, x, config, extra_starts)
@@ -272,8 +508,10 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, 
                       config: DescentConfig = None) -> MarginalSolution:
     """Global minimizer of the marginal problem at x.
 
-    Certified for every cost with a quadratic profile (see CostFamily); a
-    best-effort multi-start local search, uncertified, for any other.
+    Certified for every built-in cost: exactly for a quadratic profile (see
+    CostFamily), to the branch and bound's gap for an attraction-repulsion
+    one, which is uncertified only past its box budget or where the marginal
+    has no minimizer.
     """
     if config is None:
         config = DescentConfig()

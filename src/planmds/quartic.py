@@ -430,19 +430,23 @@ def quartic_at(moments, x) -> QuarticMarginal:
 class MarginalSolution:
     """Global minimizers of one marginal problem.
 
-    multiplicity_kind is "unique", "finite_multiple" (two minimizers) or
+    multiplicity_kind is "unique", "finite_multiple" (two minimizers, or
+    for a branch and bound every minimizer found within its gap) or
     "continuum" (a sphere of minimizers in a repeated top eigenspace, of
     which `minimizers` holds two representatives).  `certified` is False when
-    global optimality was not established: a best-effort multi-start solve,
-    a quartic minimizer that failed its stationarity or
-    |y|^2 >= lambda_max(Psi) check, or a least-squares solve that failed its
-    residual check.
+    global optimality was not established: a quartic minimizer that failed
+    its stationarity or |y|^2 >= lambda_max(Psi) check, a least-squares
+    solve that failed its residual check, or a branch and bound that ran out
+    of boxes or met a marginal with no minimizer.  `gap` is the certified
+    bound of a branch and bound: no point has a value below value - gap.
+    The closed-form solves leave it 0.0.
     """
 
     minimizers: list
     value: float
     multiplicity_kind: str
     certified: bool = True
+    gap: float = 0.0
 
 
 def select_minimizer(solution: MarginalSolution) -> np.ndarray:

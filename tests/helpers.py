@@ -81,6 +81,39 @@ def multistart_oracle(qm, rng, starts: int = 20) -> float:
     return best
 
 
+def multistart_marginal_oracle(X, mass, atoms, cost, x, config, extra_starts=()):
+    """Lowest marginal value L-BFGS-B reaches from the heaviest atoms and random starts.
+
+    The best-effort local search that once solved every non-quadratic
+    marginal: 8 plan-atom starts, extra_starts, and 4 random ones drawn from
+    config.seed.  Independent of the marginal solvers; an upper bound on the
+    global minimum.
+    """
+    from scipy.optimize import minimize as sp_min
+
+    from planmds.energy import _marginal_objective
+    from planmds.quartic import MarginalSolution
+
+    m = atoms.shape[1]
+    order = np.argsort(mass)[::-1]
+    starts = [atoms[j] for j in order[:8]]
+    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    rng = np.random.default_rng(config.seed)
+    scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
+    for _ in range(4):
+        starts.append(scale * rng.standard_normal(m))
+    objective = _marginal_objective(X, mass, atoms, cost, x)
+    best_y, best_v = None, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):   # the objective checks its values
+        for y0 in starts:
+            res = sp_min(objective, np.asarray(y0, dtype=float), jac=True, method="L-BFGS-B",
+                         options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500})
+            if res.fun < best_v:
+                best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
+    return MarginalSolution(minimizers=[best_y], value=best_v,
+                            multiplicity_kind="unique", certified=False)
+
+
 # The writers' per-value formulas from before they formatted whole arrays at
 # once.  The array writers must give these bytes exactly.
 

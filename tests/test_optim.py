@@ -12,7 +12,6 @@ from planmds.core import MERGE_TOL
 from planmds.optim import (
     DescentConfig,
     _dense_objective,
-    _generic_solution,
     _SweepState,
     marginal_sweep,
     minimize_marginal,
@@ -20,7 +19,7 @@ from planmds.optim import (
     pca_solve,
 )
 
-from helpers import random_cloud, random_plan
+from helpers import multistart_marginal_oracle, random_cloud, random_plan
 
 
 def test_config_validation():
@@ -102,13 +101,13 @@ def test_minimize_marginal_single_atom_sphere():
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_minimize_marginal_generic_cost_best_effort():
+def test_minimize_marginal_generic_cost_elastic_certified():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 6, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(6, 1))))
     sol = minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0],
                             DescentConfig(seed=4))
-    assert not sol.certified
+    assert sol.certified
     g = pm.marginal_grad(plan, cloud, pm.Elastic(), cloud.points[0], sol.minimizers[0])
     assert np.linalg.norm(g) < 1e-5
 
@@ -118,8 +117,8 @@ def test_minimize_marginal_generic_cost_best_effort():
     pm.KernelIP(kernel="polynomial", degree=3, offset=0.5), pm.Elastic(),
 ], ids=lambda c: c.name + ("-" + c.kernel if isinstance(c, pm.KernelIP) else ""))
 def test_minimize_marginal_exact_for_quadratic_profiles(cost):
-    # every cost with a quadratic profile gets a certified solve at least as
-    # good as the multi-start local search; elastic alone stays best-effort
+    # every cost gets a certified solve at least as good as the multi-start
+    # local search: exact for a quadratic profile, a branch and bound for elastic
     rng = np.random.default_rng(11)
     for m in (1, 2):
         cloud = random_cloud(rng, 7, 2)
@@ -127,10 +126,11 @@ def test_minimize_marginal_exact_for_quadratic_profiles(cost):
         idx, mass, atoms = plan.flat()
         for x in (cloud.points[0], cloud.points[3], rng.normal(size=2)):
             sol = minimize_marginal(plan, cloud, cost, x)
-            assert sol.certified == (cost.quadratic_scale is not None)
+            assert sol.certified
             value = min(pm.marginal_value(plan, cloud, cost, x, y) for y in sol.minimizers)
             assert sol.value == pytest.approx(value, rel=1e-10, abs=1e-12)
-            generic = _generic_solution(cloud.points[idx], mass, atoms, cost, x, DescentConfig())
+            generic = multistart_marginal_oracle(cloud.points[idx], mass, atoms, cost, x,
+                                                 DescentConfig())
             assert value <= generic.value + 1e-8 * (1.0 + abs(value))
 
 
