@@ -53,11 +53,11 @@ MAX_HALVINGS = 40  # step halvings before particle descent stops
 GAP_RTOL = 1e-9    # a certified branch-and-bound value is within GAP_RTOL (1 + |value|) of the minimum
 ROUNDING_ULPS = 64   # ... plus this many ulps of the scale of its bounds, their rounding allowance
 BOX_BUDGET = 1 << 17   # boxes a branch and bound may bound before it returns its best point uncertified
-BOX_TILE = 1 << 15   # box-atom-coordinate elements of one chunk of boxes: the memory of a round
+BOX_TILE = 1 << 15   # elements (atoms x coordinates + coordinates^2 a row) of one chunk of boxes
 NEWTON_STEPS = 16  # damped Newton steps at most per refinement
 REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
-ROOT_CELLS = 4     # boxes per axis the branch and bound's first cube is cut into
-EPS = np.finfo(float).eps
+ROOT_CELLS = 4     # boxes per axis the branch and bound's first cube is cut into, at most
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -224,18 +224,19 @@ class _AttractionRepulsion:
     mean c: K = sum wk, cz (about 0) the wk-mean of the atoms z_b,
     q0 = sum wk |z_b - cz|^2, and 0 <= G <= B = sum wr.  Every term is
     nonnegative.  The methods take rows of points or boxes in chunks of at
-    most BOX_TILE box-atom-coordinate elements, so their memory does not grow
-    with the number of rows; a non-finite value, gradient or bound raises
-    NumericalError.
+    most BOX_TILE elements, k m + m^2 a row for k atoms, so their memory does
+    not grow with the number of rows; a non-finite value or gradient, and a
+    NaN or +inf bound, raises NumericalError.
     """
 
     def __init__(self, Z, wk, wr):
         self.Z, self.wk, self.wr = Z, wk, wr
+        self.Zt = np.ascontiguousarray(Z.T)   # (m, k): the offsets below run along the atoms
         self.K = math.fsum(wk.tolist())
         self.cz = np.sum(wk[:, None] * Z, axis=0) / self.K
         self.q0 = math.fsum((wk * np.sum((Z - self.cz) ** 2, axis=1)).tolist())
         self.B = math.fsum(wr.tolist())
-        self.rows = max(1, BOX_TILE // Z.size)
+        self.rows = max(1, BOX_TILE // (Z.size + Z.shape[1] ** 2))
 
     def gap(self, U: float) -> float:
         """GAP_RTOL (1 + |U|) plus ROUNDING_ULPS ulps of m U + B, the scale of J and its
@@ -251,20 +252,20 @@ class _AttractionRepulsion:
         return [np.concatenate(p) for p in zip(*parts)]
 
     def _terms(self, P):
-        D = P[:, None, :] - self.Z
-        s = np.einsum("nkj,nkj->nk", D, D)
+        """Offsets D (row, coordinate, atom), squared distances, values, gradients and
+        Hessians at the rows of P."""
+        D = P[:, :, None] - self.Zt
+        s = np.einsum("njk,njk->nk", D, D)
         re = self.wr * np.exp(-s)
-        return D, re, np.sum(self.wk * s + re, axis=1), 2.0 * np.einsum("nk,nkj->nj", self.wk - re, D)
+        H = 4.0 * np.einsum("nik,njk->nij", re[:, None, :] * D, D)
+        H += (2.0 * np.sum(self.wk - re, axis=1))[:, None, None] * np.eye(P.shape[1])
+        return (D, s, np.sum(self.wk * s + re, axis=1),
+                2.0 * np.einsum("nk,njk->nj", self.wk - re, D), H)
 
     def evaluate(self, P):
         """Values, gradients and Hessians at the rows of P."""
-        m = P.shape[1]
-
         def chunk(P):
-            D, re, val, grad = self._terms(P)
-            H = 4.0 * np.einsum("nk,nki,nkj->nij", re, D, D)
-            H += (2.0 * np.sum(self.wk - re, axis=1))[:, None, None] * np.eye(m)
-            return val, grad, H
+            return self._terms(P)[2:]
 
         val, grad, H = self._chunked(chunk, P)
         if not (np.isfinite(val).all() and np.isfinite(grad).all() and np.isfinite(H).all()):
@@ -273,31 +274,48 @@ class _AttractionRepulsion:
 
     def bounds(self, lo, hi):
         """Midpoints, their values, Hessian eigenvalue lower bounds lam and the lower
-        bounds (i) and (ii) of J on the boxes [lo, hi] (see _generic_solution)."""
+        bounds (i) and (ii) of J on the boxes [lo, hi] (see _generic_solution).
+
+        lam is the larger of two bounds on the box.  One sums, per atom, the
+        least eigenvalue of the Hessian of exp(-s_b): e^-s (4 s - 2), unimodal
+        in s, along z - z_b and, at m >= 2, -2 e^-s >= -2 e^-smin across it.
+        The other is the least eigenvalue of H(mid) less L r, with r = |h| and
+        L a bound of the third derivative on the box: that of exp(-s_b) has
+        the norm e^-s max |12 p - 8 p^3| over |p| <= sqrt(s), at most e^-smin
+        times that maximum at smax.  As the cubic Taylor remainder about the
+        midpoint is at most L |d|^3 / 6, bound (ii) may take L r / 3 in place
+        of L r.  A bound (ii) of -inf, where its curvature term overflows,
+        bounds nothing and leaves (i).
+        """
         m = lo.shape[1]
 
         def chunk(lo, hi):
             mid = 0.5 * (lo + hi)
             h = np.maximum(hi - mid, mid - lo)
-            D, _, val, grad = self._terms(mid)
+            D, s, val, grad, H = self._terms(mid)
             A = np.abs(D)
-            near = np.maximum(A - h[:, None, :], 0.0)
-            smin = np.sum(near * near, axis=2)
-            smax = np.sum((A + h[:, None, :]) ** 2, axis=2)
+            near = np.maximum(A - h[:, :, None], 0.0)
+            smin = np.einsum("njk,njk->nk", near, near)
+            smax = s + 2.0 * np.einsum("njk,nj->nk", A, h) + np.sum(h * h, axis=1)[:, None]
             e_near, e_far = np.exp(-smin), np.exp(-smax)
-            # the Hessian of exp(-s_b) has eigenvalue e^-s (4 s - 2), unimodal in s, along
-            # z - z_b and, at m >= 2, -2 e^-s >= -2 e^-smin across it
             curv = (np.minimum(e_near * (4.0 * smin - 2.0), e_far * (4.0 * smax - 2.0)) if m == 1
                     else -2.0 * e_near)
-            lam = 2.0 * self.K + np.sum(self.wr * curv, axis=1)
+            p = 4.0 * np.sqrt(smax) * (3.0 - 2.0 * smax)   # 12 p - 8 p^3 at p = sqrt(smax)
+            third = np.where(smax <= 0.5, p, np.maximum(4.0 * math.sqrt(2.0), -p))
+            third = np.where(e_near > 0.0, e_near * third, 0.0)
+            lam0 = 2.0 * self.K + np.sum(self.wr * curv, axis=1)
+            low = np.linalg.eigvalsh(H)[:, 0]
+            Lr = np.sum(self.wr * third, axis=1) * np.sqrt(np.sum(h * h, axis=1))
             dist = np.maximum(np.abs(mid - self.cz) - h, 0.0)
             lb1 = self.K * np.sum(dist * dist, axis=1) + self.q0 + np.sum(self.wr * e_far, axis=1)
-            return mid, val, lam, lb1, val + _quad_min(grad, lam, -h, h)
+            lb2 = val + _quad_min(grad, np.maximum(lam0, low - Lr / 3.0), -h, h)
+            return mid, val, np.maximum(lam0, low - Lr), lb1, lb2
 
         mid, val, lam, lb1, lb2 = self._chunked(chunk, lo, hi)
-        if not (np.isfinite(lb1).all() and np.isfinite(lb2).all()):
+        lb = np.maximum(lb1, lb2)
+        if not (lb < np.inf).all():
             raise NumericalError("non-finite marginal bound: coordinates too large")
-        return mid, val, lam, np.maximum(lb1, lb2)
+        return mid, val, lam, lb
 
     def newton(self, P, lo, hi, steps=NEWTON_STEPS):
         """At most `steps` projected Newton steps from the rows of P in the boxes [lo, hi].
@@ -308,8 +326,13 @@ class _AttractionRepulsion:
         1e-9 (K + B), so the step descends.  A step, projected onto the box,
         is kept when it lowers the value, or keeps it within rounding and
         lowers the gradient's max-norm, and halved otherwise (Bertsekas 1982).
-        Returns the points, their values and gradients.
+        Returns the points, their values and gradients.  lo and hi broadcast
+        against P, which is taken in chunks as the bounds are.
         """
+        lo, hi = np.broadcast_to(lo, P.shape), np.broadcast_to(hi, P.shape)
+        return self._chunked(lambda P, lo, hi: self._newton(P, lo, hi, steps), P, lo, hi)
+
+    def _newton(self, P, lo, hi, steps):
         def free(P, grad):
             return ~(((P <= lo) & (grad > 0.0)) | ((P >= hi) & (grad < 0.0)))
 
@@ -350,13 +373,15 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     starts as the least value at the atoms, at extra_starts (the sweep's old
     atom) and at c, the best REFINED_STARTS of them refined by Newton steps.
     Every point with J <= U lies in K |y - c|^2 <= U - q0, so the search
-    starts from the cube about c of that half-width, cut into ROOT_CELLS^m
-    equal boxes (the first rounds of halving would prune none).  A box is
+    starts from the cube about c of that half-width, cut into cells^m equal
+    boxes, with cells the largest number up to ROOT_CELLS for which they fit
+    in BOX_BUDGET (the first rounds of halving would prune none).  A box is
     bounded below by the largest of
       (i) K dist^2(c, box) + q0 + sum_b wr_b exp(-farthest^2(y_b, box));
       (ii) J(mid) + the minimum over the box of g.d + lam |d|^2 / 2, with g the
            gradient at the midpoint and lam a lower bound of the Hessian's
-           eigenvalues on the box;
+           eigenvalues on the box, or of the least eigenvalue of H(mid) less
+           the cubic Taylor remainder (see _AttractionRepulsion.bounds);
       (iii) where lam > 0 (J convex on the box), the same about the box's
            minimizer, found by projected Newton steps, in place of the midpoint.
     A box whose bound exceeds U - gap is pruned, any other split in two along
@@ -365,10 +390,11 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     allowance, and the minimizers are the Newton-polished points of the
     incumbent and of the pruned boxes that may hold a value within the gap
     of U, one per MERGE_TOL cluster: more than one is "finite_multiple".
-    Past BOX_BUDGET boxes, or when K = 0 and J, which then tends to its
-    infimum 0 far from the atoms, has no minimizer, the best point found is
-    returned uncertified.  config is not read: the search draws no random
-    start.
+    Past BOX_BUDGET boxes, or where the root cube's half-width overflows,
+    the best of the incumbent and of Newton steps from every start is
+    returned uncertified; when K = 0, and J, which then tends to its infimum
+    0 far from the atoms, has no minimizer, the best start is.  config is not
+    read: the search draws no random start.
     """
     m = atoms.shape[1]
     starts = np.concatenate([atoms, np.reshape(np.asarray(extra_starts, dtype=float), (-1, m))])
@@ -376,8 +402,11 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
+        B = float(np.sum(wr))
     K = math.fsum(wk.tolist())
-    if not (math.isfinite(K) and np.isfinite(wr).all()):
+    # bound (ii) on the root cube takes B times its squared half-width, which
+    # is about B / K with K <= 1: it overflows wherever B^2 does
+    if not (math.isfinite(K) and math.isfinite(B * B)):
         raise NumericalError("non-finite marginal weights: coordinates too large")
 
     def uncertified(y):
@@ -394,10 +423,19 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     val = J.evaluate(P)[0]
     best = int(np.argmin(val))
     U, y_best = float(val[best]), P[best]
+
+    def settle(lo, hi):
+        # the best of the incumbent and Newton steps from every start
+        Q, v, _ = J.newton(np.clip(np.concatenate([y_best[None, :], P]), lo, hi), lo, hi)
+        return uncertified(c + Q[int(np.argmin(v))])
+
     R = math.sqrt(max(U + J.gap(U) - J.q0, 0.0) / J.K)
     if not math.isfinite(R):
-        return uncertified(c + y_best)
-    edges = J.cz + R * np.linspace(-1.0, 1.0, ROOT_CELLS + 1)[:, None]
+        return settle(np.full((1, m), -np.inf), np.full((1, m), np.inf))
+    cells = ROOT_CELLS
+    while cells > 1 and cells ** m > BOX_BUDGET:
+        cells -= 1
+    edges = J.cz + R * np.linspace(-1.0, 1.0, cells + 1)[:, None]
     root_lo, root_hi = edges[:1], edges[-1:]
 
     def lower(points, values):
@@ -407,14 +445,14 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
             U, y_best = float(values[k]), points[k]
 
     lower(*J.newton(P[np.argsort(val, kind="stable")[:REFINED_STARTS]], root_lo, root_hi)[:2])
-    cells = np.indices((ROOT_CELLS,) * m).reshape(m, -1).T
-    lo, hi = edges[cells, np.arange(m)], edges[cells + 1, np.arange(m)]
+    cell = np.indices((cells,) * m).reshape(m, -1).T
+    lo, hi = edges[cell, np.arange(m)], edges[cell + 1, np.arange(m)]
     near_points, near_bounds = [], []
     boxes = 0
     while len(lo):
         boxes += len(lo)
         if boxes > BOX_BUDGET:
-            return uncertified(c + y_best)
+            return settle(root_lo, root_hi)
         mid, val, lam, lb = J.bounds(lo, hi)
         lower(mid, val)
         rep = mid.copy()   # the box's best point: its midpoint or minimizer
@@ -427,7 +465,7 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
             box_lo, box_hi = lo[convex], hi[convex]
             y, v, g = J.newton(np.clip(y_best, box_lo, box_hi), box_lo, box_hi, steps)
             lb3 = v + _quad_min(g, lam[convex], box_lo - y, box_hi - y)
-            if not np.isfinite(lb3).all():
+            if not (lb3 < np.inf).all():
                 raise NumericalError("non-finite marginal bound: coordinates too large")
             lb[convex] = np.maximum(lb[convex], lb3)
             rep[convex] = y

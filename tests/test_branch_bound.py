@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,17 +106,96 @@ def test_far_point_without_attraction_returns_uncertified_promptly():
     assert np.isfinite(sol.minimizers[0]).all() and math.isfinite(sol.value)
 
 
-def test_box_budget_returns_the_incumbent_uncertified(monkeypatch):
-    rng = np.random.default_rng(5)
+def test_far_point_with_tiny_attraction_returns_a_finite_point():
+    # 36 to 40.5 from every source point the attraction exp(-a / 2 sigma^2) is
+    # 1e-251 down to subnormal, then 0 at 40.75.  The root cube is then up to
+    # 1e150 wide, bound (ii)'s curvature term overflows to -inf and bounds
+    # nothing, and bound (i) carries the search; where the cube's half-width
+    # itself overflows the best point is returned uncertified
+    rng = np.random.default_rng(2)
     cloud = random_cloud(rng, 6, 2)
     plan = random_plan(rng, cloud, 2)
+    cost = pm.Elastic()
+    X, mass, atoms = _plan_arrays(plan, cloud)
+    weights = []
+    for dist in np.arange(36.0, 41.01, 0.25):
+        x = np.full(2, dist / math.sqrt(2.0))
+        weights.append(math.fsum((mass * cost.attraction(np.sum((X - x) ** 2, axis=1))).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = minimize_marginal(plan, cloud, cost, x)
+        assert math.isfinite(sol.value) and np.isfinite(sol.minimizers[0]).all()
+        assert sol.value <= min(pm.marginal_value(plan, cloud, cost, x, y) for y in atoms)
+        assert sol.certified or weights[-1] < 1e-300
+    assert any(0.0 < K < np.finfo(float).tiny for K in weights) and weights[-1] == 0.0
+
+
+@pytest.mark.parametrize("seed, n, sigma, beta", [(5, 6, 1.0, 1.0), (3, 8, 1.5, 4.0)])
+def test_box_budget_returns_the_incumbent_uncertified(monkeypatch, seed, n, sigma, beta):
+    from scipy.optimize import minimize as sp_min
+
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n, 2)
+    plan = random_plan(rng, cloud, 2)
+    cost = pm.Elastic(sigma=sigma, beta=beta)
     x = cloud.points[1]
-    full = minimize_marginal(plan, cloud, pm.Elastic(), x)
+    full = minimize_marginal(plan, cloud, cost, x)
     monkeypatch.setattr(optim, "BOX_BUDGET", 2)
-    cut = minimize_marginal(plan, cloud, pm.Elastic(), x)
+    cut = minimize_marginal(plan, cloud, cost, x)
     assert full.certified and not cut.certified
     assert np.isfinite(cut.minimizers[0]).all()
     assert cut.value >= full.value - full.gap
+    # the returned point is the best of Newton steps from every start: a
+    # stationary point no higher than a local descent from any atom (in the
+    # second case the three best starts lead to a basin 0.56 above the least)
+    X, mass, atoms = _plan_arrays(plan, cloud)
+    local = min(sp_min(lambda y: pm.marginal_value(plan, cloud, cost, x, y), y,
+                       jac=lambda y: pm.marginal_grad(plan, cloud, cost, x, y),
+                       method="L-BFGS-B").fun for y in atoms)
+    assert cut.value <= local + 1e-9 * (1.0 + abs(local))
+    assert np.linalg.norm(pm.marginal_grad(plan, cloud, cost, x, cut.minimizers[0])) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_box_bounds_hold_at_sampled_points(m):
+    # the lower bound of each box is below J, and lam below the Hessian's least
+    # eigenvalue, at the corners and at random points of boxes 1e-3 to 4 wide
+    # about the atoms
+    rng = np.random.default_rng(m)
+    for _ in range(30):
+        k = int(rng.integers(1, 7))
+        J = optim._AttractionRepulsion(rng.normal(size=(k, m)), rng.uniform(0.0, 1.0, k),
+                                       rng.uniform(0.0, 5.0, k))
+        centre = J.Z[rng.integers(0, k, 40)] + rng.normal(size=(40, m))
+        width = 10.0 ** rng.uniform(-3.0, 0.6, size=(40, m))
+        lo, hi = centre - width / 2, centre + width / 2
+        _, _, lam, lb = J.bounds(lo, hi)
+        corners = np.indices((2,) * m).reshape(m, -1).T
+        for b in range(40):
+            P = np.concatenate([lo[b] + corners * width[b],
+                                lo[b] + rng.uniform(size=(200, m)) * width[b]])
+            val, _, H = J.evaluate(P)
+            tol = 1e-12 * (1.0 + np.abs(val) + J.B)
+            assert (val >= lb[b] - tol).all()
+            assert (np.linalg.eigvalsh(H)[:, 0] >= lam[b] - tol).all()
+
+
+def test_high_dimension_sweep_keeps_memory_bounded():
+    # at m = 10 the first cut is 3^10 boxes, the most that fit in BOX_BUDGET,
+    # where 4^10 took about 340 MB before any box was bounded; boxes are
+    # bounded and Newton-stepped in tiles, and the energy does not rise
+    rng = np.random.default_rng(0)
+    cloud = random_cloud(rng, 5, 3)
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(5, 10))))
+    tracemalloc.start()
+    try:
+        out, trace = pm.marginal_sweep(plan, cloud, pm.Elastic(), pm.DescentConfig(max_sweeps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert trace.energies[-1] <= trace.energies[0]
+    assert np.isfinite(trace.energies).all()
 
 
 def test_symmetric_marginal_has_two_minimizers():
