@@ -40,8 +40,8 @@ from .energy import (
     stress_plan,
 )
 from .quartic import (
+    LiftedMoments,
     MarginalSolution,
-    MomentSet,
     QuarticMarginal,
     compute_moments,
     level_set_grid,
@@ -70,7 +70,7 @@ __all__ = [
     "determinism_report", "marginal_grad", "marginal_hessian", "marginal_value",
     "oscillation_experiment", "perturbation_split", "reported_stress", "stress_map",
     "stress_plan",
-    "MarginalSolution", "MomentSet", "QuarticMarginal", "compute_moments",
+    "LiftedMoments", "MarginalSolution", "QuarticMarginal", "compute_moments",
     "level_set_grid", "minimize_quartic", "quartic_at", "select_minimizer",
     "DescentConfig", "IterationTrace", "marginal_sweep", "minimize_marginal",
     "particle_descent", "pca_solve",

@@ -26,7 +26,7 @@ from .energy import determinism_report, reported_stress
 from .experiments import (EXPERIMENTS, ExperimentReport, run_experiment, runner_parameters,
                           save_embedding_csv)
 from .optim import DescentConfig, _initial_images, marginal_sweep, particle_descent
-from .quartic import MomentSet, level_set_grid, save_levelset_csv
+from .quartic import LiftedMoments, level_set_grid, save_levelset_csv
 from . import svgplot
 
 
@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
     p_exp.add_argument("name", choices=list(EXPERIMENTS))
     p_lvl = sub.add_parser("levelset", help="level sets from serialized moments")
-    p_lvl.add_argument("moments", help="MomentSet JSON file")
+    p_lvl.add_argument("moments", help="lifted-moments JSON file, as the stacked-pair experiment "
+                                       "writes (S, Phi, b, Cxx, s1, s2, a1, x_mean, y_mean)")
     for command, p in (("embed", p_embed), ("experiment", p_exp), ("levelset", p_lvl)):
         for key, opt in OPTIONS[command].items():
             p.add_argument(_flag(key), help=opt.help if opt.default is None
@@ -192,7 +193,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_levelset(args) -> int:
     cfg = _merge_config(args, OPTIONS["levelset"])
-    moments = MomentSet.from_json(args.moments)
+    moments = LiftedMoments.from_json(args.moments)
     grid = level_set_grid(moments, cfg["region"], cfg["res"])
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)

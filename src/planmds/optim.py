@@ -359,8 +359,7 @@ class _AttractionRepulsion:
         return P, val, grad
 
 
-def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
-                      extra_starts=()) -> MarginalSolution:
+def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
     """Global minimizer of an attraction-repulsion marginal, by spatial branch and bound.
 
     With a_b = |x - x_b|^2, wk_b = m_b attraction(a_b), wr_b = m_b repulsion(a_b)
@@ -370,13 +369,14 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
 
     with c the wk-mean of the atoms (see _AttractionRepulsion); the search
     is the classical one of Horst & Tuy (1996).  The incumbent value U
-    starts as the least value at the atoms, at extra_starts (the sweep's old
-    atom) and at c, the best REFINED_STARTS of them refined by Newton steps.
+    starts as the least value at the atoms (the sweep's old atom among them)
+    and at c, the best REFINED_STARTS of them refined by Newton steps.
     Every point with J <= U lies in K |y - c|^2 <= U - q0, so the search
     starts from the cube about c of that half-width, cut into cells^m equal
-    boxes, with cells the largest number up to ROOT_CELLS for which they fit
-    in BOX_BUDGET (the first rounds of halving would prune none).  A box is
-    bounded below by the largest of
+    boxes, with cells the largest number up to ROOT_CELLS for which there
+    are at most ROOT_CELLS^3, the m = 3 cut: the first rounds of halving
+    would prune none, and at high m a finer cut costs more time and memory
+    than the search it saves.  A box is bounded below by the largest of
       (i) K dist^2(c, box) + q0 + sum_b wr_b exp(-farthest^2(y_b, box));
       (ii) J(mid) + the minimum over the box of g.d + lam |d|^2 / 2, with g the
            gradient at the midpoint and lam a lower bound of the Hessian's
@@ -393,11 +393,10 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     Past BOX_BUDGET boxes, or where the root cube's half-width overflows,
     the best of the incumbent and of Newton steps from every start is
     returned uncertified; when K = 0, and J, which then tends to its infimum
-    0 far from the atoms, has no minimizer, the best start is.  config is not
-    read: the search draws no random start.
+    0 far from the atoms, has no minimizer, the best atom is.  The search
+    draws no random start.
     """
     m = atoms.shape[1]
-    starts = np.concatenate([atoms, np.reshape(np.asarray(extra_starts, dtype=float), (-1, m))])
     objective = _marginal_objective(X, mass, atoms, cost, x)
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -413,13 +412,13 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
         return MarginalSolution([y], objective(y)[0], "unique", certified=False)
 
     if K == 0.0:
-        return uncertified(min(starts, key=lambda y: objective(y)[0]))
+        return uncertified(min(atoms, key=lambda y: objective(y)[0]))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         c = np.sum(wk[:, None] * atoms, axis=0) / K
     if not np.isfinite(c).all():
         raise NumericalError("non-finite attraction mean: coordinates too large")
     J = _AttractionRepulsion(atoms - c, wk, wr)
-    P = np.concatenate([starts - c, J.cz[None, :]])
+    P = np.concatenate([atoms - c, J.cz[None, :]])
     val = J.evaluate(P)[0]
     best = int(np.argmin(val))
     U, y_best = float(val[best]), P[best]
@@ -433,7 +432,7 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
     if not math.isfinite(R):
         return settle(np.full((1, m), -np.inf), np.full((1, m), np.inf))
     cells = ROOT_CELLS
-    while cells > 1 and cells ** m > BOX_BUDGET:
+    while cells > 1 and cells ** m > ROOT_CELLS ** 3:
         cells -= 1
     edges = J.cz + R * np.linspace(-1.0, 1.0, cells + 1)[:, None]
     root_lo, root_hi = edges[:1], edges[-1:]
@@ -497,8 +496,7 @@ def _generic_solution(X, mass, atoms, cost, x, config: DescentConfig,
                             "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
 
 
-def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
-                           extra_starts=()) -> MarginalSolution:
+def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
     """Solve the marginal problem at x with the path its cost's profile allows.
 
     A profile (a - t)^2 * omega(a) makes the marginal sum_a w_a (a_a - t_a(y))^2
@@ -510,7 +508,7 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
     bound of _generic_solution, certified to its gap.
     """
     if cost.quadratic_scale is None:
-        return _generic_solution(X, mass, atoms, cost, x, config, extra_starts)
+        return _generic_solution(X, mass, atoms, cost, x)
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
     w = mass / cost.quadratic_scale(a)
     if cost.kind == "IP":
@@ -542,8 +540,8 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, config: DescentConfig,
                    value=W * s**4 * sol.value)
 
 
-def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x,
-                      config: DescentConfig = None) -> MarginalSolution:
+def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
+                      x) -> MarginalSolution:
     """Global minimizer of the marginal problem at x.
 
     Certified for every built-in cost: exactly for a quadratic profile (see
@@ -551,9 +549,7 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, 
     one, which is uncertified only past its box budget or where the marginal
     has no minimizer.
     """
-    if config is None:
-        config = DescentConfig()
-    return _solve_marginal_arrays(*_plan_arrays(plan, cloud), cost, x, config)
+    return _solve_marginal_arrays(*_plan_arrays(plan, cloud), cost, x)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +728,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if sums is not None:
                     y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
                 else:
-                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, config,
-                                                 extra_starts=(y_old,))
+                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x)
                     y_new = select_minimizer(sol).tolist()
                     j_old, j_new = values(x, (y_old, y_new))
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):

@@ -19,11 +19,10 @@ repeated).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,88 +32,7 @@ EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
 RESIDUAL_TOL = 1e-8   # stationarity residual of returned minimizers, per unit of gradient scale
 POLISH_ITERS = 40     # Newton steps at most on each returned minimizer
 _PHI_TOL = 1e-11      # relative threshold for treating a phi component as zero
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Plan moments determining the quartic marginal at every x.
-
-    Computed after translating atoms (and source points) to zero mean; the
-    stored means let callers map solutions back to original coordinates.
-    """
-
-    S: np.ndarray
-    Phi: np.ndarray
-    b: np.ndarray
-    Cxx: np.ndarray
-    s1: float
-    s2: float
-    a1: np.ndarray
-    x_mean: np.ndarray
-    y_mean: np.ndarray
-
-    @property
-    def dim_m(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def dim_d(self) -> int:
-        return self.Cxx.shape[0]
-
-    @functools.cached_property
-    def lifted(self) -> list:
-        """The lifted moments F about (x_mean, y_mean) whose blocks these fields are, as rows."""
-        m, d = self.dim_m, self.dim_d
-        F = np.zeros((2 + m + d, 2 + m + d))
-        F[0, 0] = 1.0
-        F[0, 1] = F[1, 0] = self.s1
-        F[1, 1] = self.s2
-        F[1, 2:2 + m] = F[2:2 + m, 1] = self.b
-        F[1, 2 + m:] = F[2 + m:, 1] = self.a1
-        F[2:2 + m, 2:2 + m] = 0.25 * (self.S + self.S.T) - 0.5 * self.s1 * np.eye(m)
-        F[2:2 + m, 2 + m:] = self.Phi
-        F[2 + m:, 2:2 + m] = self.Phi.T
-        F[2 + m:, 2 + m:] = self.Cxx
-        return F.tolist()
-
-    def to_json(self, path) -> None:
-        payload = {
-            "S": self.S.tolist(),
-            "Phi": self.Phi.tolist(),
-            "b": self.b.tolist(),
-            "Cxx": self.Cxx.tolist(),
-            "s1": self.s1,
-            "s2": self.s2,
-            "a1": self.a1.tolist(),
-            "x_mean": self.x_mean.tolist(),
-            "y_mean": self.y_mean.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "MomentSet":
-        payload = _read_json(path)
-        try:
-            moments = cls(**{f.name: float(payload[f.name]) if f.type == "float"
-                             else np.array(payload[f.name], dtype=float) for f in fields(cls)})
-        except KeyError as exc:
-            raise InputError(f"{path}: missing moment field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed moment field ({exc})") from None
-        m = moments.S.shape[0] if moments.S.ndim else 0
-        d = moments.Cxx.shape[0] if moments.Cxx.ndim else 0
-        shapes = {"S": (m, m), "Phi": (m, d), "b": (m,), "Cxx": (d, d),
-                  "a1": (d,), "x_mean": (d,), "y_mean": (m,)}
-        bad = [name for name, shape in shapes.items() if getattr(moments, name).shape != shape]
-        if bad:
-            raise InputError(f"{path}: moment field(s) {', '.join(bad)} do not fit "
-                             f"S ({m}x{m}) and Cxx ({d}x{d})")
-        bad = [f.name for f in fields(cls) if not np.isfinite(getattr(moments, f.name)).all()]
-        if bad:
-            raise InputError(f"{path}: non-finite moment field(s) {', '.join(bad)}")
-        return moments
+_JSON_FIELDS = ("S", "Phi", "b", "Cxx", "s1", "s2", "a1", "x_mean", "y_mean")   # s1, s2 scalars
 
 
 def _residual_form(m: int, d: int) -> np.ndarray:
@@ -141,14 +59,12 @@ class LiftedMoments:
     rounding in them would cost digits (and depend on the BLAS).  F is kept as
     a list of rows of Python floats: a sweep step (step, then move_lifted)
     reads it and updates it once, and at (d+m+2)^2 entries Python float
-    arithmetic beats numpy calls.
+    arithmetic beats numpy calls.  to_json and from_json write and read the
+    blocks of F about the current means.
     """
 
     def __init__(self, X: np.ndarray, mass: np.ndarray, atoms: np.ndarray):
-        self.x0 = mass @ X
-        self.y0 = mass @ atoms
-        self.dim_m = atoms.shape[1]
-        self.P = _residual_form(self.dim_m, X.shape[1])
+        self._set_origin(mass @ X, mass @ atoms)
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             f = self._features(X, atoms)
             i, j = np.triu_indices(f.shape[1])
@@ -163,7 +79,13 @@ class LiftedMoments:
         F[i, j] = sums
         F[j, i] = sums
         self.F = F.tolist()
-        self._y0 = self.y0.tolist()
+
+    def _set_origin(self, x0: np.ndarray, y0: np.ndarray) -> None:
+        self.x0, self.y0, self._y0, self.dim_m = x0, y0, y0.tolist(), len(y0)
+
+    @property
+    def dim_d(self) -> int:
+        return len(self.x0)
 
     def _features(self, X, atoms) -> np.ndarray:
         Y = atoms - self.y0
@@ -229,8 +151,13 @@ class LiftedMoments:
         return (y.tolist(), certified, _centred_value(Psi, phi, zeta, np.array(y_old) - shift),
                 _centred_value(Psi, phi, zeta, y - shift))
 
-    def moment_set(self) -> MomentSet:
-        """The centred moment set, by an exact change of origin to the current means."""
+    def to_json(self, path) -> None:
+        """Write F about the current means, by an exact change of origin, as its blocks.
+
+        About the means F[0, y] and F[0, x] vanish, and the fields are
+        S = 2 F_yy + s1 I, Phi = F_yx, b = F_ry, Cxx = F_xx, s1 = F_0r,
+        s2 = F_rr, a1 = F_rx (r the |y|^2 - |x|^2 feature), x_mean and y_mean.
+        """
         m = self.dim_m
         F = np.array(self.F)
         dy, dx = F[0, 2:2 + m], F[0, 2 + m:]
@@ -242,17 +169,57 @@ class LiftedMoments:
         C = T @ F @ T.T
         C = 0.5 * (C + C.T)
         s1 = float(C[0, 1])
-        return MomentSet(
-            S=2.0 * C[2:2 + m, 2:2 + m] + s1 * np.eye(m),
-            Phi=C[2:2 + m, 2 + m:],
-            b=C[2:2 + m, 1],
-            Cxx=C[2 + m:, 2 + m:],
-            s1=s1,
-            s2=float(C[1, 1]),
-            a1=C[2 + m:, 1],
-            x_mean=self.x0 + dx,
-            y_mean=self.y0 + dy,
-        )
+        payload = {
+            "S": (2.0 * C[2:2 + m, 2:2 + m] + s1 * np.eye(m)).tolist(),
+            "Phi": C[2:2 + m, 2 + m:].tolist(),
+            "b": C[2:2 + m, 1].tolist(),
+            "Cxx": C[2 + m:, 2 + m:].tolist(),
+            "s1": s1,
+            "s2": float(C[1, 1]),
+            "a1": C[2 + m:, 1].tolist(),
+            "x_mean": (self.x0 + dx).tolist(),
+            "y_mean": (self.y0 + dy).tolist(),
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def from_json(cls, path) -> "LiftedMoments":
+        """The moments to_json wrote, as F about their x_mean and y_mean."""
+        payload = _read_json(path)
+        try:
+            v = {name: float(payload[name]) if name in ("s1", "s2")
+                 else np.array(payload[name], dtype=float) for name in _JSON_FIELDS}
+        except KeyError as exc:
+            raise InputError(f"{path}: missing moment field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed moment field ({exc})") from None
+        m = v["S"].shape[0] if v["S"].ndim else 0
+        d = v["Cxx"].shape[0] if v["Cxx"].ndim else 0
+        shapes = {"S": (m, m), "Phi": (m, d), "b": (m,), "Cxx": (d, d),
+                  "a1": (d,), "x_mean": (d,), "y_mean": (m,)}
+        bad = [name for name, shape in shapes.items() if v[name].shape != shape]
+        if bad:
+            raise InputError(f"{path}: moment field(s) {', '.join(bad)} do not fit "
+                             f"S ({m}x{m}) and Cxx ({d}x{d})")
+        bad = [name for name in _JSON_FIELDS if not np.isfinite(v[name]).all()]
+        if bad:
+            raise InputError(f"{path}: non-finite moment field(s) {', '.join(bad)}")
+        F = np.zeros((2 + m + d, 2 + m + d))
+        F[0, 0] = 1.0
+        F[0, 1] = F[1, 0] = v["s1"]
+        F[1, 1] = v["s2"]
+        F[1, 2:2 + m] = F[2:2 + m, 1] = v["b"]
+        F[1, 2 + m:] = F[2 + m:, 1] = v["a1"]
+        F[2:2 + m, 2:2 + m] = 0.25 * (v["S"] + v["S"].T) - 0.5 * v["s1"] * np.eye(m)
+        F[2:2 + m, 2 + m:] = v["Phi"]
+        F[2 + m:, 2:2 + m] = v["Phi"].T
+        F[2 + m:, 2 + m:] = v["Cxx"]
+        moments = cls.__new__(cls)
+        moments._set_origin(v["x_mean"], v["y_mean"])
+        moments.F = F.tolist()
+        return moments
 
     def energy(self) -> tuple[float, float]:
         """The plan energy sum_ab m_a m_b (f_a^T P f_b)^2 = tr(PFPF), and a bound on its rounding.
@@ -266,10 +233,11 @@ class LiftedMoments:
         NumericalError, as moments that overflow do.
         """
         F = np.array(self.F)
-        PF = self.P @ F
+        P = _residual_form(self.dim_m, self.dim_d)
+        PF = P @ F
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             terms = PF * PF.T
-            magnitude = float(np.sum(self.P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
+            magnitude = float(np.sum(P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite lifted energy terms: coordinates too large")
         try:
@@ -321,9 +289,9 @@ def map_objective(X: np.ndarray, w: np.ndarray, m: int):
     return energy, gradient
 
 
-def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> MomentSet:
-    """Single pass over the plan's atoms accumulating all quartic moments."""
-    return moments_from_arrays(*_plan_arrays(plan, cloud)).moment_set()
+def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> LiftedMoments:
+    """The plan's lifted moments, about its atom and point means: one pass over its atoms."""
+    return moments_from_arrays(*_plan_arrays(plan, cloud))
 
 
 @dataclass(frozen=True)
@@ -392,11 +360,11 @@ def _coefficients(F: list, pe: list, m: int):
     return Psi, phi, zeta, mu
 
 
-def quartic_at(moments, x) -> QuarticMarginal:
-    """Assemble (Psi, phi, zeta) at the source point x from a MomentSet or LiftedMoments.
+def quartic_at(moments: LiftedMoments, x) -> QuarticMarginal:
+    """Assemble (Psi, phi, zeta) at the source point x from LiftedMoments.
 
-    Both are lifted moments F about an origin (x0, y0): LiftedMoments as they
-    stand after any moves, a MomentSet about its means.  With v = x - x0,
+    F is about the moments' origin (x0, y0): the means they were built or read
+    at, which moves leave alone.  With v = x - x0,
     u = y - y0 and the lifted point e = (1, -|v|^2, 0, v) of x, the lifted
     feature of (x, y) is e + (0, |u|^2, u, 0), and J = f^T P F P f needs F
     only through g = F P e, with P e = (|v|^2, -1, 0, -2v):
@@ -413,10 +381,7 @@ def quartic_at(moments, x) -> QuarticMarginal:
 
     with y_shift = y0 + mu: O((d+m)^2) Python float operations in all.
     """
-    if isinstance(moments, LiftedMoments):
-        F, x0, y0 = moments.F, moments.x0, moments.y0
-    else:
-        F, x0, y0 = moments.lifted, moments.x_mean, moments.y_mean
+    F, x0, y0 = moments.F, moments.x0, moments.y0
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != len(x0):
         raise InputError(f"x has dimension {x.shape[0]}, moments expect {len(x0)}")
@@ -621,7 +586,7 @@ def _solve_centred(Psi, phi, zeta: float):
     return [y for y, _, _ in polished], kind, certified
 
 
-def level_set_grid(moments: MomentSet, region, resolution: int):
+def level_set_grid(moments: LiftedMoments, region, resolution: int):
     """Evaluate the selected marginal minimizer on a 2-d grid of source points.
 
     region is ((x1_min, x1_max), (x2_min, x2_max)); requires d=2 inputs and

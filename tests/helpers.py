@@ -81,13 +81,12 @@ def multistart_oracle(qm, rng, starts: int = 20) -> float:
     return best
 
 
-def multistart_marginal_oracle(X, mass, atoms, cost, x, config, extra_starts=()):
+def multistart_marginal_oracle(X, mass, atoms, cost, x, config):
     """Lowest marginal value L-BFGS-B reaches from the heaviest atoms and random starts.
 
     The best-effort local search that once solved every non-quadratic
-    marginal: 8 plan-atom starts, extra_starts, and 4 random ones drawn from
-    config.seed.  Independent of the marginal solvers; an upper bound on the
-    global minimum.
+    marginal: 8 plan-atom starts and 4 random ones drawn from config.seed.
+    Independent of the marginal solvers; an upper bound on the global minimum.
     """
     from scipy.optimize import minimize as sp_min
 
@@ -97,7 +96,6 @@ def multistart_marginal_oracle(X, mass, atoms, cost, x, config, extra_starts=())
     m = atoms.shape[1]
     order = np.argsort(mass)[::-1]
     starts = [atoms[j] for j in order[:8]]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
     rng = np.random.default_rng(config.seed)
     scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
     for _ in range(4):

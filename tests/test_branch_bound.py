@@ -181,9 +181,10 @@ def test_box_bounds_hold_at_sampled_points(m):
 
 
 def test_high_dimension_sweep_keeps_memory_bounded():
-    # at m = 10 the first cut is 3^10 boxes, the most that fit in BOX_BUDGET,
-    # where 4^10 took about 340 MB before any box was bounded; boxes are
-    # bounded and Newton-stepped in tiles, and the energy does not rise
+    # at m = 10 the first cut is the root cube alone (2^10 boxes exceed the
+    # m = 3 cut), where 4^10 boxes took about 340 MB before any box was
+    # bounded; boxes are bounded and Newton-stepped in tiles, and the energy
+    # does not rise
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, 5, 3)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(5, 10))))
@@ -196,6 +197,24 @@ def test_high_dimension_sweep_keeps_memory_bounded():
     assert peak < 100e6
     assert trace.energies[-1] <= trace.energies[0]
     assert np.isfinite(trace.energies).all()
+
+
+def test_first_cut_is_at_most_the_m3_cut(monkeypatch):
+    # the first bounds call of an m = 10 solve gets at most ROOT_CELLS^3 = 64
+    # boxes: none of a first cut is pruned before it is bounded, so a finer
+    # one (3^10 = 59049 boxes fit in BOX_BUDGET) costs time and memory for nothing
+    rng = np.random.default_rng(0)
+    cloud = random_cloud(rng, 5, 3)
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(5, 10))))
+    bounds, boxes = optim._AttractionRepulsion.bounds, []
+
+    def counted(self, lo, hi):
+        boxes.append(len(lo))
+        return bounds(self, lo, hi)
+
+    monkeypatch.setattr(optim._AttractionRepulsion, "bounds", counted)
+    minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0])
+    assert 1 <= boxes[0] <= optim.ROOT_CELLS ** 3 == 64
 
 
 def test_symmetric_marginal_has_two_minimizers():

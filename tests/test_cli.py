@@ -586,23 +586,33 @@ def test_elastic_embed_identical_across_blas_threads_and_seeds(tmp_path):
     assert files["1", "1"] == files["2", "1"] == files["1", "2"] == files["2", "2"]
 
 
-def test_experiment_outputs_identical_across_blas_thread_counts(tmp_path):
-    # circle-clusters, whose reported stresses come from lifted moments, writes
-    # the same report and CSV bytes with 1 and 2 BLAS threads
+@pytest.mark.parametrize("argv", [
+    ["circle-clusters", "--cluster-size", "10", "--seed", "3"],
+    ["stacked-pair"],
+], ids=lambda argv: argv[0])
+def test_experiment_outputs_identical_across_blas_thread_counts(tmp_path, argv):
+    # circle-clusters, whose reported stresses come from lifted moments, and
+    # stacked-pair, with `planmds levelset` on the moments file it writes,
+    # write the same report, CSV and SVG bytes with 1 and 2 BLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
+    experiment = argv[0]
+    commands = [["experiment", *argv, "--outdir", "out"]]
+    if experiment == "stacked-pair":
+        commands.append(["levelset", "out/stacked-pair-moments.json", "--out", "out"])
     files = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run_dir = tmp_path / threads
         run_dir.mkdir()
-        subprocess.run(
-            [sys.executable, "-m", "planmds.cli", "experiment", "circle-clusters",
-             "--cluster-size", "10", "--seed", "3", "--outdir", "out"],
-            cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
+        for command in commands:
+            subprocess.run([sys.executable, "-m", "planmds.cli", *command],
+                           cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
         out = run_dir / "out"
         files[threads] = {name: (out / name).read_bytes()
                           for name in sorted(os.listdir(out))
-                          if name.endswith((".json", ".csv"))}
-    assert "circle-clusters-report.json" in files["1"]
+                          if name.endswith((".json", ".csv", ".svg"))}
+    assert f"{experiment}-report.json" in files["1"]
+    if experiment == "stacked-pair":
+        assert "stacked-pair-moments-levelset.csv" in files["1"]
     assert files["1"] == files["2"]

@@ -98,7 +98,7 @@ def test_moment_energy_matches_pair_energy(plan):
 
 @SETTINGS
 @given(flat_plans(), st.data())
-def test_quartic_values_after_moves_match_marginal_value(plan, data):
+def test_quartic_values_after_moves_match_marginal_value(tmp_path_factory, plan, data):
     X, mass, atoms, x_off, y_off = plan
     sums = LiftedMoments(X + x_off, mass, atoms + y_off)
     atoms = atoms.copy()
@@ -109,7 +109,10 @@ def test_quartic_values_after_moves_match_marginal_value(plan, data):
         y_new = atoms[b] if data.draw(st.booleans()) else atoms[a] + 0.5
         sums.move(X[a] + x_off, atoms[a] + y_off, y_new + y_off, mass[a])
         atoms[a] = y_new
-    qm = quartic_at(sums.moment_set(), X[0] + x_off)
+    # through the JSON fields, so by the exact change of origin to the moved means
+    path = tmp_path_factory.getbasetemp() / "moved-moments.json"
+    sums.to_json(path)
+    qm = quartic_at(LiftedMoments.from_json(path), X[0] + x_off)
     # moves leave F about the origin it was built at, so its rounding scales
     # with the spread about that origin, not about the moved means
     spread = _spread(X, mass, atoms, sums.x0 - x_off, sums.y0 - y_off)
@@ -209,13 +212,9 @@ def test_reported_stress_matches_pairwise_oracles(monkeypatch):
 
 
 @SETTINGS
-@given(clouds_and_plans(max_offset=1e3), st.data())
+@given(clouds_and_plans(), st.data())
 def test_lifted_marginal_after_moves_matches_fresh_moments(case, data):
-    """The marginal read from moved lifted moments equals the one from moments built afresh.
-
-    Offsets stop at 1e3 because the reference, a MomentSet, holds its means
-    in absolute coordinates, rounded to the ulp of the offset.
-    """
+    """The marginal read from moved lifted moments equals the one from moments built afresh."""
     cloud, plan = case
     idx, mass, atoms = plan.flat()
     X, atoms = cloud.points[idx], atoms.copy()
@@ -238,9 +237,15 @@ def test_lifted_marginal_after_moves_matches_fresh_moments(case, data):
     assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * s**1.5
     assert abs(got.zeta - want.zeta) <= 1e-12 * s**2
     # the shift to the atom mean leaves no cubic term in the exact marginal:
-    # along a unit u, [J(c+2u) - J(c-2u)] - 2 [J(c+u) - J(c-u)] = 12 a3
-    c, u = got.y_shift, np.ones(len(y_mean)) / np.sqrt(len(y_mean))
-    J = [_marginal_value_arrays(X, mass, atoms, QMDS, x, c + t * u) for t in (2, -2, 1, -1)]
+    # along a unit u, [J(c+2u) - J(c-2u)] - 2 [J(c+u) - J(c-u)] = 12 a3.  The
+    # oracle sees the plan translated, exactly, to the moments' origin (qmds
+    # is translation invariant), where the shift y_shift = y0 + mu is
+    # c = mu = F[0, y]: far from the origin, c +- t u would round to the ulp
+    # of the offset.
+    m, u = len(y_mean), np.ones(len(y_mean)) / np.sqrt(len(y_mean))
+    c = np.array(sums.F[0][2:2 + m])
+    Xc, Yc, xc = X - sums.x0, atoms - sums.y0, x - sums.x0
+    J = [_marginal_value_arrays(Xc, mass, Yc, QMDS, xc, c + t * u) for t in (2, -2, 1, -1)]
     assert abs((J[0] - J[1]) - 2.0 * (J[2] - J[3])) / 12.0 <= 1e-12 * (s + 4.0) ** 2
     sol_got, sol_want = minimize_quartic(got), minimize_quartic(want)
     assert sol_got.multiplicity_kind == sol_want.multiplicity_kind

@@ -105,8 +105,7 @@ def test_minimize_marginal_generic_cost_elastic_certified():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 6, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(6, 1))))
-    sol = minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0],
-                            DescentConfig(seed=4))
+    sol = minimize_marginal(plan, cloud, pm.Elastic(), cloud.points[0])
     assert sol.certified
     g = pm.marginal_grad(plan, cloud, pm.Elastic(), cloud.points[0], sol.minimizers[0])
     assert np.linalg.norm(g) < 1e-5

@@ -13,7 +13,6 @@ import planmds as pm
 from planmds.quartic import (
     RESIDUAL_TOL,
     LiftedMoments,
-    MomentSet,
     QuarticMarginal,
     compute_moments,
     level_set_grid,
@@ -31,36 +30,43 @@ def stacked_pair():
     return cloud, plan
 
 
-def test_stacked_pair_moments():
+def moment_fields(moments, tmp_path) -> dict:
+    """The fields to_json writes, as arrays (about the means)."""
+    path = tmp_path / "moments.json"
+    moments.to_json(path)
+    return {k: np.array(v) for k, v in json.loads(path.read_text()).items()}
+
+
+def test_stacked_pair_moments(tmp_path):
     cloud, plan = stacked_pair()
-    mom = compute_moments(plan, cloud)
-    assert mom.S == pytest.approx(np.array([[2.0]]), abs=1e-14)
-    assert mom.Phi == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-14)
-    assert mom.b == pytest.approx(np.array([0.0]), abs=1e-14)
-    assert mom.Cxx == pytest.approx(np.diag([0.0, 1.0]), abs=1e-14)
-    assert mom.s1 == pytest.approx(0.0, abs=1e-14)
-    assert mom.s2 == pytest.approx(0.0, abs=1e-14)
-    assert mom.a1 == pytest.approx(np.zeros(2), abs=1e-14)
+    mom = moment_fields(compute_moments(plan, cloud), tmp_path)
+    assert mom["S"] == pytest.approx(np.array([[2.0]]), abs=1e-14)
+    assert mom["Phi"] == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-14)
+    assert mom["b"] == pytest.approx(np.array([0.0]), abs=1e-14)
+    assert mom["Cxx"] == pytest.approx(np.diag([0.0, 1.0]), abs=1e-14)
+    assert mom["s1"] == pytest.approx(0.0, abs=1e-14)
+    assert mom["s2"] == pytest.approx(0.0, abs=1e-14)
+    assert mom["a1"] == pytest.approx(np.zeros(2), abs=1e-14)
 
 
-def test_moments_when_all_atoms_at_zero():
+def test_moments_when_all_atoms_at_zero(tmp_path):
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, 5, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(np.zeros((5, 2))))
-    mom = compute_moments(plan, cloud)
+    mom = moment_fields(compute_moments(plan, cloud), tmp_path)
     xc = cloud.points - cloud.mean()
     expected = -float(np.sum(cloud.weights * np.sum(xc * xc, axis=1)))
-    assert mom.S == pytest.approx(expected * np.eye(2), abs=1e-12)
-    assert np.allclose(mom.Phi, 0.0, atol=1e-14)
-    assert np.allclose(mom.b, 0.0, atol=1e-14)
+    assert mom["S"] == pytest.approx(expected * np.eye(2), abs=1e-12)
+    assert np.allclose(mom["Phi"], 0.0, atol=1e-14)
+    assert np.allclose(mom["b"], 0.0, atol=1e-14)
 
 
-def test_moment_eigen_reconstructs_s():
+def test_moment_eigen_reconstructs_s(tmp_path):
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, 6, 3)
     plan = random_plan(rng, cloud, 2)
-    mom = compute_moments(plan, cloud)
-    assert np.allclose(mom.S, mom.S.T, atol=1e-12)
+    mom = moment_fields(compute_moments(plan, cloud), tmp_path)
+    assert np.allclose(mom["S"], mom["S"].T, atol=1e-12)
 
 
 def test_stacked_pair_coefficients():
@@ -197,12 +203,12 @@ def test_moments_json_round_trip(tmp_path):
     cloud = random_cloud(rng, 6, 2)
     plan = random_plan(rng, cloud, 1)
     mom = compute_moments(plan, cloud)
-    path = tmp_path / "moments.json"
-    mom.to_json(path)
-    loaded = MomentSet.from_json(path)
-    assert np.allclose(loaded.S, mom.S, atol=0)
-    assert np.allclose(loaded.Phi, mom.Phi, atol=0)
-    assert loaded.s2 == mom.s2
+    written = moment_fields(mom, tmp_path)
+    loaded = LiftedMoments.from_json(tmp_path / "moments.json")
+    again = moment_fields(loaded, tmp_path)
+    for name, value in written.items():
+        # S's diagonal is rebuilt as (S - s1) + s1, to rounding
+        assert again[name] == pytest.approx(value, rel=1e-15, abs=1e-15), name
     x = rng.normal(size=2)
     assert quartic_at(loaded, x).zeta == pytest.approx(quartic_at(mom, x).zeta)
 
@@ -211,7 +217,7 @@ def test_moments_json_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(pm.InputError):
-        MomentSet.from_json(path)
+        LiftedMoments.from_json(path)
 
 
 def test_level_set_grid_examples():
@@ -355,4 +361,4 @@ def test_moments_json_nonfinite(tmp_path):
     payload["Phi"][0][1] = float("inf")
     path.write_text(json.dumps(payload))   # written as Infinity
     with pytest.raises(pm.InputError, match="Phi"):
-        MomentSet.from_json(path)
+        LiftedMoments.from_json(path)
