@@ -23,6 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class LiftedMoments:
         select_minimizer(minimize_quartic(quartic_at(self, x))) and its
         QuarticMarginal.value, by the same floating-point operations in the
         same order, with no objects in between: Python floats at m = 1, and
-        numpy only where it does the arithmetic at m >= 2 (eigh, @, dot).
+        lists of them at m >= 2, where np.linalg.eigh is the only numpy call.
         """
         m = self.dim_m
         Psi, phi, zeta, mu = _coefficients(self.F, lifted[1], m)
@@ -145,11 +146,11 @@ class LiftedMoments:
             y = max(y + shift for y in points)
             return ([y], certified, _centred_value(Psi, phi, zeta, y_old[0] - shift),
                     _centred_value(Psi, phi, zeta, y - shift))
-        Psi, phi, shift = np.array(Psi), np.array(phi), self.y0 + np.array(mu)
+        shift = list(map(operator.add, self._y0, mu))
         points, _, certified = _minimize_centred(Psi, phi, zeta)
-        y = max((y + shift for y in points), key=tuple)
-        return (y.tolist(), certified, _centred_value(Psi, phi, zeta, np.array(y_old) - shift),
-                _centred_value(Psi, phi, zeta, y - shift))
+        y = max(list(map(operator.add, y, shift)) for y in points)
+        return (y, certified, _centred_value(Psi, phi, zeta, list(map(operator.sub, y_old, shift))),
+                _centred_value(Psi, phi, zeta, list(map(operator.sub, y, shift))))
 
     def to_json(self, path) -> None:
         """Write F about the current means, by an exact change of origin, as its blocks.
@@ -319,7 +320,8 @@ class QuarticMarginal:
         if y.shape[0] == 1:
             return _centred_value(float(self.Psi[0, 0]), float(self.phi[0]), self.zeta,
                                   float(y[0]) - float(self.y_shift[0]))
-        return _centred_value(self.Psi, self.phi, self.zeta, y - self.y_shift)
+        return _centred_value(self.Psi.tolist(), self.phi.tolist(), self.zeta,
+                              list(map(operator.sub, y.tolist(), self.y_shift.tolist())))
 
     def grad(self, y) -> np.ndarray:
         yc = np.asarray(y, dtype=float).reshape(-1) - self.y_shift
@@ -327,12 +329,16 @@ class QuarticMarginal:
 
 
 def _centred_value(Psi, phi, zeta: float, y) -> float:
-    """J at the centred point y: Psi, phi and y are Python floats at m = 1, numpy arrays otherwise."""
+    """J at the centred point y: Python floats at m = 1; otherwise Psi as rows, phi and y as lists of them."""
     if isinstance(phi, float):
         s = y * y
         return s * s - 2.0 * (y * Psi * y) - 4.0 * (phi * y) + zeta
-    s = float(np.dot(y, y))
-    return s * s - 2.0 * float(y @ Psi @ y) - 4.0 * float(phi @ y) + zeta
+    s = yPy = phiy = 0.0
+    for yi, row, fi in zip(y, Psi, phi):
+        s += yi * yi
+        yPy += yi * sum(map(operator.mul, row, y))
+        phiy += fi * yi
+    return s * s - 2.0 * yPy - 4.0 * phiy + zeta
 
 
 def _lifted_point(v: list, m: int) -> list:
@@ -351,8 +357,8 @@ def _coefficients(F: list, pe: list, m: int):
     for j, (mj, row, gj) in enumerate(zip(mu, F[2:2 + m], g[2:2 + m])):
         Fj = row[2:2 + m]
         kj = sum(map(mul, Fj, mu))
-        Psi.append([2.0 * mj * ml - 2.0 * f + (diag if j == l else 0.0)
-                    for l, (ml, f) in enumerate(zip(mu, Fj))])
+        Psi.append([2.0 * mj * ml - 2.0 * f for ml, f in zip(mu, Fj)])
+        Psi[j][j] += diag
         phi.append(b * mj - 2.0 * kj - gj)
         k.append(kj)
     zeta = (-3.0 * a * a - 2.0 * g0 * a + 4.0 * sum(map(mul, mu, k))
@@ -427,9 +433,11 @@ def _polish(Psi, phi, y):
     A step is kept only when it lowers the gradient norm, so a point near a
     singular Hessian (a sphere of minimizers) is never made worse, and the
     norm is inf only when the gradient at the start is not finite.  At m = 1
-    Psi, phi and y are Python floats.
+    Psi, phi and y are Python floats; otherwise Psi is a list of rows and phi
+    and y are lists, and only the rare Newton step itself calls numpy.
     """
     scalar = isinstance(y, float)
+    mul = operator.mul
     best = (y, math.inf, 0.0)
     for _ in range(POLISH_ITERS + 1):
         if scalar:
@@ -437,9 +445,9 @@ def _polish(Psi, phi, y):
             g = 4.0 * (s * y - Psi * y - phi)
             norm = abs(g)
         else:
-            s = float(np.dot(y, y))
-            g = 4.0 * (s * y - Psi @ y - phi)
-            norm = float(np.linalg.norm(g))
+            s = sum(map(mul, y, y))
+            g = [4.0 * (s * yi - sum(map(mul, row, y)) - fi) for yi, row, fi in zip(y, Psi, phi)]
+            norm = math.hypot(*g)
         if not norm < best[1]:
             break
         best = (y, norm, s)
@@ -451,11 +459,14 @@ def _polish(Psi, phi, y):
                 break
             y = y - g / h
         else:
-            H = 4.0 * (s * np.eye(len(y)) + 2.0 * np.outer(y, y) - Psi)
+            # built in Python floats, which overflow to inf where numpy would warn
+            H = [[4.0 * ((s if i == j else 0.0) + 2.0 * yi * yj - p)
+                  for j, (yj, p) in enumerate(zip(y, row))] for i, (yi, row) in enumerate(zip(y, Psi))]
             try:
-                y = y - np.linalg.solve(H, g)
+                dy = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
-                y = y - np.linalg.lstsq(H, g, rcond=None)[0]
+                dy = np.linalg.lstsq(H, g, rcond=None)[0]
+            y = list(map(operator.sub, y, dy.tolist()))
     return best
 
 
@@ -464,15 +475,24 @@ def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> fl
 
     With gaps g_k > 0, F is convex and decreasing there, so Newton steps from
     a point left of the root climb to it monotonically, with no safeguard.
-    The start is the left end or, at a pole (c_top > 0, lam >= 0),
-    sqrt(c_top/(lam + t_hi)) with t_hi = max(lam, 0) + |phi|^(2/3) - lam:
-    F(t_hi) <= 0, so the root t* <= t_hi, and c_top/t*^2 <= lam + t* puts
-    the start left of t*.
+    The c's sum to |phi|^2, so F(t_hi) <= 0 at t_hi = max(lam, 0) +
+    |phi|^(2/3) - lam and the root t* <= t_hi.  Each term of F is at most
+    lam + t* <= D = max(lam, 0) + |phi|^(2/3) at t*, so t* >= sqrt(c_k/D) - g_k
+    (g = 0 for c_top).  The start is the largest of these bounds and the left
+    end: Newton on a term c/(t+g)^2 far left of the root, as from -lam when
+    lam < 0 is tiny, gains only a factor of about 1.5 a step.
     """
+    terms = list(zip(c, g))
+    if c_top:
+        terms.append((c_top, 0.0))
     t = max(0.0, -lam)
-    if c_top and not t:
-        t = math.sqrt(c_top / (lam + phi2 ** (1.0 / 3.0)))
-    terms = list(zip(c, g)) + ([(c_top, 0.0)] if c_top else [])
+    if phi2:
+        D = max(lam, 0.0) + phi2 ** (1.0 / 3.0)
+        for ck, gk in terms:
+            # a nan bound (lam is nan) stays nan, as max keeps its first argument
+            t = max(math.sqrt(ck / D) - gk, t)
+    if c_top and t == 0.0:   # the start underflowed: lam is beyond 1e301
+        raise NumericalError("quartic marginal minimizer is not finite: coefficients too large")
     for _ in range(100):
         f, df = -lam - t, -1.0
         for ck, gk in terms:
@@ -493,26 +513,32 @@ def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
     """Global minimizers of the quartic marginal (the method is in the module docstring).
 
     Minimizers are in original coordinates, lexicographically descending;
-    the solve itself is _minimize_centred.
+    the solve itself is _minimize_centred, on Python floats.
     """
     if qm.dim_m == 1:
         Psi, phi, shift = float(qm.Psi[0, 0]), float(qm.phi[0]), float(qm.y_shift[0])
         points, kind, certified = _minimize_centred(Psi, phi, qm.zeta)
         minimizers = [np.array([y]) for y in sorted((y + shift for y in points), reverse=True)]
     else:
-        points, kind, certified = _minimize_centred(qm.Psi, qm.phi, qm.zeta)
-        minimizers = sorted((y + qm.y_shift for y in points), key=tuple, reverse=True)
-    return MarginalSolution(minimizers=minimizers, value=min(qm.value(y) for y in minimizers),
+        points, kind, certified = _minimize_centred(qm.Psi.tolist(), qm.phi.tolist(), qm.zeta)
+        shift = qm.y_shift.tolist()
+        minimizers = sorted((np.array(list(map(operator.add, y, shift))) for y in points),
+                            key=tuple, reverse=True)
+    value = min(qm.value(y) for y in minimizers)
+    if not math.isfinite(value):
+        raise NumericalError("quartic marginal minimum is not finite: coefficients too large")
+    return MarginalSolution(minimizers=minimizers, value=value,
                             multiplicity_kind=kind, certified=certified)
 
 
 def _minimize_centred(Psi, phi, zeta: float):
     """(centred minimizers, multiplicity kind, certified) of |y|^4 - 2 y^T Psi y - 4 phi^T y + zeta.
 
-    Psi and phi are Python floats at m = 1 and numpy arrays otherwise, and
-    the minimizers come back in the same form.  In the eigenbasis of Psi the
-    top cluster (the trailing eigenvalues chained by gaps <= EIG_GAP) counts
-    as the one eigenvalue lambda_max, and the rest have gaps
+    Psi and phi are Python floats at m = 1; otherwise Psi is a list of rows
+    and phi a list of Python floats, and np.linalg.eigh is the only numpy
+    call.  The minimizers come back in the same form.  In the eigenbasis of
+    Psi the top cluster (the trailing eigenvalues chained by gaps <= EIG_GAP)
+    counts as the one eigenvalue lambda_max, and the rest have gaps
     g_k = lambda_max - psi_k.  When phi's top-cluster component is
     negligible (at most _PHI_TOL scale, and small enough that ignoring it
     leaves a gradient below RESIDUAL_TOL / 2) and y_rest = phi_rest/g_rest
@@ -521,42 +547,35 @@ def _minimize_centred(Psi, phi, zeta: float):
     is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
     gets Newton steps on the stationarity equation, and the solution is
     certified when every one has a gradient norm <= RESIDUAL_TOL max(1,
-    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale.  At m = 1 the
-    eigenbasis is trivial and the solve and the polish run on Python floats.  A minimizer with a
-    non-finite gradient raises NumericalError, so numpy need not warn of overflow.
+    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale.  Python floats
+    overflow to inf where numpy would warn; a minimizer with a non-finite
+    gradient, or an |phi|^2 that overflows, raises NumericalError.
     """
+    mul = operator.mul
     if isinstance(phi, float):
-        return _solve_centred(Psi, phi, zeta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_centred(Psi, phi, zeta)
-
-
-def _solve_centred(Psi, phi, zeta: float):
-    """The body of _minimize_centred."""
-    scalar = isinstance(phi, float)
-    if scalar:
-        finite = math.isfinite(Psi) and math.isfinite(phi)
-    else:
-        finite = bool(np.isfinite(Psi).all() and np.isfinite(phi).all())
-    if not (finite and math.isfinite(zeta)):
-        raise NumericalError("quartic marginal with non-finite coefficients")
-    if scalar:
+        if not (math.isfinite(Psi) and math.isfinite(phi) and math.isfinite(zeta)):
+            raise NumericalError("quartic marginal with non-finite coefficients")
         # one eigenvalue, so the top cluster holds all of phi and no gaps remain
         phi2, psi_norm = phi * phi, abs(Psi)
         m, V, phih, lam, top, g, c, c_top, rest2 = 1, None, [phi], Psi, 0, [], [], phi2, 0.0
     else:
+        if not (math.isfinite(zeta) and all(map(math.isfinite, chain(phi, *Psi)))):
+            raise NumericalError("quartic marginal with non-finite coefficients")
         m = len(phi)
-        phi2, psi_norm = float(np.dot(phi, phi)), float(np.linalg.norm(Psi))
+        phi2, psi_norm = sum(map(mul, phi, phi)), math.hypot(*map(math.hypot, *Psi))
         psis, V = np.linalg.eigh(Psi)
-        psis, phih = psis.tolist(), (phi @ V).tolist()
+        psis, V = psis.tolist(), V.tolist()   # V as rows: V[i][k] is entry i of eigenvector k
+        phih = [sum(map(mul, phi, v)) for v in zip(*V)]
         lam = psis[-1]
         top = m - 1
         while top and psis[top] - psis[top - 1] <= EIG_GAP:
             top -= 1
         g = [lam - p for p in psis[:top]]
-        c = [f * f for f in phih[:top]]
-        c_top = sum(f * f for f in phih[top:])
-        rest2 = sum(ck / (gk * gk) for ck, gk in zip(c, g))
+        c = list(map(mul, phih[:top], phih[:top]))
+        c_top = sum(map(mul, phih[top:], phih[top:]))
+        rest2 = sum(map(operator.truediv, c, map(mul, g, g)))
+    if phi2 == math.inf:
+        raise NumericalError("quartic marginal minimizer is not finite: |phi|^2 overflows")
     scale = max(1.0, psi_norm, math.sqrt(phi2))
     if c_top <= min(_PHI_TOL * scale, RESIDUAL_TOL / 8.0) ** 2:
         c_top = 0.0
@@ -565,14 +584,18 @@ def _solve_centred(Psi, phi, zeta: float):
         t = _secular_root(c, g, c_top, lam, phi2)
         yh = ([f / (t + gk) for f, gk in zip(phih, g)]
               + [f / t if c_top else 0.0 for f in phih[top:]])
-        points, kind = [yh[0] if scalar else V @ np.array(yh)], "unique"
+        points = [yh[0] if V is None else [sum(map(mul, row, yh)) for row in V]]
+        kind = "unique"
     else:
         r = math.sqrt(lam - rest2)
-        if scalar:
+        if V is None:
             points = [r, -r]
         else:
-            y_rest = V[:, :top] @ np.array([f / gk for f, gk in zip(phih, g)])
-            points = [y_rest + r * V[:, top], y_rest - r * V[:, top]]
+            coef = [f / gk for f, gk in zip(phih, g)]
+            y_rest = [sum(map(mul, row, coef)) for row in V]   # over the first top eigenvectors
+            v_top = [row[top] for row in V]
+            points = [[a + r * b for a, b in zip(y_rest, v_top)],
+                      [a - r * b for a, b in zip(y_rest, v_top)]]
         kind = "continuum" if top < m - 1 else "finite_multiple"
 
     polished = [_polish(Psi, phi, y) for y in points]

@@ -536,28 +536,30 @@ def test_experiment_pca_check(tmp_path):
 
 def test_embed_outputs_identical_across_blas_thread_counts(tmp_path):
     # the same embed in fresh interpreters with 1 and 2 BLAS threads writes
-    # byte-identical embedding, trace and report files
+    # byte-identical embedding, trace and report files; the marginal sweep
+    # at m = 2 and m = 3, where its step calls LAPACK's eigh
     csv = tmp_path / "data.csv"
     rng = np.random.default_rng(5)
     pm.PointCloud(rng.normal(size=(300, 3)) * [2.0, 1.0, 0.5]).save_csv(csv)
     src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
+    runs = [("marginal", "2"), ("particle", "2"), ("marginal", "3")]
     files = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for optimizer in ("marginal", "particle"):
-            run_dir = tmp_path / f"{optimizer}-{threads}"
+        for optimizer, dim in runs:
+            run_dir = tmp_path / f"{optimizer}-{dim}-{threads}"
             run_dir.mkdir()
             subprocess.run(
-                [sys.executable, "-m", "planmds.cli", "embed", str(csv), "--dim", "2",
+                [sys.executable, "-m", "planmds.cli", "embed", str(csv), "--dim", dim,
                  "--optimizer", optimizer, "--seed", "4", "--max-sweeps", "5",
                  "--out", "out"],
                 cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
-            files[optimizer, threads] = [(run_dir / "out" / f"data-{kind}").read_bytes()
-                                         for kind in ("embedding.csv", "trace.csv",
-                                                      "report.json")]
-    for optimizer in ("marginal", "particle"):
-        assert files[optimizer, "1"] == files[optimizer, "2"]
+            files[optimizer, dim, threads] = [(run_dir / "out" / f"data-{kind}").read_bytes()
+                                              for kind in ("embedding.csv", "trace.csv",
+                                                           "report.json")]
+    for optimizer, dim in runs:
+        assert files[optimizer, dim, "1"] == files[optimizer, dim, "2"]
 
 
 def test_elastic_embed_identical_across_blas_threads_and_seeds(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -337,12 +338,11 @@ def test_minimize_rejects_nonfinite_coefficients(Psi, phi, zeta):
         minimize_quartic(qm)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_minimize_rejects_overflowing_minimizer(m):
     # with Psi = I the minimizer is about phi / |phi|^(2/3): at phi = 1e150
-    # it is about 1e50 and solves, at 1e160 the solve overflows (|phi|^2 at
-    # m = 2, the secular root at m = 1) and must raise, not return nan; at
-    # m = 2 without a numpy warning, which tier-1 turns into a failure
+    # it is about 1e50 and solves, at 1e160 |phi|^2 overflows and the solve
+    # must raise NumericalError, not return nan or raise a bare Python error
     with pytest.raises(pm.NumericalError, match="not finite"):
         minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=np.full(m, 1e160), zeta=0.0))
     phi = np.full(m, 1e150)
@@ -362,3 +362,54 @@ def test_moments_json_nonfinite(tmp_path):
     path.write_text(json.dumps(payload))   # written as Infinity
     with pytest.raises(pm.InputError, match="Phi"):
         LiftedMoments.from_json(path)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lam", [-1e-20, -1e-60, -1e-200])
+def test_secular_root_starts_near_root_for_tiny_negative_lambda(m, lam):
+    # Psi = lam I with lam < 0 tiny and phi = 1: the root of the secular
+    # equation is near |phi|^(2/3), far right of -lam, where Newton on c/t^2
+    # gains only a factor of about 1.5 a step; a start at -lam ran out of steps
+    qm = QuarticMarginal(Psi=lam * np.eye(m), phi=np.ones(m), zeta=0.0)
+    sol = minimize_quartic(qm)
+    assert sol.certified
+    for y in sol.minimizers:
+        assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
+        assert y == pytest.approx(np.full(m, m ** (-1.0 / 3.0)), rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from(range(-300, 301)),
+       st.sampled_from(range(-300, 301)),
+       st.sampled_from(["generic", "zero", "negative", "repeated"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_minimize_quartic_raises_only_numerical_error(m, psi_exp, phi_exp, top, phi_top, seed):
+    # Psi = V diag(psi) V^T with a generic, zero, negative or repeated top
+    # eigenvalue, and phi with or without a top component, both at
+    # magnitudes 10^k for k in [-300, 300].  Python floats raise
+    # ZeroDivisionError, OverflowError or ValueError where numpy returned inf
+    # or nan: the solve must return finite minimizers and value or raise
+    # NumericalError, and never warn
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    psis = np.sort(rng.normal(size=m))
+    if top == "zero":
+        psis -= psis[-1]
+    elif top == "negative":
+        psis -= psis[-1] + rng.uniform(0.1, 2.0)
+    elif top == "repeated":
+        psis[-2:] = psis[-1]
+    phih = rng.normal(size=m)
+    if not phi_top:
+        phih[-1] = 0.0
+    qm = QuarticMarginal(Psi=(V * psis * 10.0 ** psi_exp) @ V.T,
+                         phi=V @ (phih * 10.0 ** phi_exp), zeta=float(rng.normal()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = minimize_quartic(qm)
+        except pm.NumericalError:
+            return
+    assert np.isfinite(sol.value)
+    for y in sol.minimizers:
+        assert np.isfinite(y).all()
