@@ -34,6 +34,7 @@ from .energy import (
     plan_energy,
 )
 from .quartic import (
+    EPS,
     RESIDUAL_TOL,
     LiftedMoments,
     MarginalSolution,
@@ -57,7 +58,6 @@ BOX_TILE = 1 << 15   # elements (atoms x coordinates + coordinates^2 a row) of o
 NEWTON_STEPS = 16  # damped Newton steps at most per refinement
 REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
 ROOT_CELLS = 4     # boxes per axis the branch and bound's first cube is cut into, at most
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -133,66 +133,85 @@ def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:
 
 
 def _dense_objective(cloud: PointCloud, cost: CostFamily):
-    """Energy and gradient of the map energy from the n x n pairwise matrices."""
+    """map_objective for a cost with no moment form: from the n x n pairwise matrices, one trial a call."""
     w = cloud.weights
     M = np.outer(w, w)
     A = cost.base_matrix(cloud.points, cloud.points)
 
-    def energy(Yc):
-        return float(np.sum(M * cost.profile(A, cost.t_matrix(Yc, Yc))))
+    def evaluate(Ys):
+        (Yc,) = Ys
 
-    def gradient(Yc):
-        T = cost.t_matrix(Yc, Yc)
-        G = M * cost.profile_dt(A, T)
-        if cost.kind == "IP":
-            return 2.0 * G @ Yc
-        return 4.0 * (np.sum(G, axis=1)[:, None] * Yc - G @ Yc)
+        def gradient(j):
+            T = cost.t_matrix(Yc, Yc)
+            G = M * cost.profile_dt(A, T)
+            if cost.kind == "IP":
+                return 2.0 * G @ Yc
+            return 4.0 * (np.sum(G, axis=1)[:, None] * Yc - G @ Yc)
 
-    return energy, gradient
+        return [float(np.sum(M * cost.profile(A, cost.t_matrix(Yc, Yc))))], gradient
+
+    return evaluate, 1
 
 
 @np.errstate(over="ignore", invalid="ignore")   # every energy and gradient norm is checked
 def particle_descent(cloud: PointCloud, cost: CostFamily,
                      config: DescentConfig) -> tuple[DeterministicMap, IterationTrace]:
-    """Gradient descent on particle positions with Armijo backtracking."""
+    """Gradient descent on particle positions with Armijo backtracking.
+
+    Each step tries eta = STEP_SIZE, STEP_SIZE / 2, ... (MAX_HALVINGS trials
+    at most) and takes the first that passes the Armijo test.  The trials
+    are evaluated in batches, one stacked build each (map_objective).  The
+    depth of the accepted trial changes slowly, and often alternates between
+    two neighbours, so a batch reaches as deep as the deeper of the last two
+    accepted trials: one trial at the first step, and for as long as eta =
+    STEP_SIZE passes; at most max_batch.  The trials are read in order and
+    none past the accepted one is read, so the map and trace are those of
+    trying one step length at a time, bit for bit.
+    """
     Y = _initial_images(cloud, config)
     w = cloud.weights
     if cost.has_moment_form:
-        energy, gradient = map_objective(cloud.points, w, Y.shape[1])
+        evaluate, max_batch = map_objective(cloud.points, w, Y.shape[1])
     else:
-        energy, gradient = _dense_objective(cloud, cost)
+        evaluate, max_batch = _dense_objective(cloud, cost)
 
     trace = IterationTrace()
-    E = energy(Y)
-    if not np.isfinite(E):
+    (E,), gradient = evaluate(Y[None])
+    if not math.isfinite(E):
         raise NumericalError("non-finite energy at initialization")
     trace.add(E, 0.0, 0.0)
-    grad = gradient(Y)
+    grad = gradient(0)
+    ladder = [math.ldexp(STEP_SIZE, -k) for k in range(MAX_HALVINGS)]   # STEP_SIZE halved k times
+    batch, depth = 1, 0
     for it in range(config.max_sweeps):
-        gnorm2 = float(np.sum(grad * grad))
+        gnorm2 = float((grad * grad).sum())
         if not math.isfinite(gnorm2):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         if gnorm2 == 0.0:
             break
-        eta = STEP_SIZE
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            Y_new = Y - eta * grad
-            E_new = energy(Y_new)
-            if not np.isfinite(E_new):
-                raise NumericalError(f"non-finite energy at iteration {it}")
-            if E_new <= E - ARMIJO_C * eta * gnorm2:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
+        tried, accepted = 0, None
+        while accepted is None and tried < MAX_HALVINGS:
+            etas = ladder[tried:tried + batch]
+            Ys = Y - np.multiply.outer(etas, grad)
+            energies, gradient = evaluate(Ys)
+            for j, (eta, E_new) in enumerate(zip(etas, energies)):
+                if not math.isfinite(E_new):
+                    raise NumericalError(f"non-finite energy at iteration {it}")
+                if E_new <= E - ARMIJO_C * eta * gnorm2:
+                    accepted = j
+                    break
+            tried += len(etas)
+        if accepted is None:
             break
-        moved = float(np.sum(w * np.linalg.norm(Y_new - Y, axis=1)))
-        Y = Y_new
+        depth, last_depth = tried - len(etas) + accepted, depth
+        batch = min(max(depth, last_depth) + 1, max_batch)
+        D = Ys[accepted] - Y   # the norm of each row as np.linalg.norm takes it, with less overhead
+        moved = float((w * np.sqrt(np.add.reduce(D * D, axis=1))).sum())
+        Y = Ys[accepted]
         improvement = E - E_new
         E = E_new
         trace.add(E, 0.0, moved)
-        grad = gradient(Y)
+        grad = gradient(accepted)
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
     trace.final_grad_norm = float(np.sqrt(np.sum(grad * grad)))

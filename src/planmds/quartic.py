@@ -23,6 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -33,11 +34,13 @@ EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
 RESIDUAL_TOL = 1e-8   # stationarity residual of returned minimizers, per unit of gradient scale
 POLISH_ITERS = 40     # Newton steps at most on each returned minimizer
 _PHI_TOL = 1e-11      # relative threshold for treating a phi component as zero
+EPS = float(np.finfo(float).eps)
 _JSON_FIELDS = ("S", "Phi", "b", "Cxx", "s1", "s2", "a1", "x_mean", "y_mean")   # s1, s2 scalars
 
 
+@lru_cache(maxsize=None)
 def _residual_form(m: int, d: int) -> np.ndarray:
-    """The symmetric P with |x_a-x_b|^2 - |y_a-y_b|^2 = f_a^T P f_b.
+    """The symmetric P with |x_a-x_b|^2 - |y_a-y_b|^2 = f_a^T P f_b, read-only and built once per shape.
 
     f = (1, |y|^2 - |x|^2, y, x) is the lifted feature of an atom (y in R^m,
     x in R^d), so every squared-distance residual matrix has rank <= d+m+2.
@@ -46,7 +49,17 @@ def _residual_form(m: int, d: int) -> np.ndarray:
     P[0, 1] = P[1, 0] = -1.0
     P[2:2 + m, 2:2 + m] = 2.0 * np.eye(m)
     P[2 + m:, 2 + m:] = -2.0 * np.eye(d)
+    P.setflags(write=False)
     return P
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(k: int) -> tuple:
+    """np.triu_indices(k), read-only and built once per k: the entries of F that are summed."""
+    i, j = np.triu_indices(k)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 class LiftedMoments:
@@ -68,7 +81,7 @@ class LiftedMoments:
         self._set_origin(mass @ X, mass @ atoms)
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             f = self._features(X, atoms)
-            i, j = np.triu_indices(f.shape[1])
+            i, j = _upper_triangle(f.shape[1])
             terms = (f[:, i] * f[:, j] * mass[:, None]).T
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite lifted moment terms: coordinates too large")
@@ -140,17 +153,26 @@ class LiftedMoments:
         """
         m = self.dim_m
         Psi, phi, zeta, mu = _coefficients(self.F, lifted[1], m)
+        # minimize_quartic tests the value at every minimizer: a second one only in the hard case
         if m == 1:
             Psi, phi, shift = Psi[0][0], phi[0], self._y0[0] + mu[0]
             points, _, certified = _minimize_centred(Psi, phi, zeta)
             y = max(y + shift for y in points)
-            return ([y], certified, _centred_value(Psi, phi, zeta, y_old[0] - shift),
-                    _centred_value(Psi, phi, zeta, y - shift))
-        shift = list(map(operator.add, self._y0, mu))
+            j_new = _centred_value(Psi, phi, zeta, y - shift)
+            top = j_new if len(points) == 1 else max(
+                _centred_value(Psi, phi, zeta, p + shift - shift) for p in points)
+            return ([y], certified and _not_above_centre(top, zeta),
+                    _centred_value(Psi, phi, zeta, y_old[0] - shift), j_new)
+        add, sub = operator.add, operator.sub
+        shift = list(map(add, self._y0, mu))
         points, _, certified = _minimize_centred(Psi, phi, zeta)
-        y = max(list(map(operator.add, y, shift)) for y in points)
-        return (y, certified, _centred_value(Psi, phi, zeta, list(map(operator.sub, y_old, shift))),
-                _centred_value(Psi, phi, zeta, list(map(operator.sub, y, shift))))
+        y = max(list(map(add, y, shift)) for y in points)
+        j_new = _centred_value(Psi, phi, zeta, list(map(sub, y, shift)))
+        top = j_new if len(points) == 1 else max(
+            _centred_value(Psi, phi, zeta, list(map(sub, list(map(add, p, shift)), shift)))
+            for p in points)
+        return (y, certified and _not_above_centre(top, zeta),
+                _centred_value(Psi, phi, zeta, list(map(sub, y_old, shift))), j_new)
 
     def to_json(self, path) -> None:
         """Write F about the current means, by an exact change of origin, as its blocks.
@@ -254,40 +276,50 @@ def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> L
 
 
 def map_objective(X: np.ndarray, w: np.ndarray, m: int):
-    """Energy and gradient functions of the qmds map energy of images Y (n x m).
+    """The qmds map energy of a stack of trial images, and its gradient at any one of them.
 
-    Both come from the lifted moments F of the map, in O(n (d+m)^2) time and
-    memory: E = tr(PFPF), and the gradient in y_i is 2 w_i grad J(y_i | x_i)
-    with grad J = 4 ((F g)_y - y (F g)_0) at g = P f_i, where _0 is the
-    constant feature.  The x-columns of the features are fixed; `gradient`
-    reuses the moments of the last `energy` call when it was made at the
-    same Y.  Neither checks for overflow: particle descent checks every
-    energy and gradient they return.
+    Returns (evaluate, max_batch).  evaluate(Ys) takes J <= max_batch image
+    arrays Ys (J x n x m) and returns (energies, gradient): an iterable of
+    the J energies as Python floats, each computed when it is read, and
+    gradient(j), the gradient at Ys[j].  Both come from the lifted moments F
+    of each map, in O(J n (d+m)^2) time and memory: E = tr(PFPF), and the
+    gradient in y_i is 2 w_i grad J(y_i | x_i) with grad J = 4 ((F g)_y -
+    y (F g)_0) at g = P f_i, where _0 is the constant feature.  The J maps
+    share one stacked build in which every map gets the operations of a build
+    of its own (each stacked product is one BLAS call per map), so an energy
+    does not depend on the stack it is evaluated in.  max_batch keeps the
+    stacked features within energy._TILE_ELEMENTS.  Nothing checks for
+    overflow: particle descent checks every energy and gradient it reads.
     """
+    from .energy import _TILE_ELEMENTS
+
     n, d = X.shape
-    f = np.empty((n, 2 + m + d))
-    f[:, 0] = 1.0
-    f[:, 2 + m:] = X - w @ X
-    nx = np.sum(f[:, 2 + m:] ** 2, axis=1)
+    k = 2 + m + d
+    base = np.empty((n, k))   # the features' constant and x columns
+    base[:, 0] = 1.0
+    base[:, 2 + m:] = X - w @ X
+    nx = np.sum(base[:, 2 + m:] ** 2, axis=1)
     P = _residual_form(m, d)
     w8 = 8.0 * w[:, None]
-    last = {"Y": None}
+    w_row = w[None, :]
 
-    def energy(Y):
-        Yc = Y - w @ Y
-        f[:, 2:2 + m] = Yc
-        f[:, 1] = np.einsum("ij,ij->i", Yc, Yc) - nx
-        PF = P @ ((f.T * w) @ f)
-        last.update(Y=Y, Yc=Yc, PF=PF)
-        return float(np.vdot(PF, PF.T))
+    def evaluate(Ys):
+        J = len(Ys)
+        Yc = Ys - w_row @ Ys
+        f = np.empty((J, n, k))
+        f[:] = base
+        f[:, :, 2:2 + m] = Yc
+        Y2 = Yc.reshape(J * n, m)
+        f[:, :, 1] = np.einsum("ij,ij->i", Y2, Y2).reshape(J, n) - nx
+        PF = P @ ((f.transpose(0, 2, 1) * w) @ f)
 
-    def gradient(Y):
-        if last["Y"] is not Y:
-            energy(Y)
-        H = f @ last["PF"][:, :2 + m]
-        return w8 * (H[:, 2:] - last["Yc"] * H[:, :1])
+        def gradient(j):
+            H = f[j] @ PF[j, :, :2 + m]
+            return w8 * (H[:, 2:] - Yc[j] * H[:, :1])
 
-    return energy, gradient
+        return (float(np.vdot(A, A.T)) for A in PF), gradient
+
+    return evaluate, max(1, _TILE_ELEMENTS // (n * k))
 
 
 def compute_moments(plan: EmbeddingPlan, cloud: PointCloud) -> LiftedMoments:
@@ -406,9 +438,9 @@ class MarginalSolution:
     "continuum" (a sphere of minimizers in a repeated top eigenspace, of
     which `minimizers` holds two representatives).  `certified` is False when
     global optimality was not established: a quartic minimizer that failed
-    its stationarity or |y|^2 >= lambda_max(Psi) check, a least-squares
-    solve that failed its residual check, or a branch and bound that ran out
-    of boxes or met a marginal with no minimizer.  `gap` is the certified
+    its stationarity, |y|^2 >= lambda_max(Psi) or J(y) <= J(0) check, a
+    least-squares solve that failed its residual check, or a branch and bound
+    that ran out of boxes or met a marginal with no minimizer.  `gap` is the certified
     bound of a branch and bound: no point has a value below value - gap.
     The closed-form solves leave it 0.0.
     """
@@ -524,11 +556,26 @@ def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
         shift = qm.y_shift.tolist()
         minimizers = sorted((np.array(list(map(operator.add, y, shift))) for y in points),
                             key=tuple, reverse=True)
-    value = min(qm.value(y) for y in minimizers)
+    values = [qm.value(y) for y in minimizers]
+    value = min(values)
     if not math.isfinite(value):
         raise NumericalError("quartic marginal minimum is not finite: coefficients too large")
+    certified = certified and all(_not_above_centre(v, qm.zeta) for v in values)
     return MarginalSolution(minimizers=minimizers, value=value,
                             multiplicity_kind=kind, certified=certified)
+
+
+def _not_above_centre(value: float, zeta: float) -> bool:
+    """Whether J(y) = value is at most J(0) = zeta, to the rounding of adding zeta: a global minimizer's test.
+
+    At a stationary y, J(y) - J(0) = -|y|^4 - 2 phi^T y, and phi^T y >= 0 at
+    a global minimizer (J(y) - J(-y) = -8 phi^T y), so there J(y) - J(0) is
+    below minus a third of the sum of the magnitudes of its terms |y|^4,
+    2 y^T Psi y and 4 phi^T y.  The stationarity residual, sized for |y| of
+    about |Psi|^(1/2), passes points with J(y) > J(0) when |y| is far below
+    it; this value test, on the values the callers compute anyway, fails them.
+    """
+    return value - zeta <= 4.0 * EPS * abs(zeta)
 
 
 def _minimize_centred(Psi, phi, zeta: float):
@@ -547,9 +594,10 @@ def _minimize_centred(Psi, phi, zeta: float):
     is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
     gets Newton steps on the stationarity equation, and the solution is
     certified when every one has a gradient norm <= RESIDUAL_TOL max(1,
-    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale.  Python floats
-    overflow to inf where numpy would warn; a minimizer with a non-finite
-    gradient, or an |phi|^2 that overflows, raises NumericalError.
+    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale; the callers,
+    which evaluate J at the minimizers anyway, add _not_above_centre.
+    Python floats overflow to inf where numpy would warn; a minimizer with a
+    non-finite gradient, or an |phi|^2 that overflows, raises NumericalError.
     """
     mul = operator.mul
     if isinstance(phi, float):

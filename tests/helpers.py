@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from planmds import EmbeddingPlan, PointCloud
+from planmds import DeterministicMap, EmbeddingPlan, IterationTrace, NumericalError, PointCloud
 
 
 def random_cloud(rng, n, d) -> PointCloud:
@@ -110,6 +110,98 @@ def multistart_marginal_oracle(X, mass, atoms, cost, x, config):
                 best_v, best_y = float(res.fun), np.asarray(res.x, dtype=float)
     return MarginalSolution(minimizers=[best_y], value=best_v,
                             multiplicity_kind="unique", certified=False)
+
+
+def single_map_objective(X, w, m):
+    """The qmds map energy of one map per build, and the gradient from the same build.
+
+    The moment build of the map objective before trial maps were stacked:
+    every batched energy and gradient must equal it bit for bit.
+    """
+    from planmds.quartic import _residual_form
+
+    n, d = X.shape
+    base = np.empty((n, 2 + m + d))
+    base[:, 0] = 1.0
+    base[:, 2 + m:] = X - w @ X
+    nx = np.sum(base[:, 2 + m:] ** 2, axis=1)
+    P = _residual_form(m, d)
+    w8 = 8.0 * w[:, None]
+
+    def energy(Y):
+        f = base.copy()
+        Yc = Y - w @ Y
+        f[:, 2:2 + m] = Yc
+        f[:, 1] = np.einsum("ij,ij->i", Yc, Yc) - nx
+        PF = P @ ((f.T * w) @ f)
+
+        def gradient():
+            H = f @ PF[:, :2 + m]
+            return w8 * (H[:, 2:] - Yc * H[:, :1])
+
+        return float(np.vdot(PF, PF.T)), gradient
+
+    return energy
+
+
+def serial_particle_descent(cloud, cost, config):
+    """particle_descent trying one step length at a time, each in a build of its own.
+
+    The oracle of the batched Armijo ladder, which must return the same map
+    and trace bit for bit and raise the same errors.  Also returns the index
+    of the trial each step accepted, MAX_HALVINGS where the ladder ran out.
+    """
+    from planmds import optim
+
+    Y = optim._initial_images(cloud, config)
+    w = cloud.weights
+    if cost.has_moment_form:
+        energy = single_map_objective(cloud.points, w, Y.shape[1])
+    else:
+        evaluate, _ = optim._dense_objective(cloud, cost)
+
+        def energy(Y):
+            (E,), gradient = evaluate(Y[None])
+            return E, lambda: gradient(0)
+
+    trace, accepted = IterationTrace(), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, gradient = energy(Y)
+        if not np.isfinite(E):
+            raise NumericalError("non-finite energy at initialization")
+        trace.add(E, 0.0, 0.0)
+        grad = gradient()
+        for it in range(config.max_sweeps):
+            gnorm2 = float(np.sum(grad * grad))
+            if not math.isfinite(gnorm2):
+                raise NumericalError(f"non-finite gradient at iteration {it}")
+            if gnorm2 == 0.0:
+                break
+            eta = optim.STEP_SIZE
+            for k in range(optim.MAX_HALVINGS):
+                Y_new = Y - eta * grad
+                E_new, gradient = energy(Y_new)
+                if not np.isfinite(E_new):
+                    raise NumericalError(f"non-finite energy at iteration {it}")
+                if E_new <= E - optim.ARMIJO_C * eta * gnorm2:
+                    break
+                eta *= 0.5
+            else:
+                accepted.append(optim.MAX_HALVINGS)
+                break
+            accepted.append(k)
+            moved = float(np.sum(w * np.linalg.norm(Y_new - Y, axis=1)))
+            Y = Y_new
+            improvement = E - E_new
+            E = E_new
+            trace.add(E, 0.0, moved)
+            grad = gradient()
+            if improvement <= config.rel_tol * (1.0 + abs(E)):
+                break
+        trace.final_grad_norm = float(np.sqrt(np.sum(grad * grad)))
+    if not math.isfinite(trace.final_grad_norm):
+        raise NumericalError("non-finite gradient at the last iteration")
+    return DeterministicMap(Y), trace, accepted
 
 
 # The writers' per-value formulas from before they formatted whole arrays at

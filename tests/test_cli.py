@@ -537,12 +537,13 @@ def test_experiment_pca_check(tmp_path):
 def test_embed_outputs_identical_across_blas_thread_counts(tmp_path):
     # the same embed in fresh interpreters with 1 and 2 BLAS threads writes
     # byte-identical embedding, trace and report files; the marginal sweep
-    # at m = 2 and m = 3, where its step calls LAPACK's eigh
+    # at m = 2 and m = 3, where its step calls LAPACK's eigh, and particle
+    # descent at m = 2 and m = 3, whose trial maps share stacked products
     csv = tmp_path / "data.csv"
     rng = np.random.default_rng(5)
     pm.PointCloud(rng.normal(size=(300, 3)) * [2.0, 1.0, 0.5]).save_csv(csv)
     src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
-    runs = [("marginal", "2"), ("particle", "2"), ("marginal", "3")]
+    runs = [("marginal", "2"), ("particle", "2"), ("marginal", "3"), ("particle", "3")]
     files = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

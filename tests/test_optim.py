@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planmds as pm
+from planmds import energy, experiments, optim
 from planmds.core import MERGE_TOL
 from planmds.optim import (
+    MAX_HALVINGS,
     DescentConfig,
     _dense_objective,
     _SweepState,
@@ -19,7 +21,7 @@ from planmds.optim import (
     pca_solve,
 )
 
-from helpers import multistart_marginal_oracle, random_cloud, random_plan
+from helpers import multistart_marginal_oracle, random_cloud, random_plan, serial_particle_descent
 
 
 def test_config_validation():
@@ -66,13 +68,119 @@ def test_dense_objective_matches_stress_map_and_marginal_grad(cost):
     cloud = pm.PointCloud(rng.normal(size=(7, 3)), w / w.sum())
     Y = rng.normal(size=(7, 2))
     mapping = pm.DeterministicMap(Y)
-    energy, gradient = _dense_objective(cloud, cost)
-    assert energy(Y) == pytest.approx(pm.stress_map(cloud, mapping, cost), rel=1e-12, abs=0.0)
+    evaluate, max_batch = _dense_objective(cloud, cost)
+    assert max_batch == 1
+    (value,), gradient = evaluate(Y[None])
+    assert value == pytest.approx(pm.stress_map(cloud, mapping, cost), rel=1e-12, abs=0.0)
     plan = pm.plan_from_map(cloud, mapping)
-    grad = gradient(Y)
+    grad = gradient(0)
     for i in range(cloud.n):
         want = 2.0 * cloud.weights[i] * pm.marginal_grad(plan, cloud, cost, cloud.points[i], Y[i])
         assert np.allclose(grad[i], want, rtol=1e-12, atol=1e-14)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _descent_matches_serial_ladder(cloud, config, cost=pm.QMDS()):
+    """particle_descent against the one-trial-a-build ladder: the same map, trace and error, bit for bit.
+
+    Returns the trial each step accepted, or None when both raised.
+    """
+    try:
+        want_map, want, accepted = serial_particle_descent(cloud, cost, config)
+    except pm.NumericalError as exc:
+        with pytest.raises(pm.NumericalError) as info:
+            particle_descent(cloud, cost, config)
+        assert str(info.value) == str(exc)
+        return None
+    mapping, trace = particle_descent(cloud, cost, config)
+    assert mapping.images.tobytes() == want_map.images.tobytes()
+    for name in ("energies", "split_mass", "moved_mass"):
+        assert _bits(getattr(trace, name)) == _bits(getattr(want, name))
+    assert _bits(trace.final_grad_norm) == _bits(want.final_grad_norm)
+    return accepted
+
+
+def _record_batches(monkeypatch) -> list:
+    """The number of trial maps of every moment build particle descent makes from now on."""
+    sizes, map_objective = [], optim.map_objective
+
+    def recording(*args):
+        evaluate, max_batch = map_objective(*args)
+
+        def recorded(Ys):
+            sizes.append(len(Ys))
+            return evaluate(Ys)
+
+        return recorded, max_batch
+
+    monkeypatch.setattr(optim, "map_objective", recording)
+    return sizes
+
+
+def _descent_problem(seed, n, d, m, offset=0.0, max_sweeps=60, rel_tol=1e-9):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, size=n)
+    cloud = pm.PointCloud(rng.normal(size=(n, d)) + offset, w / w.sum())
+    init = pm.DeterministicMap(rng.normal(size=(n, m)) + offset * rng.uniform())
+    return cloud, DescentConfig(max_sweeps=max_sweeps, rel_tol=rel_tol, init=init, dim_m=m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([0.0, 1.0, 1e3, 1e6]), st.integers(1, 80), st.sampled_from([1e-9, 1e-300]))
+@example(5, 7, 1, 1, 0.0, 400, 1e-300)   # ends with MAX_HALVINGS trials failed
+@example(0, 1, 2, 2, 1e6, 10, 1e-9)      # one point: the gradient is exactly zero
+def test_batched_ladder_is_the_serial_ladder(seed, n, d, m, offset, max_sweeps, rel_tol):
+    # the Armijo trials of a step are built in batches, but read one at a time
+    cloud, config = _descent_problem(seed, n, d, m, offset, max_sweeps, rel_tol)
+    _descent_matches_serial_ladder(cloud, config)
+
+
+def test_batched_ladder_edge_cases(monkeypatch):
+    sizes = _record_batches(monkeypatch)
+    # steps past the first batch: an accepted trial deeper than both before it
+    accepted = _descent_matches_serial_ladder(*_descent_problem(0, 12, 3, 2, max_sweeps=30))
+    assert any(b > max(a, c) >= 1 for c, a, b in zip(accepted, accepted[1:], accepted[2:]))
+    assert len(sizes) > len(accepted) + 1 and max(sizes) > 1
+    # every trial of the last step fails
+    accepted = _descent_matches_serial_ladder(
+        *_descent_problem(5, 7, 1, 1, max_sweeps=400, rel_tol=1e-300))
+    assert accepted[-1] == MAX_HALVINGS
+    # a zero gradient ends the descent before any trial
+    accepted = _descent_matches_serial_ladder(*_descent_problem(0, 1, 2, 2))
+    assert accepted == []
+    # the first trial's energy overflows: the same NumericalError as trial by trial
+    cloud, config = _descent_problem(3, 6, 2, 2)
+    cloud = pm.PointCloud(cloud.points * 1e40, cloud.weights)
+    config.init = pm.DeterministicMap(config.init.images * 1e40)
+    assert _descent_matches_serial_ladder(cloud, config) is None
+    with pytest.raises(pm.NumericalError, match="non-finite energy at iteration 0"):
+        particle_descent(cloud, pm.QMDS(), config)
+
+
+def test_ladder_builds_one_trial_while_full_steps_pass(monkeypatch):
+    # particle descent on circle-clusters accepts eta = 1 at every step: one
+    # trial a build, so a large cloud does not pay for trials it never reads
+    sizes = _record_batches(monkeypatch)
+    cloud = experiments.circle_clusters_cloud(0, 10)
+    config = DescentConfig(max_sweeps=3, rel_tol=1e-9, init="random", dim_m=1)
+    assert _descent_matches_serial_ladder(cloud, config) == [0, 0, 0]
+    assert sizes == [1, 1, 1, 1]
+
+
+def test_ladder_batches_fit_the_tile(monkeypatch):
+    # J n (d + m + 2) features at most, and at least one trial a build
+    sizes = _record_batches(monkeypatch)
+    cloud, config = _descent_problem(4, 9, 3, 2, max_sweeps=40)
+    features = 9 * (3 + 2 + 2)
+    for tile in (1, 2 * features, 3 * features):
+        monkeypatch.setattr(energy, "_TILE_ELEMENTS", tile)
+        sizes.clear()
+        _descent_matches_serial_ladder(cloud, config)
+        assert max(sizes) == max(1, tile // features)
 
 
 def test_minimize_marginal_quadratic_ip_eigenmap_fixed_point():

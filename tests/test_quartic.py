@@ -327,6 +327,27 @@ def test_near_hard_case_matches_multistart_oracle(m, repeat, exponent, log_scale
         assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("Psi, phi", [
+    # eigenvalues -7.8e94 and about -2e77, the second below the rounding of
+    # the first; full digits needed (rounded to 5 figures the same call
+    # returns a negative value)
+    ([[-7.711402446717803e94, -9.292051088938894e93],
+      [-9.292051088938894e93, -1.1196693991272656e93]],
+     [1.5511791580082362e74, -8.962203610619637e73]),
+    # phi below the hard case's absolute threshold: +-sqrt(Psi) both come
+    # back, and the one against phi is worse than y = 0
+    ([[1e-11]], [3e-14]),
+], ids=["noise-eigenvalue", "tiny-hard-case"])
+def test_minimizer_above_the_centre_value_is_not_certified(Psi, phi):
+    # the stationarity residual is sized for |y| about |Psi|^(1/2) and passes
+    # these minimizers, far shorter; J(y) > J(0) = zeta shows that one is not
+    # a global minimizer
+    qm = QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=0.0)
+    sol = minimize_quartic(qm)
+    assert max(qm.value(y) for y in sol.minimizers) > qm.zeta
+    assert not sol.certified
+
+
 @pytest.mark.parametrize("Psi, phi, zeta", [
     ([[np.inf]], [0.1], 0.0),
     (np.eye(2), [np.nan, 0.0], 0.0),
