@@ -23,8 +23,8 @@ from .core import (
     plan_from_map,
 )
 from .energy import determinism_report, reported_stress
-from .experiments import (EXPERIMENTS, ExperimentReport, run_experiment, runner_parameters,
-                          save_embedding_csv)
+from .experiments import (EXPERIMENTS, ExperimentReport, _is_json_type, run_experiment,
+                          runner_parameters, save_embedding_csv)
 from .optim import DescentConfig, _initial_images, marginal_sweep, particle_descent
 from .quartic import LiftedMoments, level_set_grid, save_levelset_csv
 from . import svgplot
@@ -85,12 +85,12 @@ def _flag(key: str) -> str:
 def _typed(parse: Callable, raw, where: str, text: bool = False):
     """parse of a flag's text (text=True) or of a config value; where names the source in errors.
 
-    A config value must be the JSON type parse takes: an integer (not a bool)
-    for int, a number for float, a string otherwise.
+    A config value must be the JSON type (_is_json_type) parse takes: int,
+    float, or a string otherwise.
     """
     kind = parse if parse in (int, float) else str
     try:
-        if not (text or type(raw) is kind or kind is float and type(raw) is int):
+        if not (text or _is_json_type(raw, kind)):
             raise ValueError
         return parse(raw)
     except (ValueError, OverflowError):

@@ -271,12 +271,17 @@ def runner_parameters(name: str) -> list:
     return list(inspect.signature(EXPERIMENTS[name], eval_str=True).parameters.values())[2:]
 
 
+def _is_json_type(value, kind: type) -> bool:
+    """Whether a JSON value has the Python type kind: a bool is not an int, and an int is a float."""
+    return type(value) is kind or kind is float and type(value) is int
+
+
 def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentReport:
     """Run a named experiment; writes its artifacts and <name>-report.json under params['outdir'].
 
-    The other params are its runner's keyword parameters, each of the type of
-    its default (a bool is not an int; an int is a float); any other key or
-    type is an InputError, as is a negative seed.
+    The other params are its runner's keyword parameters, each of the JSON
+    type of its default (_is_json_type); any other key or type is an
+    InputError, as is a negative seed.
     """
     if name not in EXPERIMENTS:
         raise InputError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -291,7 +296,7 @@ def run_experiment(name: str, params: dict = None, seed: int = 0) -> ExperimentR
                          f"it takes {', '.join(takes)}")
     for key, val in params.items():
         kind = takes[key]
-        if not (type(val) is kind or kind is float and type(val) is int):
+        if not _is_json_type(val, kind):
             raise InputError(f"experiment {name}: {key} must be {kind.__name__}, got {val!r}")
     report = EXPERIMENTS[name](outdir, int(seed), **params)
     report.to_json(os.path.join(outdir, f"{name}-report.json"))

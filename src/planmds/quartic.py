@@ -143,36 +143,20 @@ class LiftedMoments:
     def step(self, lifted, y_old: list):
         """The sweep's move of the atom at y_old of the source point whose lift() is `lifted`.
 
-        Returns (y_new, certified, j_old, j_new): the selected (lexicographically
-        largest) global minimizer of the marginal there, whether the solve is
-        certified, and the marginal values at y_old and y_new.  These are
-        select_minimizer(minimize_quartic(quartic_at(self, x))) and its
-        QuarticMarginal.value, by the same floating-point operations in the
-        same order, with no objects in between: Python floats at m = 1, and
-        lists of them at m >= 2, where np.linalg.eigh is the only numpy call.
+        Returns (y_new, certified, j_old, j_new): _select's first minimizer
+        and certificate, and the marginal at y_old and y_new.  m = 1 stays on
+        Python floats: as length-1 lists a step takes about 2.4 times as long.
         """
         m = self.dim_m
         Psi, phi, zeta, mu = _coefficients(self.F, lifted[1], m)
-        # minimize_quartic tests the value at every minimizer: a second one only in the hard case
         if m == 1:
             Psi, phi, shift = Psi[0][0], phi[0], self._y0[0] + mu[0]
-            points, _, certified = _minimize_centred(Psi, phi, zeta)
-            y = max(y + shift for y in points)
-            j_new = _centred_value(Psi, phi, zeta, y - shift)
-            top = j_new if len(points) == 1 else max(
-                _centred_value(Psi, phi, zeta, p + shift - shift) for p in points)
-            return ([y], certified and _not_above_centre(top, zeta),
-                    _centred_value(Psi, phi, zeta, y_old[0] - shift), j_new)
-        add, sub = operator.add, operator.sub
-        shift = list(map(add, self._y0, mu))
-        points, _, certified = _minimize_centred(Psi, phi, zeta)
-        y = max(list(map(add, y, shift)) for y in points)
-        j_new = _centred_value(Psi, phi, zeta, list(map(sub, y, shift)))
-        top = j_new if len(points) == 1 else max(
-            _centred_value(Psi, phi, zeta, list(map(sub, list(map(add, p, shift)), shift)))
-            for p in points)
-        return (y, certified and _not_above_centre(top, zeta),
-                _centred_value(Psi, phi, zeta, list(map(sub, y_old, shift))), j_new)
+            u_old = y_old[0] - shift
+        else:
+            shift = list(map(operator.add, self._y0, mu))
+            u_old = list(map(operator.sub, y_old, shift))
+        ys, values, _, certified = _select(Psi, phi, zeta, shift)
+        return [ys[0]] if m == 1 else ys[0], certified, _centred_value(Psi, phi, zeta, u_old), values[0]
 
     def to_json(self, path) -> None:
         """Write F about the current means, by an exact change of origin, as its blocks.
@@ -544,25 +528,37 @@ def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> fl
 def minimize_quartic(qm: QuarticMarginal) -> MarginalSolution:
     """Global minimizers of the quartic marginal (the method is in the module docstring).
 
-    Minimizers are in original coordinates, lexicographically descending;
-    the solve itself is _minimize_centred, on Python floats.
+    Minimizers are in original coordinates, lexicographically descending:
+    _select on the coefficients as Python floats.
     """
     if qm.dim_m == 1:
-        Psi, phi, shift = float(qm.Psi[0, 0]), float(qm.phi[0]), float(qm.y_shift[0])
-        points, kind, certified = _minimize_centred(Psi, phi, qm.zeta)
-        minimizers = [np.array([y]) for y in sorted((y + shift for y in points), reverse=True)]
+        core = float(qm.Psi[0, 0]), float(qm.phi[0]), qm.zeta, float(qm.y_shift[0])
     else:
-        points, kind, certified = _minimize_centred(qm.Psi.tolist(), qm.phi.tolist(), qm.zeta)
-        shift = qm.y_shift.tolist()
-        minimizers = sorted((np.array(list(map(operator.add, y, shift))) for y in points),
-                            key=tuple, reverse=True)
-    values = [qm.value(y) for y in minimizers]
-    value = min(values)
-    if not math.isfinite(value):
-        raise NumericalError("quartic marginal minimum is not finite: coefficients too large")
-    certified = certified and all(_not_above_centre(v, qm.zeta) for v in values)
-    return MarginalSolution(minimizers=minimizers, value=value,
+        core = qm.Psi.tolist(), qm.phi.tolist(), qm.zeta, qm.y_shift.tolist()
+    ys, values, kind, certified = _select(*core)
+    return MarginalSolution(minimizers=[np.array(y, ndmin=1) for y in ys], value=min(values),
                             multiplicity_kind=kind, certified=certified)
+
+
+def _select(Psi, phi, zeta: float, shift):
+    """(minimizers, J at each, kind, certified): the solve and selection of every quartic caller.
+
+    All in _minimize_centred's form, shift being y_shift; the minimizers are
+    shifted and lexicographically descending.  A non-finite minimum raises
+    NumericalError; the certificate adds _not_above_centre of the top value.
+    """
+    points, kind, certified = _minimize_centred(Psi, phi, zeta)
+    if isinstance(phi, float):
+        ys = [y + shift for y in points]
+        ys.sort(reverse=True)
+        values = [_centred_value(Psi, phi, zeta, y - shift) for y in ys]
+    else:
+        ys = [list(map(operator.add, y, shift)) for y in points]
+        ys.sort(reverse=True)
+        values = [_centred_value(Psi, phi, zeta, list(map(operator.sub, y, shift))) for y in ys]
+    if not math.isfinite(min(values)):
+        raise NumericalError("quartic marginal minimum is not finite: coefficients too large")
+    return ys, values, kind, certified and _not_above_centre(max(values), zeta)
 
 
 def _not_above_centre(value: float, zeta: float) -> bool:
@@ -573,7 +569,7 @@ def _not_above_centre(value: float, zeta: float) -> bool:
     below minus a third of the sum of the magnitudes of its terms |y|^4,
     2 y^T Psi y and 4 phi^T y.  The stationarity residual, sized for |y| of
     about |Psi|^(1/2), passes points with J(y) > J(0) when |y| is far below
-    it; this value test, on the values the callers compute anyway, fails them.
+    it; this value test, on the values _select computes anyway, fails them.
     """
     return value - zeta <= 4.0 * EPS * abs(zeta)
 
@@ -581,23 +577,22 @@ def _not_above_centre(value: float, zeta: float) -> bool:
 def _minimize_centred(Psi, phi, zeta: float):
     """(centred minimizers, multiplicity kind, certified) of |y|^4 - 2 y^T Psi y - 4 phi^T y + zeta.
 
-    Psi and phi are Python floats at m = 1; otherwise Psi is a list of rows
-    and phi a list of Python floats, and np.linalg.eigh is the only numpy
-    call.  The minimizers come back in the same form.  In the eigenbasis of
-    Psi the top cluster (the trailing eigenvalues chained by gaps <= EIG_GAP)
-    counts as the one eigenvalue lambda_max, and the rest have gaps
-    g_k = lambda_max - psi_k.  When phi's top-cluster component is
-    negligible (at most _PHI_TOL scale, and small enough that ignoring it
-    leaves a gradient below RESIDUAL_TOL / 2) and y_rest = phi_rest/g_rest
-    has |y_rest|^2 < lambda_max, the minimizers are y_rest +- r v_top with
-    r^2 = lambda_max - |y_rest|^2 (the hard case).  Otherwise the minimizer
-    is unique: y_k = phi_k/(t + g_k) at the secular root t.  Each minimizer
-    gets Newton steps on the stationarity equation, and the solution is
-    certified when every one has a gradient norm <= RESIDUAL_TOL max(1,
-    |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8 scale; the callers,
-    which evaluate J at the minimizers anyway, add _not_above_centre.
-    Python floats overflow to inf where numpy would warn; a minimizer with a
-    non-finite gradient, or an |phi|^2 that overflows, raises NumericalError.
+    Psi and phi, and the minimizers, are Python floats at m = 1 and lists
+    (Psi as rows) otherwise, where np.linalg.eigh is the only numpy call.
+    In the eigenbasis of Psi the top cluster (the trailing eigenvalues
+    chained by gaps <= EIG_GAP) counts as the one eigenvalue lambda_max, and
+    the rest have gaps g_k = lambda_max - psi_k.  When phi's top-cluster
+    component is negligible (at most _PHI_TOL scale, and small enough that
+    ignoring it leaves a gradient below RESIDUAL_TOL / 2) and y_rest =
+    phi_rest/g_rest has |y_rest|^2 < lambda_max, the minimizers are y_rest
+    +- r v_top with r^2 = lambda_max - |y_rest|^2 (the hard case).
+    Otherwise the minimizer is unique: y_k = phi_k/(t + g_k) at the secular
+    root t.  Each minimizer gets Newton steps on the stationarity equation,
+    and the solution is certified when every one has a gradient norm <=
+    RESIDUAL_TOL max(1, |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8
+    scale (_select adds _not_above_centre).  Python floats overflow to inf
+    where numpy would warn; a minimizer with a non-finite gradient, or an
+    |phi|^2 that overflows, raises NumericalError.
     """
     mul = operator.mul
     if isinstance(phi, float):
@@ -662,7 +657,7 @@ def level_set_grid(moments: LiftedMoments, region, resolution: int):
 
     region is ((x1_min, x1_max), (x2_min, x2_max)); requires d=2 inputs and
     scalar (m=1) embeddings.  Returns a list of (x, lambda, count) tuples in
-    row-major order.
+    row-major order: _select at each node of the grid, lifted once.
     """
     if moments.dim_d != 2 or moments.dim_m != 1:
         raise InputError("level sets need 2-d source points and 1-d embeddings")
@@ -671,15 +666,13 @@ def level_set_grid(moments: LiftedMoments, region, resolution: int):
     (x1a, x1b), (x2a, x2b) = region
     if not (x1b > x1a and x2b > x2a):
         raise InputError(f"degenerate region {region!r}")
-    xs1 = np.linspace(x1a, x1b, resolution)
-    xs2 = np.linspace(x2a, x2b, resolution)
+    xs1, xs2 = np.linspace(x1a, x1b, resolution), np.linspace(x2a, x2b, resolution)
+    X = np.column_stack([np.repeat(xs1, resolution), np.tile(xs2, resolution)])
     out = []
-    for u in xs1:
-        for v in xs2:
-            x = np.array([u, v])
-            sol = minimize_quartic(quartic_at(moments, x))
-            lam = float(select_minimizer(sol)[0])
-            out.append((x, lam, len(sol.minimizers)))
+    for x, (_, pe) in zip(X, moments.lift(X)):
+        Psi, phi, zeta, mu = _coefficients(moments.F, pe, 1)
+        ys = _select(Psi[0][0], phi[0], zeta, moments._y0[0] + mu[0])[0]
+        out.append((x, ys[0], len(ys)))
     return out
 
 

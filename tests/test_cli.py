@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -619,3 +620,18 @@ def test_experiment_outputs_identical_across_blas_thread_counts(tmp_path, argv):
     if experiment == "stacked-pair":
         assert "stacked-pair-moments-levelset.csv" in files["1"]
     assert files["1"] == files["2"]
+
+
+def test_only_the_cli_prints():
+    # the library reports through return values and exceptions; cli.py alone writes to the terminal
+    package = os.path.dirname(os.path.abspath(pm.__file__))
+    modules = [name for name in sorted(os.listdir(package)) if name.endswith(".py") and name != "cli.py"]
+    assert "quartic.py" in modules
+    printing = []
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        printing += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "print"]
+    assert not printing

@@ -245,6 +245,37 @@ def test_level_set_grid_counts_double_point():
     assert lam == pytest.approx(0.5, abs=1e-10)
 
 
+def test_level_set_grid_matches_public_path():
+    """Every node is select_minimizer(minimize_quartic(quartic_at(moments, x))), bit for bit.
+
+    The stacked pair's grid runs through its discontinuity on x2 = 0, where
+    nodes with |x1| > sqrt(2) have two minimizers; the random plans have
+    source points and atoms offset by up to 1e3.
+    """
+    def check(mom, region, res):
+        grid = level_set_grid(mom, region, res)
+        xs1, xs2 = np.linspace(*region[0], res), np.linspace(*region[1], res)
+        assert len(grid) == res * res
+        for (x, lam, count), (u, v) in zip(grid, [(u, v) for u in xs1 for v in xs2]):
+            want = np.array([u, v])
+            sol = minimize_quartic(quartic_at(mom, want))
+            assert np.asarray(x).tobytes() == want.tobytes()
+            assert np.float64(lam).tobytes() == select_minimizer(sol)[0].tobytes()
+            assert count == len(sol.minimizers)
+        return [count for _, _, count in grid]
+
+    cloud, plan = stacked_pair()
+    assert check(compute_moments(plan, cloud), ((-2.0, 2.0), (-2.0, 2.0)), 9).count(2) == 4
+    rng = np.random.default_rng(20)
+    for offset in (0.0, 1.0, 37.5, 1e3):
+        cloud = pm.PointCloud(rng.normal(size=(int(rng.integers(2, 9)), 2)) + offset)
+        plan = pm.EmbeddingPlan([(np.full(k, w / k), rng.normal(size=(k, 1)) - offset)
+                                 for w, k in zip(cloud.weights, rng.integers(1, 4, size=cloud.n))])
+        lo = cloud.points.min(axis=0) - 1.0
+        hi = cloud.points.max(axis=0) + 1.0
+        check(compute_moments(plan, cloud), ((lo[0], hi[0]), (lo[1], hi[1])), 12)
+
+
 def test_near_hard_case_top_branch_is_found():
     # phi's component along the top eigenvector of Psi is tiny but not zero:
     # the secular root near psi_max = 1.5 is lost to rounding, and only the
