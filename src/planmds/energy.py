@@ -110,13 +110,15 @@ def stress_plan(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily) -> flo
 # Marginal problem J_pi(y | x)
 # ---------------------------------------------------------------------------
 
-def _marginal_objective(X, mass, atoms, cost, x):
+def _marginal_objective(X, mass, atoms, cost, x, a=None):
     """(value, gradient) of the marginal problem at x, as one function of y.
 
-    The feature-pair statistics base(x, X) are computed once, not per call.
-    A value or gradient that is not finite raises NumericalError.
+    The feature-pair statistics a = base(x, X) are computed once, not per
+    call, and not at all when given.  A value or gradient that is not finite
+    raises NumericalError.
     """
-    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+    if a is None:
+        a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
 
     def objective(y):
         y = np.asarray(y, dtype=float).reshape(-1)

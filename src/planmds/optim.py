@@ -57,7 +57,7 @@ BOX_BUDGET = 1 << 17   # boxes a branch and bound may bound before it returns it
 BOX_TILE = 1 << 15   # elements (atoms x coordinates + coordinates^2 a row) of one chunk of boxes
 NEWTON_STEPS = 16  # damped Newton steps at most per refinement
 REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
-ROOT_CELLS = 4     # boxes per axis the branch and bound's first cube is cut into, at most
+ROOT_CELLS = 4     # the branch and bound's first cut has at most ROOT_CELLS^3 boxes, the m = 3 cut
 
 
 @dataclass
@@ -256,6 +256,7 @@ class _AttractionRepulsion:
         self.q0 = math.fsum((wk * np.sum((Z - self.cz) ** 2, axis=1)).tolist())
         self.B = math.fsum(wr.tolist())
         self.rows = max(1, BOX_TILE // (Z.size + Z.shape[1] ** 2))
+        self.eye = np.eye(Z.shape[1])
 
     def gap(self, U: float) -> float:
         """GAP_RTOL (1 + |U|) plus ROUNDING_ULPS ulps of m U + B, the scale of J and its
@@ -270,23 +271,36 @@ class _AttractionRepulsion:
                      for s in range(0, len(arrays[0]), self.rows)]
         return [np.concatenate(p) for p in zip(*parts)]
 
-    def _terms(self, P):
-        """Offsets D (row, coordinate, atom), squared distances, values, gradients and
-        Hessians at the rows of P."""
+    def _value_terms(self, P):
+        """Offsets D (row, coordinate, atom), squared distances s, repulsion terms
+        wr exp(-s) and values at the rows of P."""
         D = P[:, :, None] - self.Zt
         s = np.einsum("njk,njk->nk", D, D)
         re = self.wr * np.exp(-s)
+        return D, s, re, np.sum(self.wk * s + re, axis=1)
+
+    def _terms(self, P):
+        """Offsets D, squared distances, values, gradients and Hessians at the rows of P."""
+        D, s, re, val = self._value_terms(P)
+        dw = self.wk - re
         H = 4.0 * np.einsum("nik,njk->nij", re[:, None, :] * D, D)
-        H += (2.0 * np.sum(self.wk - re, axis=1))[:, None, None] * np.eye(P.shape[1])
-        return (D, s, np.sum(self.wk * s + re, axis=1),
-                2.0 * np.einsum("nk,njk->nj", self.wk - re, D), H)
+        H += (2.0 * np.sum(dw, axis=1))[:, None, None] * self.eye
+        return D, s, val, 2.0 * np.einsum("nk,njk->nj", dw, D), H
+
+    def values(self, P):
+        """The values of evaluate(P), alone; only a non-finite value raises."""
+        (val,) = self._chunked(lambda P: self._value_terms(P)[3:], P)
+        if not np.isfinite(val).all():
+            raise NumericalError("non-finite marginal value: coordinates too large")
+        return val
 
     def evaluate(self, P):
         """Values, gradients and Hessians at the rows of P."""
-        def chunk(P):
-            return self._terms(P)[2:]
+        return self._chunked(self._evaluate, P)
 
-        val, grad, H = self._chunked(chunk, P)
+    def _evaluate(self, P):
+        """evaluate(P) for rows of P that make one chunk."""
+        val, grad, H = self._terms(P)[2:]
         if not (np.isfinite(val).all() and np.isfinite(grad).all() and np.isfinite(H).all()):
             raise NumericalError("non-finite marginal value or gradient: coordinates too large")
         return val, grad, H
@@ -348,32 +362,37 @@ class _AttractionRepulsion:
         Returns the points, their values and gradients.  lo and hi broadcast
         against P, which is taken in chunks as the bounds are.
         """
-        lo, hi = np.broadcast_to(lo, P.shape), np.broadcast_to(hi, P.shape)
+        if len(P) > self.rows:   # the chunks slice lo and hi with P
+            lo, hi = np.broadcast_to(lo, P.shape), np.broadcast_to(hi, P.shape)
         return self._chunked(lambda P, lo, hi: self._newton(P, lo, hi, steps), P, lo, hi)
 
     def _newton(self, P, lo, hi, steps):
         def free(P, grad):
             return ~(((P <= lo) & (grad > 0.0)) | ((P >= hi) & (grad < 0.0)))
 
-        val, grad, H = self.evaluate(P)
+        val, grad, H = self._evaluate(P)
+        f = free(P, grad)
+        g = np.where(f, grad, 0.0)
         t = np.ones(len(P))
-        eye = np.eye(P.shape[1], dtype=bool)
         for _ in range(steps):
-            f = free(P, grad)
-            g = np.where(f, grad, 0.0)
-            w, V = np.linalg.eigh(np.where(f[:, :, None] & f[:, None, :], H, eye))
+            w, V = np.linalg.eigh(np.where(f[:, :, None] & f[:, None, :], H, self.eye))
             w = np.maximum(np.abs(w), 1e-9 * (self.K + self.B))
             step = np.einsum("nij,nj->ni", V, np.einsum("nji,nj->ni", V, g) / w)
             with np.errstate(over="ignore"):   # an overflowing step is clipped to the box
                 Q = np.clip(P - t[:, None] * step, lo, hi)
             if (np.abs(Q - P) <= 4.0 * EPS * (1.0 + np.abs(P))).all():
                 break
-            v2, g2, H2 = self.evaluate(Q)
-            g2f = np.where(free(Q, g2), g2, 0.0)
+            v2, g2, H2 = self._evaluate(Q)
+            f2 = free(Q, g2)
+            g2f = np.where(f2, g2, 0.0)
             keep = (v2 < val) | ((v2 <= val + ROUNDING_ULPS * EPS * val)
                                  & (np.max(np.abs(g2f), axis=1) < np.max(np.abs(g), axis=1)))
-            P, val, grad, H = (np.where(keep.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
-                               for a, b in ((P, Q), (val, v2), (grad, g2), (H, H2)))
+            if keep.all():
+                P, val, grad, H, f, g = Q, v2, g2, H2, f2, g2f
+            else:
+                P, val, grad, H, f, g = (np.where(keep.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                                         for a, b in ((P, Q), (val, v2), (grad, g2), (H, H2),
+                                                      (f, f2), (g, g2f)))
             t = np.where(keep, 1.0, 0.5 * t)
         return P, val, grad
 
@@ -392,10 +411,11 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
     and at c, the best REFINED_STARTS of them refined by Newton steps.
     Every point with J <= U lies in K |y - c|^2 <= U - q0, so the search
     starts from the cube about c of that half-width, cut into cells^m equal
-    boxes, with cells the largest number up to ROOT_CELLS for which there
-    are at most ROOT_CELLS^3, the m = 3 cut: the first rounds of halving
-    would prune none, and at high m a finer cut costs more time and memory
-    than the search it saves.  A box is bounded below by the largest of
+    boxes, with cells the largest number for which there are at most
+    ROOT_CELLS^3, the m = 3 cut (64 cells at m = 1, 8 at m = 2): the first
+    rounds of halving would prune none, and at high m a finer cut costs more
+    time and memory than the search it saves.  A box is bounded below by the
+    largest of
       (i) K dist^2(c, box) + q0 + sum_b wr_b exp(-farthest^2(y_b, box));
       (ii) J(mid) + the minimum over the box of g.d + lam |d|^2 / 2, with g the
            gradient at the midpoint and lam a lower bound of the Hessian's
@@ -403,12 +423,13 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
            the cubic Taylor remainder (see _AttractionRepulsion.bounds);
       (iii) where lam > 0 (J convex on the box), the same about the box's
            minimizer, found by projected Newton steps, in place of the midpoint.
-    A box whose bound exceeds U - gap is pruned, any other split in two along
-    its longest side; midpoints and box minimizers lower U.  When no box is
-    left no point is below U - gap, gap = GAP_RTOL (1 + |U|) plus a rounding
-    allowance, and the minimizers are the Newton-polished points of the
-    incumbent and of the pruned boxes that may hold a value within the gap
-    of U, one per MERGE_TOL cluster: more than one is "finite_multiple".
+    A box whose bound exceeds U - gap is pruned, any other split in four by
+    halving its two longest sides (in two at m = 1); midpoints and box
+    minimizers lower U.  When no box is left no point is below U - gap,
+    gap = GAP_RTOL (1 + |U|) plus a rounding allowance, and the minimizers
+    are the Newton-polished points of the incumbent and of the pruned boxes
+    that may hold a value within the gap of U, one per MERGE_TOL cluster:
+    more than one is "finite_multiple".
     Past BOX_BUDGET boxes, or where the root cube's half-width overflows,
     the best of the incumbent and of Newton steps from every start is
     returned uncertified; when K = 0, and J, which then tends to its infimum
@@ -416,8 +437,8 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
     draws no random start.
     """
     m = atoms.shape[1]
-    objective = _marginal_objective(X, mass, atoms, cost, x)
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+    objective = _marginal_objective(X, mass, atoms, cost, x, a)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
         B = float(np.sum(wr))
@@ -438,7 +459,7 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
         raise NumericalError("non-finite attraction mean: coordinates too large")
     J = _AttractionRepulsion(atoms - c, wk, wr)
     P = np.concatenate([atoms - c, J.cz[None, :]])
-    val = J.evaluate(P)[0]
+    val = J.values(P)
     best = int(np.argmin(val))
     U, y_best = float(val[best]), P[best]
 
@@ -450,9 +471,9 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
     R = math.sqrt(max(U + J.gap(U) - J.q0, 0.0) / J.K)
     if not math.isfinite(R):
         return settle(np.full((1, m), -np.inf), np.full((1, m), np.inf))
-    cells = ROOT_CELLS
-    while cells > 1 and cells ** m > ROOT_CELLS ** 3:
-        cells -= 1
+    cells = 1
+    while (cells + 1) ** m <= ROOT_CELLS ** 3:
+        cells += 1
     edges = J.cz + R * np.linspace(-1.0, 1.0, cells + 1)[:, None]
     root_lo, root_hi = edges[:1], edges[-1:]
 
@@ -494,11 +515,13 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
         near_points.append(rep[near])
         near_bounds.append(lb[near])
         lo, hi, mid = lo[live], hi[live], mid[live]
-        rows = np.arange(len(lo))
-        j = np.argmax(hi - lo, axis=1)
-        lo2, hi1 = lo.copy(), hi.copy()
-        lo2[rows, j] = hi1[rows, j] = mid[rows, j]
-        lo, hi = np.concatenate([lo, lo2]), np.concatenate([hi1, hi])
+        sides = np.argsort(lo - hi, axis=1, kind="stable")[:, :2]   # the longest first
+        for k in range(sides.shape[1]):
+            rows, j = np.arange(len(lo)), sides[:, k]
+            lo2, hi1 = lo.copy(), hi.copy()
+            lo2[rows, j] = hi1[rows, j] = mid[rows, j]
+            lo, hi = np.concatenate([lo, lo2]), np.concatenate([hi1, hi])
+            sides, mid = np.concatenate([sides, sides]), np.concatenate([mid, mid])
 
     near = np.concatenate(near_bounds) <= U + J.gap(U)
     P, val, _ = J.newton(np.concatenate([y_best[None, :], np.concatenate(near_points)[near]]),
@@ -676,8 +699,10 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     def values(x, ys) -> list:
         """Marginal values at x of the points ys, for the plan as it stands."""
         if sums is not None:
-            return [quartic_at(sums, x).value(y) for y in ys]
-        return [_marginal_value_arrays(state.X, state.mass, state.atoms, cost, x, y) for y in ys]
+            qm = quartic_at(sums, x)
+            return [qm.value(y) for y in ys]
+        objective = _marginal_objective(state.X, state.mass, state.atoms, cost, x)
+        return [objective(y)[0] for y in ys]
 
     def needle_quadratic(base, y_old, y_new) -> float:
         """c(y_new, y_new) - 2 c(y_old, y_new) + c(y_old, y_old) at the row's base.

@@ -180,6 +180,54 @@ def test_box_bounds_hold_at_sampled_points(m):
             assert (np.linalg.eigvalsh(H)[:, 0] >= lam[b] - tol).all()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2, 3]), k=st.integers(1, 40),
+       repulsion=st.sampled_from([1.0, 1e150]), far=st.sampled_from([1.0, 1e100, 1e154, 1e160]))
+def test_values_are_those_of_evaluate(seed, m, k, repulsion, far):
+    # the values-only evaluation returns evaluate's values bit for bit, over
+    # more rows than one chunk, and raises where evaluate does: with
+    # attraction weights at most 1, as a mass times an attraction is, a
+    # gradient or Hessian overflows only where a value does, which one row
+    # moved out by `far` brings about
+    rng = np.random.default_rng(seed)
+    J = optim._AttractionRepulsion(rng.normal(size=(k, m)), rng.uniform(0.0, 1.0, k),
+                                   repulsion * rng.uniform(0.0, 5.0, k))
+    P = 2.0 * rng.normal(size=(J.rows + int(rng.integers(1, 100)), m))
+    P[rng.integers(len(P))] *= far
+    try:
+        expected = J.evaluate(P)[0]
+    except pm.NumericalError:
+        with pytest.raises(pm.NumericalError):
+            J.values(P)
+    else:
+        assert J.values(P).tobytes() == expected.tobytes()
+
+
+def test_elastic_sweep_bounds_few_rounds_a_row(monkeypatch):
+    # each row's first bounds call gets the 8 x 8 cut of m = 2, and a box
+    # that is not pruned is split by halving its two longest sides, so one
+    # sweep from PCA bounds a row in few rounds (6.08 a row on average with
+    # a 4 x 4 cut and boxes halved along their longest side alone)
+    cloud = random_cloud(np.random.default_rng(0), 40, 3)
+    plan = pm.plan_from_map(cloud, pm.pca_solve(cloud, 2))
+    bounds, solve, rows = optim._AttractionRepulsion.bounds, optim._generic_solution, []
+
+    def counted_bounds(self, lo, hi):
+        rows[-1].append(len(lo))
+        return bounds(self, lo, hi)
+
+    def counted_solve(*args):
+        rows.append([])
+        return solve(*args)
+
+    monkeypatch.setattr(optim._AttractionRepulsion, "bounds", counted_bounds)
+    monkeypatch.setattr(optim, "_generic_solution", counted_solve)
+    pm.marginal_sweep(plan, cloud, pm.Elastic(), pm.DescentConfig(max_sweeps=1))
+    assert len(rows) == cloud.n
+    assert sum(map(len, rows)) / len(rows) <= 3.5
+    assert all(row[0] == 64 for row in rows)
+
+
 def test_high_dimension_sweep_keeps_memory_bounded():
     # at m = 10 the first cut is the root cube alone (2^10 boxes exceed the
     # m = 3 cut), where 4^10 boxes took about 340 MB before any box was

@@ -227,7 +227,7 @@ def test_minimize_marginal_exact_for_quadratic_profiles(cost):
     # every cost gets a certified solve at least as good as the multi-start
     # local search: exact for a quadratic profile, a branch and bound for elastic
     rng = np.random.default_rng(11)
-    for m in (1, 2):
+    for m in (1, 2, 3):
         cloud = random_cloud(rng, 7, 2)
         plan = random_plan(rng, cloud, m)
         idx, mass, atoms = plan.flat()
