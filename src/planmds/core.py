@@ -431,11 +431,14 @@ class CostFamily:
     """A second-order cost c(x,x',y,y') = profile(base(x,x'), t(y,y')).
 
     ``kind`` selects the embedded-variable statistic t: "IP" uses <y,y'>,
-    "N2" uses |y-y'|^2.  Subclasses supply the base statistic of the feature
-    pair and the capability flags.  The profile is quadratic in t,
-    (a - t)^2 * omega(a) with omega(a) = 1 / quadratic_scale(a), unless a
-    subclass sets ``quadratic_scale = None``.  Such a subclass must be of the
-    N2 kind with the attraction-repulsion profile
+    "N2" uses |y-y'|^2; the marginal sweep consolidates each row of an N2
+    cost onto its best atom, a full move wherever the profile is uniquely
+    minimized at t = 0, as every built-in one is.  Subclasses supply the
+    base statistic of the feature pair and the capability flags.  The
+    profile is quadratic in t, (a - t)^2 * omega(a) with omega(a) =
+    1 / quadratic_scale(a), unless a subclass sets ``quadratic_scale =
+    None``.  Such a subclass must be of the N2 kind with the
+    attraction-repulsion profile
     attraction(a) * t + repulsion(a) * exp(-t), both factors nonnegative: it
     supplies attraction, repulsion, the profile and its t-derivatives.  A
     quadratic profile makes every marginal problem exactly solvable: a
@@ -450,7 +453,6 @@ class CostFamily:
 
     name = "abstract"
     kind = "N2"
-    unique_min_at_zero = False
     has_moment_form = False
 
     # --- feature-pair statistic -------------------------------------------------
@@ -530,7 +532,6 @@ class QMDS(CostFamily):
 
     name = "qmds"
     kind = "N2"
-    unique_min_at_zero = True
     has_moment_form = True
 
     def base_matrix(self, X1, X2):
@@ -545,7 +546,6 @@ class QSammon(CostFamily):
 
     name = "qsammon"
     kind = "N2"
-    unique_min_at_zero = True
 
     def __init__(self, eps: float = 1e-9):
         if eps <= 0:
@@ -570,7 +570,6 @@ class Elastic(CostFamily):
 
     name = "elastic"
     kind = "N2"
-    unique_min_at_zero = True
     quadratic_scale = None   # an attraction-repulsion profile instead
 
     def __init__(self, sigma: float = 1.0, beta: float = 1.0):

@@ -110,51 +110,67 @@ def stress_plan(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily) -> flo
 # Marginal problem J_pi(y | x)
 # ---------------------------------------------------------------------------
 
+def _fsum(terms) -> float:
+    """math.fsum of the terms, or NaN where finite terms overflow or infinities cancel."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def _marginal_objective(X, mass, atoms, cost, x, a=None):
-    """(value, gradient) of the marginal problem at x, as one function of y.
+    """The value of the marginal problem at x, as one function of y.
 
     The feature-pair statistics a = base(x, X) are computed once, not per
-    call, and not at all when given.  A value or gradient that is not finite
-    raises NumericalError.
+    call, and not at all when given.  A value that is not finite raises
+    NumericalError.
     """
     if a is None:
         a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
 
     def objective(y):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        t = cost.t_matrix(y.reshape(1, -1), atoms)[0]
-        g = mass * cost.profile_dt(a, t)
-        grad = g @ atoms if cost.kind == "IP" else 2.0 * (math.fsum(g) * y - g @ atoms)
-        try:
-            value = math.fsum(mass * cost.profile(a, t))
-        except OverflowError:   # finite terms whose sum overflows
-            value = math.inf
-        if not (math.isfinite(value) and all(map(math.isfinite, grad.tolist()))):
-            raise NumericalError("non-finite marginal value or gradient: coordinates too large")
-        return value, grad
+        t = cost.t_matrix(np.asarray(y, dtype=float).reshape(1, -1), atoms)[0]
+        value = _fsum(mass * cost.profile(a, t))
+        if not math.isfinite(value):
+            raise NumericalError("non-finite marginal value: coordinates too large")
+        return value
 
     return objective
 
 
-def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
-    return _marginal_objective(X, mass, atoms, cost, x)(y)[0]
-
-
-def _marginal_grad_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
-    return _marginal_objective(X, mass, atoms, cost, x)(y)[1]
-
-
-def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
+def _marginal_point(X, atoms, cost, x, y):
+    """y as a flat array, a = base(x, X) and t = t(y, atoms): where a derivative starts."""
     y = np.asarray(y, dtype=float).reshape(-1)
     a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
-    t = cost.t_matrix(y.reshape(1, -1), atoms)[0]
-    g1 = mass * cost.profile_dt(a, t)
+    return y, a, cost.t_matrix(y.reshape(1, -1), atoms)[0]
+
+
+def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
+    return _marginal_objective(X, mass, atoms, cost, x)(y)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite gradient raises
+def _marginal_grad_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
+    y, a, t = _marginal_point(X, atoms, cost, x, y)
+    g = mass * cost.profile_dt(a, t)
+    grad = g @ atoms if cost.kind == "IP" else 2.0 * (_fsum(g) * y - g @ atoms)
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite marginal gradient: coordinates too large")
+    return grad
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite Hessian raises
+def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
+    y, a, t = _marginal_point(X, atoms, cost, x, y)
     g2 = mass * cost.profile_dtt(a, t)
     if cost.kind == "IP":
-        return (atoms.T * g2) @ atoms
-    diff = y[None, :] - atoms
-    H = 4.0 * (diff.T * g2) @ diff
-    H += 2.0 * math.fsum(g1) * np.eye(atoms.shape[1])
+        H = (atoms.T * g2) @ atoms
+    else:
+        diff = y[None, :] - atoms
+        H = 4.0 * (diff.T * g2) @ diff
+        H += 2.0 * _fsum(mass * cost.profile_dt(a, t)) * np.eye(atoms.shape[1])
+    if not np.isfinite(H).all():
+        raise NumericalError("non-finite marginal Hessian: coordinates too large")
     return H
 
 

@@ -70,8 +70,7 @@ def _out_path(outdir, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
-                          circle_points: int = CIRCLE_POINTS) -> PointCloud:
+def circle_clusters_cloud(seed: int, cluster_size: int = 1000) -> PointCloud:
     """Two heavy clusters at (0, +-0.2) plus random points on the unit circle.
 
     Circle angles are drawn by stratified jitter (one uniform draw per equal
@@ -85,8 +84,8 @@ def circle_clusters_cloud(seed: int, cluster_size: int = 1000,
     rng = np.random.default_rng(seed)
     top = np.tile([0.0, 0.2], (cluster_size, 1))
     bottom = np.tile([0.0, -0.2], (cluster_size, 1))
-    angles = (np.arange(circle_points) + rng.uniform(0.0, 1.0, circle_points))
-    angles = rng.permutation(angles / circle_points * 2.0 * np.pi)
+    angles = (np.arange(CIRCLE_POINTS) + rng.uniform(0.0, 1.0, CIRCLE_POINTS))
+    angles = rng.permutation(angles / CIRCLE_POINTS * 2.0 * np.pi)
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     return PointCloud(np.vstack([top, bottom, circle]))
 
@@ -166,9 +165,9 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
     return report
 
 
-def stacked_pair_cloud(n_stack: int = N_STACK) -> PointCloud:
-    pts = np.vstack([np.tile([0.0, 1.0], (n_stack, 1)),
-                     np.tile([0.0, -1.0], (n_stack, 1))])
+def stacked_pair_cloud() -> PointCloud:
+    pts = np.vstack([np.tile([0.0, 1.0], (N_STACK, 1)),
+                     np.tile([0.0, -1.0], (N_STACK, 1))])
     return PointCloud(pts)
 
 

@@ -350,8 +350,8 @@ class _AttractionRepulsion:
             raise NumericalError("non-finite marginal bound: coordinates too large")
         return mid, val, lam, lb
 
-    def newton(self, P, lo, hi, steps=NEWTON_STEPS):
-        """At most `steps` projected Newton steps from the rows of P in the boxes [lo, hi].
+    def newton(self, P, lo, hi):
+        """At most NEWTON_STEPS projected Newton steps from the rows of P in the boxes [lo, hi].
 
         A coordinate at a face of its box whose gradient points out of it is
         held; the others take a Newton step on their block of the Hessian,
@@ -364,9 +364,9 @@ class _AttractionRepulsion:
         """
         if len(P) > self.rows:   # the chunks slice lo and hi with P
             lo, hi = np.broadcast_to(lo, P.shape), np.broadcast_to(hi, P.shape)
-        return self._chunked(lambda P, lo, hi: self._newton(P, lo, hi, steps), P, lo, hi)
+        return self._chunked(self._newton, P, lo, hi)
 
-    def _newton(self, P, lo, hi, steps):
+    def _newton(self, P, lo, hi):
         def free(P, grad):
             return ~(((P <= lo) & (grad > 0.0)) | ((P >= hi) & (grad < 0.0)))
 
@@ -374,7 +374,7 @@ class _AttractionRepulsion:
         f = free(P, grad)
         g = np.where(f, grad, 0.0)
         t = np.ones(len(P))
-        for _ in range(steps):
+        for _ in range(NEWTON_STEPS):
             w, V = np.linalg.eigh(np.where(f[:, :, None] & f[:, None, :], H, self.eye))
             w = np.maximum(np.abs(w), 1e-9 * (self.K + self.B))
             step = np.einsum("nij,nj->ni", V, np.einsum("nji,nj->ni", V, g) / w)
@@ -421,11 +421,12 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
            gradient at the midpoint and lam a lower bound of the Hessian's
            eigenvalues on the box, or of the least eigenvalue of H(mid) less
            the cubic Taylor remainder (see _AttractionRepulsion.bounds);
-      (iii) where lam > 0 (J convex on the box), the same about the box's
-           minimizer, found by projected Newton steps, in place of the midpoint.
+      (iii) where lam > 0 (J convex on the box), the same about the incumbent
+           clipped into the box in place of the midpoint: lam bounds the
+           Hessian on the whole box, so any point of it will do.
     A box whose bound exceeds U - gap is pruned, any other split in four by
-    halving its two longest sides (in two at m = 1); midpoints and box
-    minimizers lower U.  When no box is left no point is below U - gap,
+    halving its two longest sides (in two at m = 1); midpoints and clipped
+    incumbents lower U.  When no box is left no point is below U - gap,
     gap = GAP_RTOL (1 + |U|) plus a rounding allowance, and the minimizers
     are the Newton-polished points of the incumbent and of the pruned boxes
     that may hold a value within the gap of U, one per MERGE_TOL cluster:
@@ -449,10 +450,10 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
         raise NumericalError("non-finite marginal weights: coordinates too large")
 
     def uncertified(y):
-        return MarginalSolution([y], objective(y)[0], "unique", certified=False)
+        return MarginalSolution([y], objective(y), "unique", certified=False)
 
     if K == 0.0:
-        return uncertified(min(atoms, key=lambda y: objective(y)[0]))
+        return uncertified(min(atoms, key=objective))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         c = np.sum(wk[:, None] * atoms, axis=0) / K
     if not np.isfinite(c).all():
@@ -494,15 +495,12 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
             return settle(root_lo, root_hi)
         mid, val, lam, lb = J.bounds(lo, hi)
         lower(mid, val)
-        rep = mid.copy()   # the box's best point: its midpoint or minimizer
-        # (iii) where J is convex: about the incumbent clipped into the box,
-        # and where that does not prune, about the end of Newton steps from it
-        for steps in (0, NEWTON_STEPS):
-            convex = np.flatnonzero((lb <= U - J.gap(U)) & (lam > 0.0))
-            if not convex.size:
-                break
+        rep = mid.copy()   # the box's best point: its midpoint or clipped incumbent
+        convex = np.flatnonzero((lb <= U - J.gap(U)) & (lam > 0.0))   # (iii)
+        if convex.size:
             box_lo, box_hi = lo[convex], hi[convex]
-            y, v, g = J.newton(np.clip(y_best, box_lo, box_hi), box_lo, box_hi, steps)
+            y = np.clip(y_best, box_lo, box_hi)
+            v, g, _ = J.evaluate(y)
             lb3 = v + _quad_min(g, lam[convex], box_lo - y, box_hi - y)
             if not (lb3 < np.inf).all():
                 raise NumericalError("non-finite marginal bound: coordinates too large")
@@ -534,7 +532,7 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
             break
         if _match(minimizers, c + P[k]) is None:
             minimizers.append(c + P[k])
-    return MarginalSolution(minimizers, min(objective(y)[0] for y in minimizers),
+    return MarginalSolution(minimizers, min(map(objective, minimizers)),
                             "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
 
 
@@ -683,9 +681,9 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     copies of a point are one x, swept once, and every copy of it holds the
     same atoms in the returned plan.  Each atom is offered a move to the
     selected global marginal minimizer, of the energy-minimizing share of its
-    mass, clamped to all of it (see `needle`).  For a squared-distance cost
-    uniquely minimized at zero every move is full, and each row is then
-    consolidated onto its best atom.
+    mass, clamped to all of it (see `needle`).  A row of a squared-distance
+    cost is then consolidated onto its best atom; where the profile is
+    uniquely minimized at zero, as every built-in one is, every move is full.
 
     For a cost with a moment form the marginal problem, its values and the
     sweep energies come from lifted moments that each move updates by rank
@@ -693,7 +691,6 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     not carry from one sweep to the next.
     """
     state = _SweepState(plan, cloud)
-    consolidate = cost.kind == "N2" and cost.unique_min_at_zero
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
 
     def values(x, ys) -> list:
@@ -701,8 +698,7 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         if sums is not None:
             qm = quartic_at(sums, x)
             return [qm.value(y) for y in ys]
-        objective = _marginal_objective(state.X, state.mass, state.atoms, cost, x)
-        return [objective(y)[0] for y in ys]
+        return list(map(_marginal_objective(state.X, state.mass, state.atoms, cost, x), ys))
 
     def needle_quadratic(base, y_old, y_new) -> float:
         """c(y_new, y_new) - 2 c(y_old, y_new) + c(y_old, y_old) at the row's base.
@@ -778,12 +774,13 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 needle(i, pos, y_old, y_new, j_new - j_old)
-            if consolidate and len(row) > 1:
-                # moving an atom onto its best-valued sibling has L <= 0 and,
-                # the atoms being distinct, Q < 0, so needle makes every such
-                # move and split rows collapse to a single atom (full moves
-                # never split, so a row that began the step with one atom
-                # still has one).  Each move merges, so the row shrinks by one.
+            if cost.kind == "N2" and len(row) > 1:
+                # moving an atom onto its best-valued sibling has L <= 0 and, the
+                # atoms being distinct and the profile uniquely minimized at
+                # zero, Q < 0, so needle makes every such move and split rows
+                # collapse to a single atom (full moves never split, so a row
+                # that began the step with one atom still has one).  Each move
+                # merges, so the row shrinks by one.
                 for _ in range(len(state.row_positions(i)) - 1):
                     row = state.row_positions(i)
                     jvals = values(x, state.atoms[row.start:row.stop])

@@ -90,7 +90,7 @@ def multistart_marginal_oracle(X, mass, atoms, cost, x, config):
     """
     from scipy.optimize import minimize as sp_min
 
-    from planmds.energy import _marginal_objective
+    from planmds.energy import _marginal_grad_arrays, _marginal_objective
     from planmds.quartic import MarginalSolution
 
     m = atoms.shape[1]
@@ -100,7 +100,11 @@ def multistart_marginal_oracle(X, mass, atoms, cost, x, config):
     scale = 1.0 + float(np.max(np.abs(atoms))) if atoms.size else 1.0
     for _ in range(4):
         starts.append(scale * rng.standard_normal(m))
-    objective = _marginal_objective(X, mass, atoms, cost, x)
+    value = _marginal_objective(X, mass, atoms, cost, x)
+
+    def objective(y):
+        return value(y), _marginal_grad_arrays(X, mass, atoms, cost, x, y)
+
     best_y, best_v = None, np.inf
     with np.errstate(over="ignore", invalid="ignore"):   # the objective checks its values
         for y0 in starts:

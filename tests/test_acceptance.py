@@ -255,7 +255,7 @@ def test_criterion_10_circle_clusters_ordinal():
     ordering_ok, split_ok, agree_ok = True, True, True
     details = []
     for seed in range(1, 6):
-        cloud = circle_clusters_cloud(seed, cluster_size, 250)
+        cloud = circle_clusters_cloud(seed, cluster_size)
         pmap, _ = particle_descent(
             cloud, cost, DescentConfig(max_sweeps=120, rel_tol=1e-9,
                                        seed=seed, init="random", dim_m=1))

@@ -57,7 +57,7 @@ def elastic_grid_oracle(plan, cloud, cost, x):
     return best
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.sampled_from([1, 2]),
        sigma=st.floats(0.3, 3.0), beta=st.floats(0.0, 4.0))
 def test_certified_value_matches_grid_oracle(seed, n, m, sigma, beta):
@@ -180,7 +180,7 @@ def test_box_bounds_hold_at_sampled_points(m):
             assert (np.linalg.eigvalsh(H)[:, 0] >= lam[b] - tol).all()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2, 3]), k=st.integers(1, 40),
        repulsion=st.sampled_from([1.0, 1e150]), far=st.sampled_from([1.0, 1e100, 1e154, 1e160]))
 def test_values_are_those_of_evaluate(seed, m, k, repulsion, far):

@@ -177,7 +177,7 @@ def test_config_value_is_typed_as_its_flag(tmp_path_factory):
         return _merge_config(argparse.Namespace(
             config=config, **{k: text if k == key else None for k in options}), options)
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(st.sampled_from([(c, k) for c, options in OPTIONS.items() for k in options]),
            JSON_VALUES)
     @example(("embed", "rel_tol"), 10**400)   # an integer too large for a float
@@ -214,7 +214,7 @@ def test_mistyped_config_value_exit_2(tmp_path, monkeypatch, capsys, argv, confi
     # one error line naming the file and the key, before anything is written
     monkeypatch.chdir(tmp_path)
     write_two_point_csv(tmp_path / "pair.csv")
-    cloud = stacked_pair_cloud(10)
+    cloud = stacked_pair_cloud()
     compute_moments(stacked_pair_plan(cloud), cloud).to_json("m.json")
     (tmp_path / "c.json").write_text(json.dumps(config))
     before = sorted(os.listdir())
@@ -276,7 +276,7 @@ def test_config_file_writes_the_same_bytes_as_flags(tmp_path, monkeypatch):
 
 
 def test_levelset_command(tmp_path):
-    cloud = stacked_pair_cloud(50)
+    cloud = stacked_pair_cloud()
     plan = stacked_pair_plan(cloud)
     mfile = tmp_path / "moments.json"
     compute_moments(plan, cloud).to_json(mfile)
@@ -291,7 +291,7 @@ def test_levelset_command(tmp_path):
 
 
 def test_levelset_res_one_exit_2(tmp_path):
-    cloud = stacked_pair_cloud(10)
+    cloud = stacked_pair_cloud()
     mfile = tmp_path / "m.json"
     compute_moments(stacked_pair_plan(cloud), cloud).to_json(mfile)
     assert main(["levelset", str(mfile), "--res", "1", "--out", str(tmp_path)]) == 2
@@ -304,7 +304,7 @@ def test_levelset_malformed_json_exit_2(tmp_path):
 
 
 def test_levelset_nonfinite_moments_exit_2(tmp_path):
-    cloud = stacked_pair_cloud(10)
+    cloud = stacked_pair_cloud()
     mfile = tmp_path / "m.json"
     compute_moments(stacked_pair_plan(cloud), cloud).to_json(mfile)
     payload = json.loads(mfile.read_text())
@@ -319,7 +319,7 @@ def test_levelset_nonfinite_moments_exit_2(tmp_path):
 ])
 def test_levelset_malformed_moments_exit_2(tmp_path, field, value):
     # stacked-pair moments: m = 1, d = 2; each edit breaks one field's type or shape
-    cloud = stacked_pair_cloud(10)
+    cloud = stacked_pair_cloud()
     mfile = tmp_path / "m.json"
     compute_moments(stacked_pair_plan(cloud), cloud).to_json(mfile)
     payload = json.loads(mfile.read_text())

@@ -160,6 +160,27 @@ def test_stacked_pair_hessian_formula():
         assert H[0, 0] == pytest.approx(12 * y**2 - 4 * psi, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_marginal_derivatives_raise_where_they_overflow():
+    # a derivative either raises NumericalError or is finite, and never warns:
+    # at the first point t(y, atoms) overflows; at the second, terms of both
+    # signs overflow in one sum, which math.fsum rejects with a ValueError
+    cases = [([[0.0], [1.0], [2.0]], [[0.0], [1e160], [-1e160]], 0.5, 3e150),
+             ([[0.0], [1e200]], [[-1e200], [1e200]], 0.0, 1e200)]
+    for points, images, x, y in cases:
+        cloud = pm.PointCloud(points)
+        plan = pm.plan_from_map(cloud, pm.DeterministicMap(images))
+        for cost in all_costs() + [pm.KernelIP(kernel="polynomial", degree=3, offset=0.5)]:
+            for derivative in (pm.marginal_grad, pm.marginal_hessian):
+                try:
+                    value = derivative(plan, cloud, cost, [x], [y])
+                except pm.NumericalError:
+                    continue
+                assert np.isfinite(value).all()
+    with np.errstate(over="ignore"), pytest.raises(pm.NumericalError):
+        pm.marginal_value(plan, cloud, pm.QMDS(), [x], [y])
+
+
 def test_perturbation_split_zero():
     rng = np.random.default_rng(8)
     cloud = random_cloud(rng, 4, 2)

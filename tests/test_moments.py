@@ -39,7 +39,7 @@ from planmds.quartic import (
 RTOL = 1e-10
 FLOOR = 1e-24     # absolute slack for quantities whose terms all vanish
 QMDS = pm.QMDS()
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 grid = st.integers(-8, 8).map(lambda k: k / 4.0)
 

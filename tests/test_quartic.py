@@ -333,7 +333,7 @@ def test_sweep_step_certificate_is_scale_free(scale):
         assert certified
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(1, 10), st.integers(1, 3), st.floats(-14.0, 0.0), st.floats(0.0, 3.0),
        st.integers(0, 2**32 - 1))
 def test_near_hard_case_matches_multistart_oracle(m, repeat, exponent, log_scale, seed):
@@ -430,7 +430,7 @@ def test_secular_root_starts_near_root_for_tiny_negative_lambda(m, lam):
         assert y == pytest.approx(np.full(m, m ** (-1.0 / 3.0)), rel=1e-12)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.sampled_from([1, 2, 3]), st.sampled_from(range(-300, 301)),
        st.sampled_from(range(-300, 301)),
        st.sampled_from(["generic", "zero", "negative", "repeated"]), st.booleans(),

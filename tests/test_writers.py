@@ -33,7 +33,7 @@ def _parse(row):
     return [float(v) for v in row]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(pool=st.lists(HOSTILE, min_size=1, max_size=12),
        n_rows=st.sampled_from([0, 1, 2, CHUNK_ROWS, CHUNK_ROWS + 1]),
        n_cols=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), with_trailer=st.booleans())
