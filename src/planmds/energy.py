@@ -145,6 +145,7 @@ def _marginal_point(X, atoms, cost, x, y):
     return y, a, cost.t_matrix(y.reshape(1, -1), atoms)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite value raises
 def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
     return _marginal_objective(X, mass, atoms, cost, x)(y)
 

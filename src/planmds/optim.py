@@ -38,7 +38,6 @@ from .quartic import (
     RESIDUAL_TOL,
     LiftedMoments,
     MarginalSolution,
-    QuarticMarginal,
     map_objective,
     minimize_quartic,
     moments_from_arrays,
@@ -543,7 +542,9 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
     with pair weights w_a = mass_a * omega(a_a): for the IP kind a
     least-squares problem, solved by one linear system; for the N2 kind W * J,
     W = sum w_a, with J the quartic of the lifted moments under the weights
-    w_a / W.  Both solves are global and carry a certificate.  An
+    w_a / W, which minimize_quartic solves at its own unit scale, however
+    far skewed weights (qsammon's self pairs weigh 1/eps) put it from unit
+    length.  Both solves are global and carry a certificate.  An
     attraction-repulsion profile (quadratic_scale None) gets the branch and
     bound of _generic_solution, certified to its gap.
     """
@@ -569,15 +570,8 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
                                 "unique" if rank == atoms.shape[1] else "continuum",
                                 residual <= RESIDUAL_TOL * scale)
     W = math.fsum(w)
-    qm = quartic_at(moments_from_arrays(X, w / W, atoms), x)
-    # minimize_quartic's hard-case and polish tolerances are absolute, and skewed
-    # weights (qsammon's self pairs weigh 1/eps) can leave the minimizer far below
-    # unit scale; so y = s u with s a power of two near it, and J(s u) = s^4 J_s(u).
-    r = max(math.sqrt(float(np.linalg.norm(qm.Psi))), float(np.linalg.norm(qm.phi)) ** (1.0 / 3.0))
-    s = 2.0 ** math.floor(math.log2(r)) if r > 0.0 else 1.0
-    sol = minimize_quartic(QuarticMarginal(qm.Psi / s**2, qm.phi / s**3, qm.zeta / s**4))
-    return replace(sol, minimizers=[s * u + qm.y_shift for u in sol.minimizers],
-                   value=W * s**4 * sol.value)
+    sol = minimize_quartic(quartic_at(moments_from_arrays(X, w / W, atoms), x))
+    return replace(sol, value=W * sol.value)
 
 
 def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,

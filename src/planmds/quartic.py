@@ -30,10 +30,10 @@ import numpy as np
 
 from .core import EmbeddingPlan, InputError, NumericalError, PointCloud, _plan_arrays, _read_json, _write_csv
 
-EIG_GAP = 1e-9        # eigenvalues closer than this form one degenerate cluster
-RESIDUAL_TOL = 1e-8   # stationarity residual of returned minimizers, per unit of gradient scale
+EIG_GAP = 1e-9        # eigenvalues closer than this at unit scale form one degenerate cluster
+RESIDUAL_TOL = 1e-8   # stationarity residual of returned minimizers, at unit scale
 POLISH_ITERS = 40     # Newton steps at most on each returned minimizer
-_PHI_TOL = 1e-11      # relative threshold for treating a phi component as zero
+_PHI_TOL = 1e-11      # phi components at most this at unit scale count as zero
 EPS = float(np.finfo(float).eps)
 _JSON_FIELDS = ("S", "Phi", "b", "Cxx", "s1", "s2", "a1", "x_mean", "y_mean")   # s1, s2 scalars
 
@@ -236,7 +236,13 @@ class LiftedMoments:
         badly for plans that embed their cloud almost isometrically.  The
         moments are correctly rounded and P @ F is exact (P is a scaled
         signed permutation), so the rounding of the sums stays below 8 eps
-        of that magnitude.  Products of the moments that overflow raise
+        of that magnitude.  The features (1, r, y, x) have degrees 0, 2, 1, 1
+        in the coordinates, so the magnitude is taken for the coordinates
+        scaled by 2^k, which scales F's diagonal by (1, 16^k, 4^k, ...) and
+        the energy and its rounding exactly by 16^k, and divided by 16^k.  k
+        brings the larger of F_rr and (tr F_yy + tr F_xx)^2, both of degree
+        4, near F_00 = 1, so the bound is scale-free; one that overflows is
+        infinite.  Products of the moments that overflow raise
         NumericalError, as moments that overflow do.
         """
         F = np.array(self.F)
@@ -244,14 +250,21 @@ class LiftedMoments:
         PF = P @ F
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             terms = PF * PF.T
-            magnitude = float(np.sum(P**2, axis=0) @ np.diag(F)) * float(np.trace(F))
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite lifted energy terms: coordinates too large")
         try:
             value = math.fsum(terms.ravel().tolist())
         except OverflowError:
             raise NumericalError("lifted energy overflows: coordinates too large") from None
-        return value, 8.0 * np.finfo(float).eps * magnitude
+        # P^2 = diag(1, 1, 4, ..., 4), and F_00 is the total mass
+        f00, frr, yx = self.F[0][0], self.F[1][1], sum(self.F[i][i] for i in range(2, len(self.F)))
+        k = -(math.frexp(max(frr, yx * yx))[1] // 4)
+        try:
+            frr, yx = math.ldexp(frr, 4 * k), math.ldexp(yx, 2 * k)
+            magnitude = math.ldexp((f00 + frr + 4.0 * yx) * (f00 + frr + yx), -4 * k)
+        except OverflowError:
+            magnitude = math.inf
+        return value, 8.0 * EPS * magnitude
 
 
 def moments_from_arrays(X: np.ndarray, mass: np.ndarray, atoms: np.ndarray) -> LiftedMoments:
@@ -443,14 +456,15 @@ def select_minimizer(solution: MarginalSolution) -> np.ndarray:
     return max(solution.minimizers, key=lambda y: tuple(y))
 
 
-def _polish(Psi, phi, y):
-    """Newton steps on the stationarity equation (centered): the point, its gradient norm and |y|^2.
+def _polish(psis, phih, y):
+    """Newton steps on the stationarity equation in Psi's eigenbasis: the point, its gradient norm and |y|^2.
 
-    A step is kept only when it lowers the gradient norm, so a point near a
-    singular Hessian (a sphere of minimizers) is never made worse, and the
-    norm is inf only when the gradient at the start is not finite.  At m = 1
-    Psi, phi and y are Python floats; otherwise Psi is a list of rows and phi
-    and y are lists, and only the rare Newton step itself calls numpy.
+    psis are Psi's eigenvalues and phih phi's components along its
+    eigenvectors, so the gradient is 4 ((|y|^2 - psi_k) y_k - phih_k) and the
+    Hessian 4 (diag(|y|^2 - psi) + 2 y y^T).  A step is kept only when it
+    lowers the gradient norm, so a point near a singular Hessian (a sphere
+    of minimizers) is never made worse.  At m = 1 all three are Python
+    floats; otherwise lists, and only the rare Newton step itself calls numpy.
     """
     scalar = isinstance(y, float)
     mul = operator.mul
@@ -458,11 +472,11 @@ def _polish(Psi, phi, y):
     for _ in range(POLISH_ITERS + 1):
         if scalar:
             s = y * y
-            g = 4.0 * (s * y - Psi * y - phi)
+            g = 4.0 * (s * y - psis * y - phih)
             norm = abs(g)
         else:
             s = sum(map(mul, y, y))
-            g = [4.0 * (s * yi - sum(map(mul, row, y)) - fi) for yi, row, fi in zip(y, Psi, phi)]
+            g = [4.0 * (s * yi - p * yi - fi) for yi, p, fi in zip(y, psis, phih)]
             norm = math.hypot(*g)
         if not norm < best[1]:
             break
@@ -470,14 +484,13 @@ def _polish(Psi, phi, y):
         if norm <= 0.1 * RESIDUAL_TOL:
             break
         if scalar:
-            h = 4.0 * (s + 2.0 * y * y - Psi)
+            h = 4.0 * (s + 2.0 * y * y - psis)
             if h == 0.0:
                 break
             y = y - g / h
         else:
-            # built in Python floats, which overflow to inf where numpy would warn
-            H = [[4.0 * ((s if i == j else 0.0) + 2.0 * yi * yj - p)
-                  for j, (yj, p) in enumerate(zip(y, row))] for i, (yi, row) in enumerate(zip(y, Psi))]
+            H = [[4.0 * ((s - p if i == j else 0.0) + 2.0 * yi * yj) for j, yj in enumerate(y)]
+                 for i, (yi, p) in enumerate(zip(y, psis))]
             try:
                 dy = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
@@ -486,7 +499,7 @@ def _polish(Psi, phi, y):
     return best
 
 
-def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> float:
+def _secular_root(c: list, g: list, c_top: float, lam: float) -> float:
     """Root of F(t) = c_top/t^2 + sum_k c_k/(t+g_k)^2 - lam - t on t >= max(0, -lam).
 
     With gaps g_k > 0, F is convex and decreasing there, so Newton steps from
@@ -496,19 +509,18 @@ def _secular_root(c: list, g: list, c_top: float, lam: float, phi2: float) -> fl
     lam + t* <= D = max(lam, 0) + |phi|^(2/3) at t*, so t* >= sqrt(c_k/D) - g_k
     (g = 0 for c_top).  The start is the largest of these bounds and the left
     end: Newton on a term c/(t+g)^2 far left of the root, as from -lam when
-    lam < 0 is tiny, gains only a factor of about 1.5 a step.
+    lam < 0 is tiny, gains only a factor of about 1.5 a step.  The quartic is
+    at unit scale (_minimize_centred), so none of this leaves the float range.
     """
     terms = list(zip(c, g))
     if c_top:
         terms.append((c_top, 0.0))
     t = max(0.0, -lam)
+    phi2 = sum(c) + c_top
     if phi2:
         D = max(lam, 0.0) + phi2 ** (1.0 / 3.0)
         for ck, gk in terms:
-            # a nan bound (lam is nan) stays nan, as max keeps its first argument
             t = max(math.sqrt(ck / D) - gk, t)
-    if c_top and t == 0.0:   # the start underflowed: lam is beyond 1e301
-        raise NumericalError("quartic marginal minimizer is not finite: coefficients too large")
     for _ in range(100):
         f, df = -lam - t, -1.0
         for ck, gk in terms:
@@ -574,82 +586,81 @@ def _not_above_centre(value: float, zeta: float) -> bool:
     return value - zeta <= 4.0 * EPS * abs(zeta)
 
 
+def _unit_exponent(psi_norm: float, phi_norm: float) -> int:
+    """The e with max(psi_norm^(1/2), phi_norm^(1/3)) in [2^(e-1), 2^e), from exponents alone; 0 for zeros."""
+    a, b = -(-math.frexp(psi_norm)[1] // 2), -(-math.frexp(phi_norm)[1] // 3)   # ceil(exponent / degree)
+    return max(a, b) if psi_norm and phi_norm else (a if psi_norm else b)
+
+
 def _minimize_centred(Psi, phi, zeta: float):
     """(centred minimizers, multiplicity kind, certified) of |y|^4 - 2 y^T Psi y - 4 phi^T y + zeta.
 
     Psi and phi, and the minimizers, are Python floats at m = 1 and lists
     (Psi as rows) otherwise, where np.linalg.eigh is the only numpy call.
-    In the eigenbasis of Psi the top cluster (the trailing eigenvalues
-    chained by gaps <= EIG_GAP) counts as the one eigenvalue lambda_max, and
-    the rest have gaps g_k = lambda_max - psi_k.  When phi's top-cluster
-    component is negligible (at most _PHI_TOL scale, and small enough that
-    ignoring it leaves a gradient below RESIDUAL_TOL / 2) and y_rest =
-    phi_rest/g_rest has |y_rest|^2 < lambda_max, the minimizers are y_rest
-    +- r v_top with r^2 = lambda_max - |y_rest|^2 (the hard case).
-    Otherwise the minimizer is unique: y_k = phi_k/(t + g_k) at the secular
-    root t.  Each minimizer gets Newton steps on the stationarity equation,
-    and the solution is certified when every one has a gradient norm <=
-    RESIDUAL_TOL max(1, |Psi|^(3/2), |phi|) and |y|^2 >= lambda_max - 1e-8
-    scale (_select adds _not_above_centre).  Python floats overflow to inf
-    where numpy would warn; a minimizer with a non-finite gradient, or an
-    |phi|^2 that overflows, raises NumericalError.
+    The solve runs in the eigenbasis of Psi at the quartic's unit scale:
+    y = 2^e u, with Psi's eigenvalues scaled by 2^(-2e) and phi's components
+    by 2^(-3e) so that max(|Psi|_F^(1/2), |phi|^(1/3)) lands in [2^(e-1),
+    2^e).  e comes from the norms' exponents and math.ldexp scales exactly,
+    so every tolerance below is a constant and a quartic scaled by a power
+    of two has that power of two times the minimizers.  The top cluster (the
+    trailing eigenvalues chained by gaps <= EIG_GAP) counts as the one
+    eigenvalue lambda_max, and the rest have gaps g_k = lambda_max - psi_k.
+    When phi's top-cluster component is at most _PHI_TOL and u_rest =
+    phi_rest/g_rest has |u_rest|^2 < lambda_max, the minimizers are
+    (u_rest, +-r, 0, ...) with r^2 = lambda_max - |u_rest|^2 (the hard
+    case).  Otherwise the minimizer is unique: u_k = phi_k/(t + g_k) at the
+    secular root t.  Each minimizer gets Newton steps on the stationarity
+    equation in that basis, and the solution is certified when every one
+    has a gradient norm <= RESIDUAL_TOL and |u|^2 >= lambda_max - 1e-8
+    (_select adds _not_above_centre).  The minimizers are then rotated back
+    and scaled by 2^e.  Non-finite coefficients raise NumericalError.
     """
     mul = operator.mul
     if isinstance(phi, float):
         if not (math.isfinite(Psi) and math.isfinite(phi) and math.isfinite(zeta)):
             raise NumericalError("quartic marginal with non-finite coefficients")
         # one eigenvalue, so the top cluster holds all of phi and no gaps remain
-        phi2, psi_norm = phi * phi, abs(Psi)
-        m, V, phih, lam, top, g, c, c_top, rest2 = 1, None, [phi], Psi, 0, [], [], phi2, 0.0
+        e = _unit_exponent(abs(Psi), abs(phi))
+        lam, f = math.ldexp(Psi, -2 * e), math.ldexp(phi, -3 * e)
+        m, V, phih, top, g, c, c_top, rest2 = 1, None, [f], 0, [], [], f * f, 0.0
     else:
         if not (math.isfinite(zeta) and all(map(math.isfinite, chain(phi, *Psi)))):
             raise NumericalError("quartic marginal with non-finite coefficients")
         m = len(phi)
-        phi2, psi_norm = sum(map(mul, phi, phi)), math.hypot(*map(math.hypot, *Psi))
         psis, V = np.linalg.eigh(Psi)
         psis, V = psis.tolist(), V.tolist()   # V as rows: V[i][k] is entry i of eigenvector k
         phih = [sum(map(mul, phi, v)) for v in zip(*V)]
-        lam = psis[-1]
-        top = m - 1
+        e = _unit_exponent(math.hypot(*psis), math.hypot(*phih))
+        psis = [math.ldexp(p, -2 * e) for p in psis]
+        phih = [math.ldexp(f, -3 * e) for f in phih]
+        lam, top = psis[-1], m - 1
         while top and psis[top] - psis[top - 1] <= EIG_GAP:
             top -= 1
         g = [lam - p for p in psis[:top]]
         c = list(map(mul, phih[:top], phih[:top]))
         c_top = sum(map(mul, phih[top:], phih[top:]))
         rest2 = sum(map(operator.truediv, c, map(mul, g, g)))
-    if phi2 == math.inf:
-        raise NumericalError("quartic marginal minimizer is not finite: |phi|^2 overflows")
-    scale = max(1.0, psi_norm, math.sqrt(phi2))
-    if c_top <= min(_PHI_TOL * scale, RESIDUAL_TOL / 8.0) ** 2:
+    if c_top <= _PHI_TOL * _PHI_TOL:
         c_top = 0.0
 
-    if c_top or lam - rest2 <= 1e-12 * scale:
-        t = _secular_root(c, g, c_top, lam, phi2)
-        yh = ([f / (t + gk) for f, gk in zip(phih, g)]
-              + [f / t if c_top else 0.0 for f in phih[top:]])
-        points = [yh[0] if V is None else [sum(map(mul, row, yh)) for row in V]]
+    if c_top or lam - rest2 <= 1e-12:
+        t = _secular_root(c, g, c_top, lam)
+        points = [[f / (t + gk) for f, gk in zip(phih, g)]
+                  + [f / t if c_top else 0.0 for f in phih[top:]]]
         kind = "unique"
     else:
         r = math.sqrt(lam - rest2)
-        if V is None:
-            points = [r, -r]
-        else:
-            coef = [f / gk for f, gk in zip(phih, g)]
-            y_rest = [sum(map(mul, row, coef)) for row in V]   # over the first top eigenvectors
-            v_top = [row[top] for row in V]
-            points = [[a + r * b for a, b in zip(y_rest, v_top)],
-                      [a - r * b for a, b in zip(y_rest, v_top)]]
+        coef, tail = [f / gk for f, gk in zip(phih, g)], [0.0] * (m - top - 1)
+        points = [coef + [r] + tail, coef + [-r] + tail]
         kind = "continuum" if top < m - 1 else "finite_multiple"
 
-    polished = [_polish(Psi, phi, y) for y in points]
-    if any(res == math.inf for _, res, _ in polished):
-        raise NumericalError("quartic marginal minimizer is not finite: coefficients too large")
-    floor = lam - 1e-8 * scale
-    # the gradient's terms scale as |Psi|^(3/2) and |phi|; a product, not a
-    # power, so that a huge |Psi| gives inf rather than OverflowError
-    res_tol = RESIDUAL_TOL * max(1.0, psi_norm * math.sqrt(psi_norm), math.sqrt(phi2))
-    certified = all(res <= res_tol and s >= floor for _, res, s in polished)
-    return [y for y, _, _ in polished], kind, certified
+    if V is None:
+        polished = [_polish(lam, phih[0], u[0]) for u in points]
+        ys = [math.ldexp(u, e) for u, _, _ in polished]
+    else:
+        polished = [_polish(psis, phih, u) for u in points]
+        ys = [[math.ldexp(sum(map(mul, row, u)), e) for row in V] for u, _, _ in polished]
+    return ys, kind, all(res <= RESIDUAL_TOL and s >= lam - 1e-8 for _, res, s in polished)
 
 
 def level_set_grid(moments: LiftedMoments, region, resolution: int):

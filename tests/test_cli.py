@@ -390,14 +390,18 @@ def test_embed_quadratic_ip_overflowing_norms_scale_the_stress(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_embed_qmds_pca_marginal_nan_step_exit_3(tmp_path, capsys):
-    # at 1e60 every row's quartic marginal has coefficients so large that its
-    # minimizer overflows; the solve raises instead of handing the sweep a
-    # nan minimizer, which failed every gain test and left the PCA init as
-    # the result with exit 0
-    assert _embed_big_cloud(tmp_path, 1e60, "pca", "marginal", "qmds") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
+def test_embed_qmds_at_large_scale_scales_the_stress(tmp_path, capsys):
+    # at 1e60 every row's quartic marginal has coefficients of about 1e120
+    # to 1e240, which the solve takes to unit scale and back; so the run
+    # finishes, and the stress is the stress at scale 1 times 1e240, as the
+    # cost is homogeneous of degree 4
+    stresses = []
+    for scale in (1.0, 1e60):
+        assert _embed_big_cloud(tmp_path, scale, "pca", "marginal", "qmds") == 0
+        report = json.loads((tmp_path / "out" / "big-report.json").read_text())
+        stresses.append(report["runs"][0]["final_stress"])
+    assert capsys.readouterr().err == ""
+    assert stresses[1] == pytest.approx(stresses[0] * 1e240, rel=1e-6)
 
 
 def _embed_big_cloud(tmp_path, scale, init, optimizer, cost) -> int:

@@ -162,7 +162,7 @@ def test_stacked_pair_hessian_formula():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_marginal_derivatives_raise_where_they_overflow():
-    # a derivative either raises NumericalError or is finite, and never warns:
+    # a value or derivative either raises NumericalError or is finite, and never warns:
     # at the first point t(y, atoms) overflows; at the second, terms of both
     # signs overflow in one sum, which math.fsum rejects with a ValueError
     cases = [([[0.0], [1.0], [2.0]], [[0.0], [1e160], [-1e160]], 0.5, 3e150),
@@ -171,14 +171,12 @@ def test_marginal_derivatives_raise_where_they_overflow():
         cloud = pm.PointCloud(points)
         plan = pm.plan_from_map(cloud, pm.DeterministicMap(images))
         for cost in all_costs() + [pm.KernelIP(kernel="polynomial", degree=3, offset=0.5)]:
-            for derivative in (pm.marginal_grad, pm.marginal_hessian):
+            for derivative in (pm.marginal_value, pm.marginal_grad, pm.marginal_hessian):
                 try:
                     value = derivative(plan, cloud, cost, [x], [y])
                 except pm.NumericalError:
                     continue
                 assert np.isfinite(value).all()
-    with np.errstate(over="ignore"), pytest.raises(pm.NumericalError):
-        pm.marginal_value(plan, cloud, pm.QMDS(), [x], [y])
 
 
 def test_perturbation_split_zero():

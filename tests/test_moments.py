@@ -20,6 +20,8 @@ cannot give that.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,22 @@ def test_moment_energy_matches_pair_energy(plan):
     scale = _energy_scale(X, mass, atoms)
     assert abs(value - exact) <= RTOL * scale + FLOOR
     assert abs(value - exact) <= rounding + FLOOR
+
+
+@SETTINGS
+@given(flat_plans(), st.integers(-40, 40))
+def test_moment_energy_bound_is_scale_free(plan, k):
+    # scaling the coordinates by 2^k scales the energy, its rounding and the
+    # pairwise oracle exactly by 16^k; the bound must scale alike, so that
+    # bound / E is the same at every scale and holds at each
+    X, mass, atoms, x_off, y_off = plan
+    value, rounding = LiftedMoments(X + x_off, mass, atoms + y_off).energy()
+    got, got_rounding = LiftedMoments(np.ldexp(X + x_off, k), mass, np.ldexp(atoms + y_off, k)).energy()
+    exact = _pair_energy(np.ldexp(X, k), np.ldexp(atoms, k), mass, QMDS)
+    assert abs(got - exact) <= got_rounding
+    assert got == math.ldexp(value, 4 * k)
+    if value:
+        assert got_rounding / got == rounding / value
 
 
 @SETTINGS

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planmds as pm
+from planmds import quartic
 from planmds.quartic import (
     RESIDUAL_TOL,
     LiftedMoments,
@@ -303,12 +305,14 @@ def test_hard_case_minimizers_off_the_top_eigenspace():
     assert sol.value == pytest.approx(-2.43, abs=1e-12)
 
 
-@pytest.mark.parametrize("phi_top, kind", [(4e-9, "unique"), (1e-9, "continuum")])
+@pytest.mark.parametrize("phi_top, kind", [(1e-5, "unique"), (1e-9, "continuum")])
 def test_near_hard_case_at_large_scale_is_certified(phi_top, kind):
-    # scale ~ 1900 puts both top components below _PHI_TOL * scale.  The hard
-    # case ignores phi_top and leaves its points a gradient of 4 phi_top, so
-    # 4e-9 goes to the secular root instead; at 1e-9 Newton steps against
-    # the sphere's singular Hessian must not make that gradient worse
+    # the solve's unit of length is 2^6 (Psi / 2^12, phi / 2^18), where 1e-9
+    # lies below _PHI_TOL and 1e-5 above it.  The hard case ignores phi_top
+    # and leaves its points a gradient of 4 phi_top, and Newton steps against
+    # the sphere's singular Hessian must not make that worse; 1e-5 goes to the
+    # secular root.  To first order in phi_top the minimum is that of the
+    # hard case, -1690200, less 4 phi_top r with r^2 = 1300 - 1/9
     Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
     qm = QuarticMarginal(Psi=(Q * [400.0, 1300.0, 1300.0]) @ Q.T,
                          phi=Q @ [300.0, 0.0, phi_top], zeta=0.0)
@@ -317,7 +321,8 @@ def test_near_hard_case_at_large_scale_is_certified(phi_top, kind):
     assert sol.multiplicity_kind == kind
     for y in sol.minimizers:
         assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
-        assert qm.value(y) == pytest.approx(-1690200.0, abs=1e-6)
+        assert qm.value(y) == pytest.approx(-1690200.0 - 4.0 * phi_top * np.sqrt(1300.0 - 1.0 / 9.0),
+                                            abs=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e20, 1e40, 1e50])
@@ -358,24 +363,43 @@ def test_near_hard_case_matches_multistart_oracle(m, repeat, exponent, log_scale
         assert np.linalg.norm(qm.grad(y)) <= RESIDUAL_TOL
 
 
-@pytest.mark.parametrize("Psi, phi", [
+SMALL_MINIMIZERS = pytest.mark.parametrize("Psi, phi", [
     # eigenvalues -7.8e94 and about -2e77, the second below the rounding of
-    # the first; full digits needed (rounded to 5 figures the same call
-    # returns a negative value)
+    # the first; full digits needed
     ([[-7.711402446717803e94, -9.292051088938894e93],
       [-9.292051088938894e93, -1.1196693991272656e93]],
      [1.5511791580082362e74, -8.962203610619637e73]),
-    # phi below the hard case's absolute threshold: +-sqrt(Psi) both come
-    # back, and the one against phi is worse than y = 0
     ([[1e-11]], [3e-14]),
 ], ids=["noise-eigenvalue", "tiny-hard-case"])
-def test_minimizer_above_the_centre_value_is_not_certified(Psi, phi):
-    # the stationarity residual is sized for |y| about |Psi|^(1/2) and passes
-    # these minimizers, far shorter; J(y) > J(0) = zeta shows that one is not
-    # a global minimizer
+
+
+@SMALL_MINIMIZERS
+def test_minimizer_far_below_unit_scale_is_certified(Psi, phi):
+    # minimizers far shorter than |Psi|^(1/2): the solve's tolerances are
+    # relative to the quartic's own unit of length, so phi's top component
+    # is not taken for zero (tiny-hard-case was a false hard case at
+    # +-sqrt(Psi) = +-3.16e-6) and the residual is sized for these points
     qm = QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=0.0)
     sol = minimize_quartic(qm)
-    assert max(qm.value(y) for y in sol.minimizers) > qm.zeta
+    assert sol.certified
+    assert sol.multiplicity_kind == "unique"
+    assert qm.value(sol.minimizers[0]) <= qm.zeta
+    if len(phi) == 1:
+        assert sol.minimizers[0] == pytest.approx([3.118e-5], rel=1e-3)
+
+
+@SMALL_MINIMIZERS
+def test_minimizer_above_the_centre_value_is_not_certified(monkeypatch, Psi, phi):
+    # at the global minimizer y, J(-y) - J(0) = 6 phi^T y - |y|^4, positive
+    # for these short minimizers: a solve that returned -y with a passing
+    # stationarity check is still not certified, as J(-y) > J(0) = zeta
+    qm = QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=0.0)
+    y = -minimize_quartic(qm).minimizers[0]
+    point = float(y[0]) if len(phi) == 1 else y.tolist()
+    monkeypatch.setattr(quartic, "_minimize_centred", lambda *args: ([point], "unique", True))
+    sol = minimize_quartic(qm)
+    assert sol.minimizers[0].tobytes() == y.tobytes()
+    assert qm.value(y) > qm.zeta
     assert not sol.certified
 
 
@@ -392,16 +416,19 @@ def test_minimize_rejects_nonfinite_coefficients(Psi, phi, zeta):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_minimize_rejects_overflowing_minimizer(m):
-    # with Psi = I the minimizer is about phi / |phi|^(2/3): at phi = 1e150
-    # it is about 1e50 and solves, at 1e160 |phi|^2 overflows and the solve
-    # must raise NumericalError, not return nan or raise a bare Python error
+    # with Psi = I the minimizer is about phi / |phi|^(2/3).  The solve runs
+    # at the quartic's unit scale, so where |phi|^2 overflows (1e160, 1e230)
+    # the minimizer, about 1e53 and 1e77, is still found.  At 1e300 the
+    # minimum, about -|phi|^(4/3), overflows, and the solve must raise
+    # NumericalError, not return nan or raise a bare Python error
     with pytest.raises(pm.NumericalError, match="not finite"):
-        minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=np.full(m, 1e160), zeta=0.0))
-    phi = np.full(m, 1e150)
-    sol = minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=phi, zeta=0.0))
-    assert np.isfinite(sol.value)
-    for y in sol.minimizers:
-        np.testing.assert_allclose(float(y @ y) * y, phi, rtol=1e-12)
+        minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=np.full(m, 1e300), zeta=0.0))
+    for size in (1e150, 1e160, 1e230):
+        phi = np.full(m, size)
+        sol = minimize_quartic(QuarticMarginal(Psi=np.eye(m), phi=phi, zeta=0.0))
+        assert sol.certified and np.isfinite(sol.value)
+        for y in sol.minimizers:
+            np.testing.assert_allclose(float(y @ y) * y, phi, rtol=1e-12)
 
 
 def test_moments_json_nonfinite(tmp_path):
@@ -465,3 +492,31 @@ def test_minimize_quartic_raises_only_numerical_error(m, psi_exp, phi_exp, top, 
     assert np.isfinite(sol.value)
     for y in sol.minimizers:
         assert np.isfinite(y).all()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([(1, "unique"), (1, "finite_multiple"), (2, "unique"), (2, "finite_multiple"),
+                        (2, "continuum"), (3, "unique"), (3, "finite_multiple"), (3, "continuum")]),
+       st.integers(-60, 60), st.integers(0, 2**32 - 1))
+def test_minimize_quartic_is_scale_equivariant(case, k, seed):
+    # J_k, with Psi, phi and zeta 4^k, 8^k and 16^k times J's, has J_k(2^k y)
+    # = 16^k J(y): its solve must be exactly 2^k times the solve of J, with
+    # 16^k times its value, bit for bit.  The hard cases have no phi along a
+    # simple (finite_multiple) or double (continuum) top eigenvalue, at least
+    # 2 above the rest, and short rest components
+    (m, kind), rng = case, np.random.default_rng(seed)
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    psis, phih = np.sort(rng.normal(size=m)), rng.normal(size=m)
+    if kind != "unique":
+        top = 1 if kind == "finite_multiple" else 2
+        psis[m - top:] = abs(psis[-1]) + 2.0
+        phih[m - top:] = 0.0
+        phih *= 0.5
+    Psi, phi, zeta = (V * psis) @ V.T, V @ phih, float(rng.normal())
+    want = minimize_quartic(QuarticMarginal(Psi=Psi, phi=phi, zeta=zeta))
+    got = minimize_quartic(QuarticMarginal(Psi=np.ldexp(Psi, 2 * k), phi=np.ldexp(phi, 3 * k),
+                                           zeta=math.ldexp(zeta, 4 * k)))
+    assert want.multiplicity_kind == kind
+    assert (got.multiplicity_kind, got.certified) == (want.multiplicity_kind, want.certified)
+    assert got.value == math.ldexp(want.value, 4 * k)
+    assert [y.tobytes() for y in got.minimizers] == [np.ldexp(y, k).tobytes() for y in want.minimizers]
