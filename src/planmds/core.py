@@ -226,19 +226,14 @@ def _gather(ptr, rows):
 
 
 def _merge_row(masses, atoms):
-    """Merge atoms closer than MERGE_TOL in max-norm; masses add up, in input order.
+    """Merge a row's atoms closer than MERGE_TOL in max-norm; masses add up, in input order.
 
+    masses is a 1-d float array and atoms a 2-d float array of as many rows.
     Each atom joins the first kept atom within MERGE_TOL of it, or is kept.
     An exact repeat of an atom seen before joins the same kept atom, so it
     is looked up by value rather than matched again; its mass is still added
     at its place in the row, so every sum is that of the plain loop.
     """
-    masses = np.asarray(masses, dtype=float).reshape(-1)
-    atoms = _as_matrix(atoms, "atoms")
-    if masses.shape[0] != atoms.shape[0]:
-        raise InputError("row masses and atoms disagree in length")
-    if masses.shape[0] == 1:   # nothing to merge
-        return masses.copy(), atoms.copy()
     out_m: list[float] = []
     out_a: list[np.ndarray] = []
     slot: dict[bytes, int] = {}   # exact atom value -> index of the kept atom it joins
@@ -257,48 +252,70 @@ def _merge_row(masses, atoms):
     return np.array(out_m), np.array(out_a)
 
 
+def _merge_rows(counts, mass, atoms):
+    """New (counts, mass, atoms) arrays of the flat rows, each row of two or more atoms merged.
+
+    Row i is the next counts[i] entries of mass and atoms.  _merge_row runs
+    on each row of two or more atoms; a row of one atom has nothing to merge
+    and is copied as it is, with the runs of such rows between merged ones.
+    """
+    counts, ends = counts.copy(), np.cumsum(counts).tolist()
+    parts, prev = [], 0
+    for i in np.flatnonzero(counts > 1).tolist():
+        start = ends[i] - counts[i]
+        q, y = _merge_row(mass[start:ends[i]], atoms[start:ends[i]])
+        parts += [(mass[prev:start], atoms[prev:start]), (q, y)]
+        counts[i], prev = len(q), ends[i]
+    parts.append((mass[prev:], atoms[prev:]))
+    masses, atom_runs = zip(*parts)
+    return counts, np.concatenate(masses), np.concatenate(atom_runs)
+
+
 class EmbeddingPlan:
     """A coupling with fixed source marginal: per source atom, a sub-distribution in R^m.
 
     ``rows`` is a sequence of (masses, atoms) pairs, one per source index.
+    Either constructor checks its input and hands flat arrays to _set_flat,
+    which merges the atoms of each row of two or more atoms (_merge_rows).
     """
 
     def __init__(self, rows):
         if len(rows) == 0:
             raise InputError("plan needs at least one row")
-        row_masses: list[np.ndarray] = []
-        row_atoms: list[np.ndarray] = []
-        for i, (masses, atoms) in enumerate(rows):
-            m_arr, a_arr = _merge_row(masses, atoms)
-            if row_atoms and a_arr.shape[1] != row_atoms[0].shape[1]:
-                raise InputError(f"row {i}: atom dimension {a_arr.shape[1]} != {row_atoms[0].shape[1]}")
-            row_masses.append(m_arr)
-            row_atoms.append(a_arr)
-        self._set_flat([len(q) for q in row_masses], np.concatenate(row_masses),
-                       np.concatenate(row_atoms, axis=0))
+        masses = [np.asarray(q, dtype=float).reshape(-1) for q, _ in rows]
+        atoms = [_as_matrix(y, "atoms") for _, y in rows]
+        for i, (q, y) in enumerate(zip(masses, atoms)):
+            if q.shape[0] != y.shape[0]:
+                raise InputError(f"row {i}: masses and atoms disagree in length")
+            if y.shape[1] != atoms[0].shape[1]:
+                raise InputError(f"row {i}: atom dimension {y.shape[1]} != {atoms[0].shape[1]}")
+        self._set_flat(np.array([len(q) for q in masses]), np.concatenate(masses),
+                       np.concatenate(atoms, axis=0))
 
     @classmethod
     def from_flat(cls, counts, mass, atoms) -> "EmbeddingPlan":
         """The plan whose row i holds the next counts[i] entries of the flat mass and atom arrays.
 
-        A row of one atom has nothing to merge, so when every row has one
-        atom the arrays are copied and checked once, whole; otherwise the
-        rows go through the constructor.
+        The arrays are checked once, whole: the counts are integers of at
+        least 1 that sum to the length of the masses and of the atoms.
         """
         counts = np.asarray(counts)
-        if not (counts == 1).all():
-            cuts = np.cumsum(counts)[:-1]
-            return cls(list(zip(np.split(mass, cuts), np.split(atoms, cuts))))
-        mass = np.array(mass, dtype=float).reshape(-1)
-        atoms = np.array(_as_matrix(atoms, "atoms"))
-        if mass.shape[0] != atoms.shape[0] or mass.shape[0] != counts.shape[0]:
-            raise InputError("row masses and atoms disagree in length")
+        mass = np.asarray(mass, dtype=float).reshape(-1)
+        atoms = _as_matrix(atoms, "atoms")
+        if not (counts.ndim == 1 and counts.dtype.kind in "iu" and (counts >= 1).all()
+                and counts.sum() == mass.shape[0] == atoms.shape[0]):
+            raise InputError("row counts must be integers >= 1 summing to the masses' and atoms' length")
         plan = cls.__new__(cls)
         plan._set_flat(counts, mass, atoms)
         return plan
 
     def _set_flat(self, counts, mass: np.ndarray, atoms: np.ndarray) -> None:
-        """Check the masses and keep the flat arrays; the rows are read-only views of them."""
+        """Merge each row's atoms, check the masses and keep the merged arrays.
+
+        _merge_rows returns new arrays, so the plan owns what it keeps; the
+        rows are read-only views of them.
+        """
+        counts, mass, atoms = _merge_rows(counts, mass, atoms)
         idx = np.repeat(np.arange(len(counts)), counts)
         bad = np.flatnonzero(~(mass > 0))
         if bad.size:
@@ -647,9 +664,8 @@ def profile_derivatives(cost: CostFamily, x, xp, t: float):
 
 def center_plan(plan: EmbeddingPlan) -> EmbeddingPlan:
     """Translate all atoms so the mass-weighted atom mean is zero."""
-    mean = plan.barycenter()
-    rows = [(m.copy(), a - mean[None, :]) for m, a in zip(plan.row_masses, plan.row_atoms)]
-    return EmbeddingPlan(rows)
+    _, mass, atoms = plan.flat()
+    return EmbeddingPlan.from_flat(np.diff(plan._ptr), mass, atoms - plan.barycenter())
 
 
 def _plan_arrays(plan: EmbeddingPlan, cloud: PointCloud):

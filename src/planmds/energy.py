@@ -241,6 +241,9 @@ def apply_perturbation(plan: EmbeddingPlan, gamma: Perturbation, eps: float) -> 
     """The plan pi + eps*gamma, canonicalized; errors if any row mass turns negative."""
     if gamma.dim_m is not None and gamma.dim_m != plan.dim_m:
         raise InputError(f"perturbation dimension {gamma.dim_m} != plan dimension {plan.dim_m}")
+    for i in sorted(gamma.rows):
+        if i < 0 or i >= plan.n_rows:
+            raise InputError(f"perturbation row {i} outside plan of {plan.n_rows} rows")
     rows = []
     for i in range(plan.n_rows):
         masses, atoms = plan.row_masses[i], plan.row_atoms[i]

@@ -24,6 +24,7 @@ from .core import (
     _distinct_points,
     _gather,
     _match,
+    _merge_rows,
     _plan_arrays,
     _split_mass,
     _write_csv,
@@ -604,19 +605,21 @@ class _SweepState:
     """
 
     def __init__(self, plan: EmbeddingPlan, cloud: PointCloud):
+        """Gather the rows of each distinct point's copies into its row g; _merge_rows merges them.
+
+        Only a row of two or more atoms reaches _merge_row: on a plan of a
+        map, one per group of copies.
+        """
         _, mass, atoms = _plan_arrays(plan, cloud)
         first, self.group = _distinct_points(cloud.points)
         self.points = cloud.points[first]
         self.scale = cloud.weights / np.bincount(self.group, weights=cloud.weights)[self.group]
-        # the copies' rows, one distinct point after another; from_flat merges them
+        # the copies' rows, one distinct point after another
         pos, _ = _gather(plan._ptr, np.argsort(self.group, kind="stable"))
         counts = np.bincount(self.group, weights=np.diff(plan._ptr)).astype(int)
-        merged = EmbeddingPlan.from_flat(counts, mass[pos], atoms[pos])
-        idx, mass, atoms = merged.flat()
-        self.X = self.points[idx]
-        self.mass = np.array(mass)
-        self.atoms = np.array(atoms)
-        self.ptr = merged._ptr.copy()
+        counts, self.mass, self.atoms = _merge_rows(counts, mass[pos], atoms[pos])
+        self.X = self.points[np.repeat(np.arange(len(counts)), counts)]
+        self.ptr = np.concatenate([[0], np.cumsum(counts)])
 
     def expand(self) -> EmbeddingPlan:
         """The plan on the cloud's points: copy i holds its point's row, masses times w_i / W_g."""

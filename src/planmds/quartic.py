@@ -675,8 +675,8 @@ def level_set_grid(moments: LiftedMoments, region, resolution: int):
     if resolution < 2:
         raise InputError("grid resolution must be at least 2")
     (x1a, x1b), (x2a, x2b) = region
-    if not (x1b > x1a and x2b > x2a):
-        raise InputError(f"degenerate region {region!r}")
+    if not (0 < x1b - x1a < math.inf and 0 < x2b - x2a < math.inf):
+        raise InputError(f"region sides must be positive and finite, got {region!r}")
     xs1, xs2 = np.linspace(x1a, x1b, resolution), np.linspace(x2a, x2b, resolution)
     X = np.column_stack([np.repeat(xs1, resolution), np.tile(xs2, resolution)])
     out = []

@@ -297,6 +297,22 @@ def test_levelset_res_one_exit_2(tmp_path):
     assert main(["levelset", str(mfile), "--res", "1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("region, code", [
+    ("-inf,inf,-2,2", 2), ("-1e308,1e308,-2,2", 2), ("-2,2,nan,2", 2), ("1,1,-2,2", 2),
+    ("1e200,2e200,-2,2", 3),
+])
+def test_levelset_region_sides_positive_and_finite(tmp_path, monkeypatch, capsys, region, code):
+    # one error line and no output: exit 2 unless the sides are positive and
+    # finite, exit 3 where a finite region overflows the moments
+    monkeypatch.chdir(tmp_path)
+    cloud = stacked_pair_cloud()
+    compute_moments(stacked_pair_plan(cloud), cloud).to_json("m.json")
+    assert main(["levelset", "m.json", f"--region={region}", "--res", "3", "--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 2 else "numerical error: ") and err.count("\n") == 1
+    assert os.listdir() == ["m.json"]
+
+
 def test_levelset_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{oops")

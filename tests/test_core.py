@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import planmds as pm
+from planmds import core
 from planmds.core import MERGE_TOL, _merge_row
 
 from helpers import reference_merge_row
@@ -137,6 +138,33 @@ def test_plan_from_flat_matches_rows():
         pm.EmbeddingPlan.from_flat([1, 1], [0.5, 0.5], [[0.0]])
     with pytest.raises(pm.InputError):
         pm.EmbeddingPlan.from_flat([1, 1], [0.5, 0.25], [[0.0], [1.0]])
+    for counts in ([2, 1], [2, 0, 2], [1.0] * 4, [[1] * 4]):   # counts that do not fit the arrays
+        with pytest.raises(pm.InputError):
+            pm.EmbeddingPlan.from_flat(counts, mass, atoms)
+
+
+def test_only_rows_of_two_or_more_atoms_are_merged(monkeypatch):
+    # from_flat, the row constructor and center_plan merge the one two-atom
+    # row of a 1,000-row plan, and no other row
+    calls = []
+    monkeypatch.setattr(core, "_merge_row", lambda q, y: calls.append(len(q)) or _merge_row(q, y))
+    counts = np.ones(1000, dtype=int)
+    counts[417] = 2
+    mass = np.full(1001, 1.0 / 1001)
+    atoms = np.random.default_rng(5).normal(size=(1001, 2))
+    ends = np.cumsum(counts)
+    rows = [(mass[a:b], atoms[a:b]) for a, b in zip(ends - counts, ends)]
+    plan = pm.EmbeddingPlan.from_flat(counts, mass, atoms)
+    assert calls == [2]
+    built = pm.EmbeddingPlan(rows)
+    assert calls == [2, 2]
+    centered = pm.center_plan(plan)
+    assert calls == [2, 2, 2]
+    mean = plan.barycenter()
+    want = pm.EmbeddingPlan([(q, y - mean) for q, y in rows])
+    for got, ref in ((plan, built), (centered, want)):
+        for a, b in zip(got.flat(), ref.flat()):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_plan_csv_round_trip(tmp_path):

@@ -233,6 +233,9 @@ def test_apply_perturbation_examples():
     assert sorted(half.row_masses[0]) == [0.5, 0.5]
     with pytest.raises(pm.InputError):
         pm.apply_perturbation(plan, gamma, 2.0)
+    for i in (7, -1):
+        with pytest.raises(pm.InputError, match=f"perturbation row {i} outside"):
+            pm.apply_perturbation(plan, pm.Perturbation.needle(i, 1.0, [0.0], [2.0]), 0.5)
 
 
 def test_determinism_report_examples():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planmds as pm
-from planmds import energy, experiments, optim
+from planmds import core, energy, experiments, optim
 from planmds.core import MERGE_TOL
 from planmds.optim import (
     MAX_HALVINGS,
@@ -399,6 +399,20 @@ def test_sweep_bookkeeping(case, cost_name):
     assert trace.split_mass[-1] == pm.determinism_report(out).split_mass_fraction
     exact = pm.stress_plan(out, cloud, cost)
     assert abs(trace.energies[-1] - exact) <= 1e-12 * max(abs(exact), abs(trace.energies[-1]))
+
+
+def test_sweep_state_merges_only_the_rows_of_repeated_points(monkeypatch):
+    # two groups of copies, of 3 and 2 points, among 4 distinct points
+    calls = []
+    merge = core._merge_row
+    monkeypatch.setattr(core, "_merge_row", lambda q, y: calls.append(len(q)) or merge(q, y))
+    cloud = pm.PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [1.0, 0.0], [0.0, 0.0],
+                           [3.0, 3.0]])
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(np.arange(7.0).reshape(-1, 1)))
+    state = _SweepState(plan, cloud)
+    assert sorted(calls) == [2, 3]
+    assert np.diff(state.ptr).tolist() == [3, 2, 1, 1]
+    assert state.atoms.ravel().tolist() == [0.0, 2.0, 5.0, 1.0, 4.0, 3.0, 6.0]
 
 
 @BOOKKEEPING

@@ -247,6 +247,18 @@ def test_level_set_grid_counts_double_point():
     assert lam == pytest.approx(0.5, abs=1e-10)
 
 
+def test_level_set_grid_needs_positive_finite_sides():
+    cloud, plan = stacked_pair()
+    mom = compute_moments(plan, cloud)
+    inf = math.inf
+    for region in (((1.0, 1.0), (-2.0, 2.0)), ((-2.0, 2.0), (2.0, -2.0)), ((-inf, inf), (-2.0, 2.0)),
+                   ((-1e308, 1e308), (-2.0, 2.0)), ((-2.0, 2.0), (math.nan, 2.0))):
+        with pytest.raises(pm.InputError, match="region sides"):
+            level_set_grid(mom, region, 3)
+    with pytest.raises(pm.NumericalError):   # finite sides, but too far out for the moments
+        level_set_grid(mom, ((1e200, 2e200), (-2.0, 2.0)), 3)
+
+
 def test_level_set_grid_matches_public_path():
     """Every node is select_minimizer(minimize_quartic(quartic_at(moments, x))), bit for bit.
 
