@@ -118,6 +118,11 @@ def _fsum(terms) -> float:
         return math.nan
 
 
+def _base_row(cost, x, X) -> np.ndarray:
+    """The feature-pair statistics a = base(x, X) of the point x against the rows of X."""
+    return cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+
+
 def _marginal_objective(X, mass, atoms, cost, x, a=None):
     """The value of the marginal problem at x, as one function of y.
 
@@ -126,7 +131,7 @@ def _marginal_objective(X, mass, atoms, cost, x, a=None):
     NumericalError.
     """
     if a is None:
-        a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+        a = _base_row(cost, x, X)
 
     def objective(y):
         t = cost.t_matrix(np.asarray(y, dtype=float).reshape(1, -1), atoms)[0]
@@ -141,13 +146,15 @@ def _marginal_objective(X, mass, atoms, cost, x, a=None):
 def _marginal_point(X, atoms, cost, x, y):
     """y as a flat array, a = base(x, X) and t = t(y, atoms): where a derivative starts."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
-    return y, a, cost.t_matrix(y.reshape(1, -1), atoms)[0]
+    return y, _base_row(cost, x, X), cost.t_matrix(y.reshape(1, -1), atoms)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite value raises
-def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
-    return _marginal_objective(X, mass, atoms, cost, x)(y)
+def _marginal_value_arrays(X, mass, atoms, cost, x, y, a=None) -> float:
+    """The marginal value at (x, y).  a = base(x, X) is computed here unless the
+    caller gives it: a sweep step computes it once, passes it to its solve,
+    and drops it at the step's move."""
+    return _marginal_objective(X, mass, atoms, cost, x, a)(y)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite gradient raises
@@ -175,22 +182,29 @@ def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
     return H
 
 
+def _marginal_arrays(plan: EmbeddingPlan, cloud: PointCloud, x, y=None):
+    """_plan_arrays, once x is checked to have the cloud's dimension d and y the plan's m."""
+    X, mass, atoms = _plan_arrays(plan, cloud)
+    for name, v, dim, what in (("x", x, cloud.dim_d, "the cloud's dimension"),
+                               ("y", y, plan.dim_m, "the plan's embedding dimension")):
+        if v is not None and np.size(v) != dim:
+            raise InputError(f"{name} has dimension {np.size(v)}, expected {dim} ({what})")
+    return X, mass, atoms
+
+
 def marginal_value(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x, y) -> float:
     """Expected cost of placing the point x at y against the whole plan."""
-    X, mass, atoms = _plan_arrays(plan, cloud)
-    return _marginal_value_arrays(X, mass, atoms, cost, x, y)
+    return _marginal_value_arrays(*_marginal_arrays(plan, cloud, x, y), cost, x, y)
 
 
 def marginal_grad(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x, y) -> np.ndarray:
     """Gradient of the marginal problem in y, assembled by the chain rule."""
-    X, mass, atoms = _plan_arrays(plan, cloud)
-    return _marginal_grad_arrays(X, mass, atoms, cost, x, y)
+    return _marginal_grad_arrays(*_marginal_arrays(plan, cloud, x, y), cost, x, y)
 
 
 def marginal_hessian(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily, x, y) -> np.ndarray:
     """Analytic Hessian of the marginal problem in y."""
-    X, mass, atoms = _plan_arrays(plan, cloud)
-    return _marginal_hessian_arrays(X, mass, atoms, cost, x, y)
+    return _marginal_hessian_arrays(*_marginal_arrays(plan, cloud, x, y), cost, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .core import (
     _write_csv,
 )
 from .energy import (
+    _base_row,
+    _marginal_arrays,
     _marginal_objective,
     _marginal_value_arrays,
     plan_energy,
@@ -133,22 +135,26 @@ def _initial_images(cloud: PointCloud, config: DescentConfig) -> np.ndarray:
 
 
 def _dense_objective(cloud: PointCloud, cost: CostFamily):
-    """map_objective for a cost with no moment form: from the n x n pairwise matrices, one trial a call."""
+    """map_objective for a cost with no moment form: from the n x n pairwise matrices, one trial a call.
+
+    The base matrix A is computed once for the whole descent; each trial's
+    t matrix once, for its energy and, if asked, its gradient.
+    """
     w = cloud.weights
     M = np.outer(w, w)
     A = cost.base_matrix(cloud.points, cloud.points)
 
     def evaluate(Ys):
         (Yc,) = Ys
+        T = cost.t_matrix(Yc, Yc)
 
         def gradient(j):
-            T = cost.t_matrix(Yc, Yc)
             G = M * cost.profile_dt(A, T)
             if cost.kind == "IP":
                 return 2.0 * G @ Yc
             return 4.0 * (np.sum(G, axis=1)[:, None] * Yc - G @ Yc)
 
-        return [float(np.sum(M * cost.profile(A, cost.t_matrix(Yc, Yc))))], gradient
+        return [float(np.sum(M * cost.profile(A, T)))], gradient
 
     return evaluate, 1
 
@@ -397,7 +403,7 @@ class _AttractionRepulsion:
         return P, val, grad
 
 
-def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
+def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
     """Global minimizer of an attraction-repulsion marginal, by spatial branch and bound.
 
     With a_b = |x - x_b|^2, wk_b = m_b attraction(a_b), wr_b = m_b repulsion(a_b)
@@ -436,9 +442,13 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
     returned uncertified; when K = 0, and J, which then tends to its infimum
     0 far from the atoms, has no minimizer, the best atom is.  The search
     draws no random start.
+
+    a = base(x, X) comes from _solve_marginal_arrays, which computes it or
+    takes it from a sweep step; it holds for this one solve.  The value of
+    the solution is the pairwise marginal at its minimizer, the least of
+    them where there are several.
     """
     m = atoms.shape[1]
-    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
     objective = _marginal_objective(X, mass, atoms, cost, x, a)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
@@ -536,7 +546,7 @@ def _generic_solution(X, mass, atoms, cost, x) -> MarginalSolution:
                             "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
 
 
-def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
+def _solve_marginal_arrays(X, mass, atoms, cost, x, a=None) -> MarginalSolution:
     """Solve the marginal problem at x with the path its cost's profile allows.
 
     A profile (a - t)^2 * omega(a) makes the marginal sum_a w_a (a_a - t_a(y))^2
@@ -548,15 +558,24 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
     length.  Both solves are global and carry a certificate.  An
     attraction-repulsion profile (quadratic_scale None) gets the branch and
     bound of _generic_solution, certified to its gap.
+
+    a = base(x, X), the feature-pair statistics of x against the atoms'
+    source points, is computed here unless the caller gives it: a sweep step
+    computes it once for its solve, the solve's certificate value and its
+    gain test, and drops it at the step's move, which may change X.  The
+    least-squares value is the pairwise marginal at y, by
+    _marginal_value_arrays; the quartic's is W times the quartic's value.
     """
+    if a is None:
+        a = _base_row(cost, x, X)
     if cost.quadratic_scale is None:
-        return _generic_solution(X, mass, atoms, cost, x)
-    a = cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
+        return _generic_solution(X, mass, atoms, cost, x, a)
     w = mass / cost.quadratic_scale(a)
     if cost.kind == "IP":
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            G = (atoms.T * w) @ atoms
-            rhs = (atoms.T * w) @ a
+            Aw = atoms.T * w
+            G = Aw @ atoms
+            rhs = Aw @ a
             # math.hypot takes the norm without overflow in its sum of squares
             norm_G, norm_rhs = math.hypot(*G.ravel().tolist()), math.hypot(*rhs.tolist())
             if not math.isfinite(norm_G + norm_rhs):
@@ -567,7 +586,7 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x) -> MarginalSolution:
             residual = math.hypot(*(G @ y - rhs).tolist())
         if not (math.isfinite(scale) and math.isfinite(residual)):
             raise NumericalError("non-finite least-squares certificate: coordinates too large")
-        return MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y),
+        return MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y, a),
                                 "unique" if rank == atoms.shape[1] else "continuum",
                                 residual <= RESIDUAL_TOL * scale)
     W = math.fsum(w)
@@ -584,7 +603,7 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     one, which is uncertified only past its box budget or where the marginal
     has no minimizer.
     """
-    return _solve_marginal_arrays(*_plan_arrays(plan, cloud), cost, x)
+    return _solve_marginal_arrays(*_marginal_arrays(plan, cloud, x), cost, x)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +703,14 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
 
     For a cost with a moment form the marginal problem, its values and the
     sweep energies come from lifted moments that each move updates by rank
-    one; they are rebuilt exactly at every sweep boundary, so rounding does
-    not carry from one sweep to the next.
+    one; they are rebuilt exactly after every sweep that moves mass, so
+    rounding does not carry from one sweep to the next.  A sweep that moves
+    nothing leaves the plan as it was and ends the descent: its trace entry
+    repeats the last energy and split mass, and nothing is rebuilt.
+
+    Under a cost without one, each step computes its base row a = base(x, X)
+    once, for its solve and its gain test; the step's move may change X, so
+    a lasts only until then.
     """
     state = _SweepState(plan, cloud)
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
@@ -765,9 +790,18 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if sums is not None:
                     y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
                 else:
-                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x)
+                    # one base row a serves the step's solve and gain test
+                    a = _base_row(cost, x, state.X)
+                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, a)
                     y_new = select_minimizer(sol).tolist()
-                    j_old, j_new = values(x, (y_old, y_new))
+                    objective = _marginal_objective(state.X, state.mass, state.atoms, cost, x, a)
+                    j_old = objective(y_old)
+                    # the least-squares solve, and a branch and bound with one
+                    # minimizer, valued y_new by this objective; the quartic
+                    # solve's value is W times the quartic's
+                    exact = len(sol.minimizers) == 1 and (cost.kind == "IP"
+                                                          or cost.quadratic_scale is None)
+                    j_new = sol.value if exact else objective(y_new)
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 needle(i, pos, y_old, y_new, j_new - j_old)
@@ -786,15 +820,15 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     needle(i, src, state.atoms[src].tolist(), state.atoms[dst].tolist(),
                            jvals[order[0]] - jvals[order[-1]])
         del lifted  # freed before the next sweep lifts its points: a lower memory peak
+        if not any_accepted:   # the plan is unchanged: so are its energy and split mass
+            trace.add(E, trace.split_mass[-1], 0.0)
+            break
         if sums is not None:
             sums = LiftedMoments(state.X, state.mass, state.atoms)
         E_new = checked_energy(f"after sweep {sweep + 1}")
-        trace.add(E_new, state.split_mass(), moved,
-                  max_delta if any_accepted else 0.0)
+        trace.add(E_new, state.split_mass(), moved, max_delta)
         improvement = E - E_new
         E = E_new
-        if not any_accepted:
-            break
         if improvement <= config.rel_tol * (1.0 + abs(E)):
             break
     return state.expand(), trace

@@ -587,27 +587,34 @@ def test_embed_outputs_identical_across_blas_thread_counts(tmp_path):
 def test_elastic_embed_identical_across_blas_threads_and_seeds(tmp_path):
     # the elastic marginal solve draws no random start: from a PCA start the
     # embedding and trace bytes depend on neither the BLAS thread count nor
-    # --seed, and the reports differ only in the seed they record
-    csv = tmp_path / "data.csv"
-    pm.PointCloud(np.random.default_rng(9).normal(size=(24, 3)) * [1.5, 1.0, 0.5]).save_csv(csv)
+    # --seed, and the reports differ only in the seed they record.  So for
+    # the other costs without a moment form, on 300 points, where their base
+    # rows, least-squares systems and quartic moments are BLAS products
     src = os.path.dirname(os.path.dirname(os.path.abspath(pm.__file__)))
-    files = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for seed in ("1", "2"):
-            run_dir = tmp_path / f"{threads}-{seed}"
-            run_dir.mkdir()
-            subprocess.run(
-                [sys.executable, "-m", "planmds.cli", "embed", str(csv), "--cost", "elastic",
-                 "--dim", "2", "--init", "pca", "--seed", seed, "--max-sweeps", "3",
-                 "--out", "out"],
-                cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
-            report = json.loads((run_dir / "out" / "data-report.json").read_text())
-            assert report.pop("seed") == int(seed)
-            files[threads, seed] = [(run_dir / "out" / f"data-{kind}").read_bytes()
-                                    for kind in ("embedding.csv", "trace.csv")] + [report]
-    assert files["1", "1"] == files["2", "1"] == files["1", "2"] == files["2", "2"]
+    runs = [("elastic", 24, "3"), ("qsammon", 300, "2"), ("quadratic-ip", 300, "2"),
+            ("kernel-ip", 300, "2")]
+    for cost, n, sweeps in runs:
+        csv = tmp_path / f"{cost}.csv"
+        pm.PointCloud(np.random.default_rng(9).normal(size=(n, 3))
+                      * [1.5, 1.0, 0.5]).save_csv(csv)
+        files = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            for seed in ("1", "2"):
+                run_dir = tmp_path / f"{cost}-{threads}-{seed}"
+                run_dir.mkdir()
+                subprocess.run(
+                    [sys.executable, "-m", "planmds.cli", "embed", str(csv), "--cost", cost,
+                     "--dim", "2", "--optimizer", "marginal", "--init", "pca", "--seed", seed,
+                     "--max-sweeps", sweeps, "--out", "out"],
+                    cwd=run_dir, env=env, check=True, capture_output=True, timeout=120)
+                out = run_dir / "out"
+                report = json.loads((out / f"{cost}-report.json").read_text())
+                assert report.pop("seed") == int(seed)
+                files[threads, seed] = [(out / f"{cost}-{kind}").read_bytes()
+                                        for kind in ("embedding.csv", "trace.csv")] + [report]
+        assert files["1", "1"] == files["2", "1"] == files["1", "2"] == files["2", "2"], cost
 
 
 @pytest.mark.parametrize("argv", [

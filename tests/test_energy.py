@@ -179,6 +179,27 @@ def test_marginal_derivatives_raise_where_they_overflow():
                 assert np.isfinite(value).all()
 
 
+@pytest.mark.parametrize("cost", all_costs(), ids=lambda c: c.name)
+def test_public_marginal_functions_check_dimensions(cost):
+    # an x or y of the wrong length raises one InputError naming the expected
+    # dimension, under every cost: none is cut to the first coordinates or
+    # fails inside the cost
+    rng = np.random.default_rng(4)
+    cloud = random_cloud(rng, 5, 2)
+    plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(5, 2))))
+    x, y = cloud.points[0], [0.3, -0.2]
+    for bad in ([0.5], [0.5, 0.1, 0.2]):
+        for derivative in (pm.marginal_value, pm.marginal_grad, pm.marginal_hessian):
+            with pytest.raises(pm.InputError, match=r"x has dimension \d, expected 2 "):
+                derivative(plan, cloud, cost, bad, y)
+            with pytest.raises(pm.InputError, match=r"y has dimension \d, expected 2 "):
+                derivative(plan, cloud, cost, x, bad)
+        with pytest.raises(pm.InputError, match=r"x has dimension \d, expected 2 "):
+            pm.minimize_marginal(plan, cloud, cost, bad)
+    pm.marginal_value(plan, cloud, cost, x, y)
+    pm.minimize_marginal(plan, cloud, cost, x)
+
+
 def test_perturbation_split_zero():
     rng = np.random.default_rng(8)
     cloud = random_cloud(rng, 4, 2)

@@ -268,6 +268,84 @@ def test_sweep_and_solve_read_no_profile_derivative(cost, monkeypatch):
     minimize_marginal(plan, cloud, cost, cloud.points[0])
 
 
+PAIRWISE_COSTS = [pm.QSammon(), pm.QuadraticIP(), pm.KernelIP(), pm.Elastic()]
+
+
+@pytest.mark.parametrize("cost", PAIRWISE_COSTS, ids=lambda c: c.name)
+def test_sweep_step_computes_one_base_row(cost, monkeypatch):
+    # a step's solve, its certificate value and its gain test share one
+    # base(x, X) row: one sweep over the plan of a map with n rows makes n
+    rows = []
+    base_matrix = cost.base_matrix
+
+    def counted(X1, X2):
+        if len(X1) == 1 and len(X2) > 1:
+            rows.append(len(X2))
+        return base_matrix(X1, X2)
+
+    monkeypatch.setattr(cost, "base_matrix", counted)
+    cloud = random_cloud(np.random.default_rng(3), 12, 3)
+    plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
+    marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=1))
+    assert len(rows) == cloud.n
+
+
+@pytest.mark.parametrize("cost", PAIRWISE_COSTS, ids=lambda c: c.name)
+def test_particle_descent_builds_one_t_matrix_a_trial(cost, monkeypatch):
+    # a trial map's energy and gradient share its t matrix
+    trials, t_calls = [], []
+    dense_objective, t_matrix = optim._dense_objective, cost.t_matrix
+
+    def counted_objective(cloud, cost):
+        evaluate, max_batch = dense_objective(cloud, cost)
+
+        def counted(Ys):
+            trials.append(len(Ys))
+            return evaluate(Ys)
+
+        return counted, max_batch
+
+    def counted_t(Y1, Y2):
+        t_calls.append(len(Y1))
+        return t_matrix(Y1, Y2)
+
+    monkeypatch.setattr(optim, "_dense_objective", counted_objective)
+    monkeypatch.setattr(cost, "t_matrix", counted_t)
+    cloud = random_cloud(np.random.default_rng(3), 12, 3)
+    _, trace = particle_descent(cloud, cost, DescentConfig(max_sweeps=20, rel_tol=1e-15,
+                                                           dim_m=2))
+    assert trace.n_sweeps > 0   # every accepted step read a gradient
+    assert len(t_calls) == sum(trials)
+
+
+@pytest.mark.parametrize("cost", [pm.QMDS(), pm.QuadraticIP()], ids=lambda c: c.name)
+def test_sweep_that_moves_nothing_is_not_revalued(cost, monkeypatch):
+    # the last sweep moves nothing: its trace entry repeats the energy and
+    # split mass of the plan it left as it was, and plan_energy is not called
+    # for it: qmds from a random map, quadratic-ip from PCA
+    calls = []
+    plan_energy = optim.plan_energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plan_energy(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "plan_energy", counted)
+    rng = np.random.default_rng(5)
+    cloud = random_cloud(rng, 10, 2)
+    init = (pca_solve(cloud, 1) if cost.kind == "IP"
+            else pm.DeterministicMap(rng.normal(size=(10, 1))))
+    out, trace = marginal_sweep(pm.plan_from_map(cloud, init), cloud, cost,
+                                DescentConfig(max_sweeps=300, rel_tol=1e-15))
+    assert trace.moved_mass[-1] == 0.0
+    assert len(calls) == len(trace.energies) - 1
+    assert trace.energies[-1] == trace.energies[-2]
+    assert trace.split_mass[-1] == trace.split_mass[-2]
+    assert trace.max_delta[-1] == 0.0
+    exact = pm.stress_plan(out, cloud, cost)
+    assert trace.energies[-1] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_sweep_collapses_split_row_in_one_sweep():
     cloud = pm.PointCloud([[0.0]])
     plan = pm.EmbeddingPlan([(np.array([0.5, 0.5]), np.array([[1.0], [-1.0]]))])
