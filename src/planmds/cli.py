@@ -172,7 +172,7 @@ def _cmd_embed(args) -> int:
                                                    "max_sweeps", "rel_tol")})
     report.runs.append({
         "optimizer": cfg["optimizer"], "init": cfg["init"],
-        "final_stress": stress, "sweeps": trace.n_sweeps,
+        "final_stress": stress, **trace.run_fields(),
         "deterministic": bool(det.is_deterministic),
         "coincident_spread": det.coincident_spread, "swept_rows": trace.swept_rows,
         "files": [embed_file, trace_file],

@@ -185,9 +185,14 @@ class DeterministicMap:
 
 
 def _match(atoms, y, skip=None):
-    """Index of the first of `atoms` but `skip` within MERGE_TOL of y in max-norm, or None."""
-    for k, a in enumerate(atoms):
-        if k != skip and np.max(np.abs(a - y)) <= MERGE_TOL:
+    """Index of the first of `atoms` but `skip` within MERGE_TOL of y in max-norm, or None.
+
+    atoms is a 2-d array or a list of points; one comparison covers them all.
+    """
+    if len(atoms) == 0:
+        return None
+    for k in np.flatnonzero(np.max(np.abs(np.subtract(atoms, y)), axis=1) <= MERGE_TOL).tolist():
+        if k != skip:
             return k
     return None
 
@@ -235,21 +240,21 @@ def _merge_row(masses, atoms):
     at its place in the row, so every sum is that of the plain loop.
     """
     out_m: list[float] = []
-    out_a: list[np.ndarray] = []
+    out_a = np.empty_like(atoms)   # the kept atoms are out_a[:len(out_m)]
     slot: dict[bytes, int] = {}   # exact atom value -> index of the kept atom it joins
     for q, y in zip(masses.tolist(), atoms):
         key = y.tobytes()
         k = slot.get(key)
         if k is None:
-            k = _match(out_a, y)
+            k = _match(out_a[:len(out_m)], y)
         if k is None:
             slot[key] = len(out_m)
+            out_a[len(out_m)] = y
             out_m.append(q)
-            out_a.append(y)
         else:
             slot[key] = k
             out_m[k] += q
-    return np.array(out_m), np.array(out_a)
+    return np.array(out_m), out_a[:len(out_m)]
 
 
 def _merge_rows(counts, mass, atoms):
@@ -460,7 +465,9 @@ class CostFamily:
     supplies attraction, repulsion, the profile and its t-derivatives.  A
     quadratic profile makes every marginal problem exactly solvable: a
     weighted least-squares problem for the IP kind, a weighted quartic for
-    the N2 kind.  An attraction-repulsion marginal is a quadratic plus a
+    the N2 kind, whose coefficients are the moments of m+2 features of the
+    row's atoms under the pair weights (quartic._row_moments).  An
+    attraction-repulsion marginal is a quadratic plus a
     bounded sum of Gaussians, which a branch and bound solves to a certified
     gap (optim._generic_solution).  ``has_moment_form`` marks the cost
     (|x-x'|^2 - |y-y'|^2)^2, whose energies, marginals and gradients all
@@ -528,6 +535,8 @@ class KernelIP(CostFamily):
     def __init__(self, kernel: str = "rbf", sigma: float = 1.0, degree: int = 2, offset: float = 1.0):
         if kernel not in ("rbf", "polynomial"):
             raise InputError(f"unknown kernel {kernel!r}")
+        if not (math.isfinite(sigma) and math.isfinite(offset)):
+            raise InputError(f"kernel-ip sigma and offset must be finite, got {sigma!r} and {offset!r}")
         if kernel == "rbf" and sigma <= 0:
             raise InputError("rbf kernel needs sigma > 0")
         self.kernel = kernel
@@ -565,8 +574,8 @@ class QSammon(CostFamily):
     kind = "N2"
 
     def __init__(self, eps: float = 1e-9):
-        if eps <= 0:
-            raise InputError("qsammon eps must be positive")
+        if not 0 < eps < math.inf:   # NaN too
+            raise InputError(f"qsammon eps must be positive and finite, got {eps!r}")
         self.eps = float(eps)
 
     def base_matrix(self, X1, X2):
@@ -590,8 +599,8 @@ class Elastic(CostFamily):
     quadratic_scale = None   # an attraction-repulsion profile instead
 
     def __init__(self, sigma: float = 1.0, beta: float = 1.0):
-        if sigma <= 0 or beta < 0:
-            raise InputError("elastic needs sigma > 0 and beta >= 0")
+        if not (0 < sigma < math.inf and 0 <= beta < math.inf):   # NaN too
+            raise InputError(f"elastic needs finite sigma > 0 and beta >= 0, got {sigma!r} and {beta!r}")
         self.sigma = float(sigma)
         self.beta = float(beta)
 

@@ -152,8 +152,7 @@ def _marginal_point(X, atoms, cost, x, y):
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite value raises
 def _marginal_value_arrays(X, mass, atoms, cost, x, y, a=None) -> float:
     """The marginal value at (x, y).  a = base(x, X) is computed here unless the
-    caller gives it: a sweep step computes it once, passes it to its solve,
-    and drops it at the step's move."""
+    caller gives it: the least-squares solve passes the row it computed."""
     return _marginal_objective(X, mass, atoms, cost, x, a)(y)
 
 

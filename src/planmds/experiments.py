@@ -139,7 +139,7 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
                         title="particle descent, random init")
     report.runs.append({
         "optimizer": "particle", "init": "random",
-        "final_stress": p_stress, "sweeps": ptrace.n_sweeps,
+        "final_stress": p_stress, **ptrace.run_fields(),
         "deterministic": True,
         "coincident_spread": determinism_report(p_plan, cloud=cloud).coincident_spread,
         "files": [cloud_file, p_embed, p_svg],
@@ -156,7 +156,7 @@ def _run_circle_clusters(outdir, seed: int, cluster_size: int = 1000,
                         title="marginal sweep, analytic init")
     report.runs.append({
         "optimizer": "marginal", "init": "analytic",
-        "final_stress": s_stress, "sweeps": strace.n_sweeps,
+        "final_stress": s_stress, **strace.run_fields(),
         "deterministic": bool(det.is_deterministic),
         "split_mass_fraction": det.split_mass_fraction,
         "coincident_spread": det.coincident_spread, "swept_rows": strace.swept_rows,
@@ -250,7 +250,7 @@ def _run_pca_check(outdir, seed: int, max_sweeps: int = 50) -> ExperimentReport:
         "optimizer": "marginal", "init": "pca",
         "final_stress": sweep_stress, "pca_stress": pca_stress,
         "largest_principal_angle": angle,
-        "sweeps": trace.n_sweeps,
+        **trace.run_fields(),
         "deterministic": bool(determinism_report(plan, 1e-10, 1e-10).is_deterministic),
         "files": [efile],
     })

@@ -10,7 +10,7 @@ is always the full reassignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .core import (
 )
 from .energy import (
     _base_row,
+    _fsum,
     _marginal_arrays,
     _marginal_objective,
     _marginal_value_arrays,
@@ -41,9 +42,9 @@ from .quartic import (
     RESIDUAL_TOL,
     LiftedMoments,
     MarginalSolution,
+    _row_moments,
+    _solve_at,
     map_objective,
-    minimize_quartic,
-    moments_from_arrays,
     quartic_at,
     select_minimizer,
 )
@@ -111,6 +112,17 @@ class IterationTrace:
     @property
     def n_sweeps(self) -> int:
         return max(len(self.energies) - 1, 0)
+
+    def run_fields(self) -> dict:
+        """The keys a run record takes from its trace: sweeps, max_delta and final_grad_norm.
+
+        max_delta has one entry per trace row, the initial one 0.0: the
+        largest predicted energy change of the moves a sweep made (each
+        negative), 0.0 for a sweep that moved nothing and for every particle
+        step.  final_grad_norm is particle descent's, None for a sweep.
+        """
+        return {"sweeps": self.n_sweeps, "max_delta": list(self.max_delta),
+                "final_grad_norm": self.final_grad_norm}
 
     def save_csv(self, path) -> None:
         _write_csv(path, ["sweep", "energy", "split_mass", "moved_mass"],
@@ -443,8 +455,8 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
     0 far from the atoms, has no minimizer, the best atom is.  The search
     draws no random start.
 
-    a = base(x, X) comes from _solve_marginal_arrays, which computes it or
-    takes it from a sweep step; it holds for this one solve.  The value of
+    a = base(x, X) comes from _solve_marginal_arrays, which computes it once
+    a solve; it holds for this one solve.  The value of
     the solution is the pairwise marginal at its minimizer, the least of
     them where there are several.
     """
@@ -546,32 +558,42 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
                             "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
 
 
-def _solve_marginal_arrays(X, mass, atoms, cost, x, a=None) -> MarginalSolution:
+def _solve_marginal_arrays(X, mass, atoms, cost, x, y_old=None):
     """Solve the marginal problem at x with the path its cost's profile allows.
 
-    A profile (a - t)^2 * omega(a) makes the marginal sum_a w_a (a_a - t_a(y))^2
-    with pair weights w_a = mass_a * omega(a_a): for the IP kind a
-    least-squares problem, solved by one linear system; for the N2 kind W * J,
-    W = sum w_a, with J the quartic of the lifted moments under the weights
-    w_a / W, which minimize_quartic solves at its own unit scale, however
-    far skewed weights (qsammon's self pairs weigh 1/eps) put it from unit
-    length.  Both solves are global and carry a certificate.  An
+    A profile (a - t)^2 * omega(a) makes the marginal sum_b w_b (a_b - t_b(y))^2
+    with pair weights w_b = mass_b * omega(a_b): for the IP kind a
+    least-squares problem, solved by one linear system; for the N2 kind
+    W * J, W = sum w_b, with J the weighted quartic of the row under
+    p = w / W, whose coefficients are the fsum moments of the m+2 row
+    features (1, a_b - |y_b - ybar|^2, y_b - ybar) about ybar = p.atoms
+    (quartic._row_moments); _select solves it at its own unit scale,
+    however far skewed weights (qsammon's self pairs weigh 1/eps) put it
+    from unit length.  Both solves are global and carry a certificate.  An
     attraction-repulsion profile (quadratic_scale None) gets the branch and
-    bound of _generic_solution, certified to its gap.
+    bound of _generic_solution, certified to its gap.  Pair weights whose
+    sum is not finite raise NumericalError.
 
     a = base(x, X), the feature-pair statistics of x against the atoms'
-    source points, is computed here unless the caller gives it: a sweep step
-    computes it once for its solve, the solve's certificate value and its
-    gain test, and drops it at the step's move, which may change X.  The
-    least-squares value is the pairwise marginal at y, by
-    _marginal_value_arrays; the quartic's is W times the quartic's value.
+    source points, is computed once here, for the solve, its certificate
+    value and the gain-test values; a sweep step's move may change X, so it
+    lasts for this one call.  The least-squares value is the pairwise
+    marginal at y, by _marginal_value_arrays; the quartic's is W times the
+    quartic's value.
+
+    Returns the MarginalSolution; given y_old, (solution, j_old, j_new), the
+    marginal at y_old and at the selected minimizer, which a sweep step's
+    gain test reads: W times the quartic's values for the quartic, and
+    otherwise the pairwise marginal, at y_new the solution's own value where
+    it has one minimizer.
     """
-    if a is None:
-        a = _base_row(cost, x, X)
+    a = _base_row(cost, x, X)
     if cost.quadratic_scale is None:
-        return _generic_solution(X, mass, atoms, cost, x, a)
-    w = mass / cost.quadratic_scale(a)
-    if cost.kind == "IP":
+        sol = _generic_solution(X, mass, atoms, cost, x, a)
+    else:
+        if cost.kind == "N2":
+            return _quartic_solution(mass, atoms, cost, a, y_old)
+        w = mass / cost.quadratic_scale(a)
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             Aw = atoms.T * w
             G = Aw @ atoms
@@ -586,12 +608,26 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, a=None) -> MarginalSolution:
             residual = math.hypot(*(G @ y - rhs).tolist())
         if not (math.isfinite(scale) and math.isfinite(residual)):
             raise NumericalError("non-finite least-squares certificate: coordinates too large")
-        return MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y, a),
-                                "unique" if rank == atoms.shape[1] else "continuum",
-                                residual <= RESIDUAL_TOL * scale)
-    W = math.fsum(w)
-    sol = minimize_quartic(quartic_at(moments_from_arrays(X, w / W, atoms), x))
-    return replace(sol, value=W * sol.value)
+        sol = MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y, a),
+                               "unique" if rank == atoms.shape[1] else "continuum",
+                               residual <= RESIDUAL_TOL * scale)
+    if y_old is None:
+        return sol
+    objective = _marginal_objective(X, mass, atoms, cost, x, a)
+    j_new = sol.value if len(sol.minimizers) == 1 else objective(select_minimizer(sol))
+    return sol, objective(y_old), j_new
+
+
+@np.errstate(over="ignore", invalid="ignore")   # the weights and moment terms are checked
+def _quartic_solution(mass, atoms, cost, a, y_old):
+    """_solve_marginal_arrays for an N2 cost with a quadratic profile: W times the weighted quartic."""
+    w = mass / cost.quadratic_scale(a)
+    W = _fsum(w.tolist())
+    if not math.isfinite(W):
+        raise NumericalError("non-finite marginal pair weights: masses too large for the cost's scale")
+    ys, values, kind, certified, j_old = _solve_at(*_row_moments(w / W, a, atoms), y_old)
+    sol = MarginalSolution([np.array(y, ndmin=1) for y in ys], W * min(values), kind, certified)
+    return sol if y_old is None else (sol, W * j_old, W * values[0])
 
 
 def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
@@ -708,9 +744,12 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     nothing leaves the plan as it was and ends the descent: its trace entry
     repeats the last energy and split mass, and nothing is rebuilt.
 
-    Under a cost without one, each step computes its base row a = base(x, X)
-    once, for its solve and its gain test; the step's move may change X, so
-    a lasts only until then.
+    Under a cost without one, each step makes one _solve_marginal_arrays
+    call, which computes the base row a = base(x, X) once and returns the
+    gain test's values with the solution: for a quadratic-profile N2 cost
+    (qsammon) W times the row's own weighted quartic at y_old and y_new, with
+    no plan-wide moments and no pairwise pass; otherwise the pairwise
+    marginal.
     """
     state = _SweepState(plan, cloud)
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
@@ -790,18 +829,9 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                 if sums is not None:
                     y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
                 else:
-                    # one base row a serves the step's solve and gain test
-                    a = _base_row(cost, x, state.X)
-                    sol = _solve_marginal_arrays(state.X, state.mass, state.atoms, cost, x, a)
+                    sol, j_old, j_new = _solve_marginal_arrays(state.X, state.mass, state.atoms,
+                                                               cost, x, y_old=y_old)
                     y_new = select_minimizer(sol).tolist()
-                    objective = _marginal_objective(state.X, state.mass, state.atoms, cost, x, a)
-                    j_old = objective(y_old)
-                    # the least-squares solve, and a branch and bound with one
-                    # minimizer, valued y_new by this objective; the quartic
-                    # solve's value is W times the quartic's
-                    exact = len(sol.minimizers) == 1 and (cost.kind == "IP"
-                                                          or cost.quadratic_scale is None)
-                    j_new = sol.value if exact else objective(y_new)
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 needle(i, pos, y_old, y_new, j_new - j_old)

@@ -62,6 +62,29 @@ def _upper_triangle(k: int) -> tuple:
     return i, j
 
 
+def _moment_sums(f: np.ndarray, mass: np.ndarray) -> list:
+    """sum_a mass_a f_a f_a^T over the rows f_a of f, as rows of Python floats.
+
+    One math.fsum per upper-triangle entry, so every entry is correctly
+    rounded and independent of the BLAS.  Terms that are not finite, and
+    sums that overflow, raise NumericalError; callers hold np.errstate with
+    over and invalid ignored, around the features too.
+    """
+    k = f.shape[1]
+    i, j = _upper_triangle(k)
+    terms = (f[:, i] * f[:, j] * mass[:, None]).T
+    if not np.isfinite(terms).all():
+        raise NumericalError("non-finite lifted moment terms: coordinates too large")
+    try:
+        sums = [math.fsum(col) for col in terms.tolist()]
+    except OverflowError:
+        raise NumericalError("lifted moments overflow: coordinates too large") from None
+    F = np.empty((k, k))
+    F[i, j] = sums
+    F[j, i] = sums
+    return F.tolist()
+
+
 class LiftedMoments:
     """F = sum_a m_a f_a f_a^T over the lifted features f_a of the atoms.
 
@@ -79,20 +102,8 @@ class LiftedMoments:
 
     def __init__(self, X: np.ndarray, mass: np.ndarray, atoms: np.ndarray):
         self._set_origin(mass @ X, mass @ atoms)
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            f = self._features(X, atoms)
-            i, j = _upper_triangle(f.shape[1])
-            terms = (f[:, i] * f[:, j] * mass[:, None]).T
-        if not np.isfinite(terms).all():
-            raise NumericalError("non-finite lifted moment terms: coordinates too large")
-        try:
-            sums = [math.fsum(col) for col in terms.tolist()]
-        except OverflowError:
-            raise NumericalError("lifted moments overflow: coordinates too large") from None
-        F = np.empty((f.shape[1], f.shape[1]))
-        F[i, j] = sums
-        F[j, i] = sums
-        self.F = F.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):   # _moment_sums checks the terms
+            self.F = _moment_sums(self._features(X, atoms), mass)
 
     def _set_origin(self, x0: np.ndarray, y0: np.ndarray) -> None:
         self.x0, self.y0, self._y0, self.dim_m = x0, y0, y0.tolist(), len(y0)
@@ -143,20 +154,11 @@ class LiftedMoments:
     def step(self, lifted, y_old: list):
         """The sweep's move of the atom at y_old of the source point whose lift() is `lifted`.
 
-        Returns (y_new, certified, j_old, j_new): _select's first minimizer
-        and certificate, and the marginal at y_old and y_new.  m = 1 stays on
-        Python floats: as length-1 lists a step takes about 2.4 times as long.
+        Returns (y_new, certified, j_old, j_new): _solve_at's first minimizer
+        and certificate, and the marginal at y_old and y_new.
         """
-        m = self.dim_m
-        Psi, phi, zeta, mu = _coefficients(self.F, lifted[1], m)
-        if m == 1:
-            Psi, phi, shift = Psi[0][0], phi[0], self._y0[0] + mu[0]
-            u_old = y_old[0] - shift
-        else:
-            shift = list(map(operator.add, self._y0, mu))
-            u_old = list(map(operator.sub, y_old, shift))
-        ys, values, _, certified = _select(Psi, phi, zeta, shift)
-        return [ys[0]] if m == 1 else ys[0], certified, _centred_value(Psi, phi, zeta, u_old), values[0]
+        ys, values, _, certified, j_old = _solve_at(self.F, lifted[1], self._y0, y_old)
+        return [ys[0]] if self.dim_m == 1 else ys[0], certified, j_old, values[0]
 
     def to_json(self, path) -> None:
         """Write F about the current means, by an exact change of origin, as its blocks.
@@ -375,6 +377,26 @@ def _lifted_point(v: list, m: int) -> list:
     return [sum(map(operator.mul, v, v)), -1.0] + [0.0] * m + [-2.0 * t for t in v]
 
 
+def _solve_at(F: list, pe: list, y0: list, y_old: list = None):
+    """The solve of the quartic of the moments F at the lifted point pe, about the origin y0.
+
+    _coefficients, then _select with shift y0 + mu: the tail of every caller
+    that holds moments.  Returns _select's (minimizers, values, kind,
+    certified) and J at y_old, None without it.  m = 1 stays on Python
+    floats: as length-1 lists a sweep step takes about 2.4 times as long.
+    """
+    m = len(y0)
+    Psi, phi, zeta, mu = _coefficients(F, pe, m)
+    if m == 1:
+        Psi, phi, shift = Psi[0][0], phi[0], y0[0] + mu[0]
+        u_old = None if y_old is None else y_old[0] - shift
+    else:
+        shift = list(map(operator.add, y0, mu))
+        u_old = None if y_old is None else list(map(operator.sub, y_old, shift))
+    j_old = None if u_old is None else _centred_value(Psi, phi, zeta, u_old)
+    return (*_select(Psi, phi, zeta, shift), j_old)
+
+
 def _coefficients(F: list, pe: list, m: int):
     """(Psi as rows, phi, zeta, mu) at the lifted point pe, in Python floats: the core of quartic_at."""
     mul = operator.mul
@@ -424,6 +446,29 @@ def quartic_at(moments: LiftedMoments, x) -> QuarticMarginal:
     Psi, phi, zeta, mu = _coefficients(F, _lifted_point((x - x0).tolist(), m), m)
     return QuarticMarginal(Psi=np.array(Psi), phi=np.array(phi), zeta=zeta,
                            y_shift=y0 + np.array(mu))
+
+
+def _row_moments(p: np.ndarray, a: np.ndarray, atoms: np.ndarray):
+    """(F, Pe, ybar) of J(y) = sum_b p_b (a_b - |y - y_b|^2)^2, weights p summing to 1, as _solve_at takes them.
+
+    With ybar = p.atoms, z_b = y_b - ybar, c_b = a_b - |z_b|^2 and u = y - ybar,
+
+        J = |u|^4 - 4 |u|^2 mu.u + 4 u^T F_zz u - 2 g_0 |u|^2 + 4 g_z.u + sum_b p_b c_b^2,
+
+    quartic_at's form with F = sum_b p_b f_b f_b^T over the m+2 features
+    f_b = (1, c_b, z_b) and Pe = (0, 1, 0, ..., 0): g = F Pe is F's c column,
+    so g_0 = sum p c, g_z = sum p c z and Pe.g = sum p c^2, and mu = sum p z
+    holds the rounding of ybar.  F takes one fsum per upper-triangle entry;
+    the caller holds np.errstate as _moment_sums asks.
+    """
+    k, m = atoms.shape
+    f = np.empty((k, m + 2))
+    f[:, 0] = 1.0
+    ybar = p @ atoms
+    Z = f[:, 2:]
+    np.subtract(atoms, ybar, out=Z)
+    f[:, 1] = a - np.add.reduce(Z * Z, axis=1)
+    return _moment_sums(f, p), [0.0, 1.0] + [0.0] * m, ybar.tolist()
 
 
 @dataclass(frozen=True)
@@ -681,8 +726,7 @@ def level_set_grid(moments: LiftedMoments, region, resolution: int):
     X = np.column_stack([np.repeat(xs1, resolution), np.tile(xs2, resolution)])
     out = []
     for x, (_, pe) in zip(X, moments.lift(X)):
-        Psi, phi, zeta, mu = _coefficients(moments.F, pe, 1)
-        ys = _select(Psi[0][0], phi[0], zeta, moments._y0[0] + mu[0])[0]
+        ys = _solve_at(moments.F, pe, moments._y0)[0]
         out.append((x, ys[0], len(ys)))
     return out
 

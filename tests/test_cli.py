@@ -546,6 +546,43 @@ def test_embed_repeated_rows_share_one_row(tmp_path):
     assert (out / "rep-trace.csv").read_text().startswith("sweep,energy,split_mass,moved_mass\n")
 
 
+def _record_traces(monkeypatch, traces: list, *modules) -> None:
+    """Append to traces the IterationTrace of every particle descent and marginal sweep the modules run."""
+    for module in modules:
+        for name in ("particle_descent", "marginal_sweep"):
+            def recorded(*args, _run=getattr(module, name), **kwargs):
+                out = _run(*args, **kwargs)
+                traces.append(out[1])
+                return out
+
+            monkeypatch.setattr(module, name, recorded)
+
+
+def test_run_records_carry_their_trace_fields(tmp_path, monkeypatch):
+    # every run record with a trace reports its sweeps, per-sweep max_delta
+    # and final gradient norm, read back here against the trace itself
+    from planmds import cli, experiments
+
+    records, traces = [], []
+    _record_traces(monkeypatch, traces, cli, experiments)
+    csv = tmp_path / "c.csv"
+    pm.PointCloud(np.random.default_rng(0).normal(size=(12, 2))).save_csv(csv)
+    for optimizer in ("particle", "marginal"):
+        out = tmp_path / optimizer
+        assert main(["embed", str(csv), "--optimizer", optimizer, "--out", str(out)]) == 0
+        records += json.loads((out / "c-report.json").read_text())["runs"]
+    for name, flags in (("circle-clusters", ["--cluster-size", "10", "--max-sweeps", "3"]),
+                        ("pca-check", [])):
+        assert main(["experiment", name, "--outdir", str(tmp_path), *flags]) == 0
+        records += json.loads((tmp_path / f"{name}-report.json").read_text())["runs"]
+    assert len(records) == len(traces) == 5
+    for run, trace in zip(records, traces):
+        assert run["sweeps"] == trace.n_sweeps
+        assert run["max_delta"] == trace.max_delta and len(trace.max_delta) == len(trace.energies)
+        assert run["final_grad_norm"] == trace.final_grad_norm
+        assert (trace.swept_rows is None) == (run["final_grad_norm"] is not None)
+
+
 def test_experiment_pca_check(tmp_path):
     rc = main(["experiment", "pca-check", "--seed", "2", "--outdir", str(tmp_path)])
     assert rc == 0

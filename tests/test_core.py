@@ -332,6 +332,20 @@ def test_make_cost():
         pm.make_cost("nope")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cost, params", [
+    ("qsammon", {"eps": NAN}), ("qsammon", {"eps": INF}), ("kernel-ip", {"sigma": NAN}),
+    ("kernel-ip", {"kernel": "polynomial", "offset": NAN}), ("elastic", {"sigma": NAN}),
+    ("elastic", {"beta": INF}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={p}" for k, p in v.items()))
+def test_cost_parameters_must_be_finite(cost, params):
+    # a non-finite parameter is bad input, not a numerical failure of the data
+    with pytest.raises(pm.InputError, match="finite"):
+        pm.make_cost(cost, **params)
+
+
 def test_merge_tolerance_is_max_norm():
     atoms = np.array([[0.0, 0.0], [MERGE_TOL / 2, 0.0], [0.0, 10 * MERGE_TOL]])
     plan = pm.EmbeddingPlan([(np.array([0.4, 0.4, 0.2]), atoms)])

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planmds as pm
-from planmds import core, energy, experiments, optim
+from planmds import core, energy, experiments, optim, quartic
 from planmds.core import MERGE_TOL
 from planmds.optim import (
     MAX_HALVINGS,
@@ -288,6 +290,90 @@ def test_sweep_step_computes_one_base_row(cost, monkeypatch):
     plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
     marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=1))
     assert len(rows) == cloud.n
+
+
+def test_qsammon_step_reads_its_row_quartic_alone(monkeypatch):
+    # a qsammon step solves, and values y_old and y_new for its gain test,
+    # from its row's own weighted quartic: it builds no plan-wide lifted
+    # moments and values no pairwise marginal
+    builds, values = [], []
+    init, objective = quartic.LiftedMoments.__init__, optim._marginal_objective
+
+    def counted_init(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    def counted_objective(*args, **kwargs):
+        value = objective(*args, **kwargs)
+
+        def counted(y):
+            values.append(1)
+            return value(y)
+
+        return counted
+
+    monkeypatch.setattr(quartic.LiftedMoments, "__init__", counted_init)
+    monkeypatch.setattr(optim, "_marginal_objective", counted_objective)
+    cloud = random_cloud(np.random.default_rng(3), 12, 3)
+    plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
+    _, trace = marginal_sweep(plan, cloud, pm.QSammon(), DescentConfig(max_sweeps=1))
+    assert trace.moved_mass[1] > 0.0
+    assert builds == [] and values == []
+
+
+def _quartic_term_magnitude(X, mass, atoms, cost, x, y) -> float:
+    """fsum of the magnitudes of the terms of W J(y) = sum_b w_b (c_b - |u|^2 + 2 u.z_b)^2,
+    u = y - ybar, z_b = y_b - ybar and c_b = a_b - |z_b|^2: the scale of its rounding."""
+    a = energy._base_row(cost, x, X)
+    w = mass / cost.quadratic_scale(a)
+    ybar = (w / np.sum(w)) @ atoms
+    u, Z = np.asarray(y) - ybar, atoms - ybar
+    c = a - np.sum(Z * Z, axis=1)
+    return math.fsum(w * (np.abs(c) + u @ u + 2.0 * np.abs(Z @ u)) ** 2)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), k=st.integers(-30, 30),
+       eps=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_weighted_quartic_matches_pairwise_marginal(seed, m, k, eps):
+    # a qsammon row at x = x_0, whose own atom weighs m_0 / eps, with the
+    # coordinates scaled by 2^k: the solve's W J(y) is the pairwise marginal
+    # to the rounding of the quartic's terms, and its certified minimizer is
+    # no worse than a multi-start local search
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** k
+    cloud = random_cloud(rng, 6, 2)
+    cloud = pm.PointCloud(scale * cloud.points)
+    rows = []
+    for w in cloud.weights:
+        q = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 3)))
+        rows.append((q / q.sum() * w, scale * rng.normal(size=(len(q), m))))
+    plan = pm.EmbeddingPlan(rows)
+    cost = pm.QSammon(eps)
+    idx, mass, atoms = plan.flat()
+    X, x = cloud.points[idx], cloud.points[0]
+    for y in scale * rng.normal(size=(3, m)):
+        _, wj, _ = optim._solve_marginal_arrays(X, mass, atoms, cost, x, y_old=y.tolist())
+        pairwise = energy._marginal_objective(X, mass, atoms, cost, x)(y)
+        assert abs(wj - pairwise) <= 1e-12 * _quartic_term_magnitude(X, mass, atoms, cost, x, y)
+    sol = minimize_marginal(plan, cloud, cost, x)
+    assert sol.certified
+    y = pm.select_minimizer(sol)
+    value = pm.marginal_value(plan, cloud, cost, x, y)
+    oracle = multistart_marginal_oracle(X, mass, atoms, cost, x, DescentConfig(seed=seed))
+    assert value <= oracle.value + 1e-12 * _quartic_term_magnitude(X, mass, atoms, cost, x, y)
+
+
+def test_overflowing_pair_weights_raise_numerical_error():
+    # m / eps overflows for a self pair (a = 0) at eps = 1e-320: an error
+    # that names the weights, and no numpy warning
+    cost = pm.QSammon(eps=1e-320)
+    cloud = random_cloud(np.random.default_rng(0), 12, 3)
+    plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
+    with pytest.raises(pm.NumericalError, match="pair weights"):
+        marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=1))
+    with pytest.raises(pm.NumericalError, match="pair weights"):
+        minimize_marginal(plan, cloud, cost, cloud.points[0])
 
 
 @pytest.mark.parametrize("cost", PAIRWISE_COSTS, ids=lambda c: c.name)
