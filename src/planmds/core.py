@@ -472,12 +472,16 @@ class CostFamily:
     gap (optim._generic_solution).  ``has_moment_form`` marks the cost
     (|x-x'|^2 - |y-y'|^2)^2, whose energies, marginals and gradients all
     follow from the low-rank lifted moments of quartic.LiftedMoments instead
-    of pairwise sums.
+    of pairwise sums.  ``self_base`` is base(x, x) where it is one constant
+    for every x, bitwise what base returns (0.0 for a squared distance,
+    1.0 for the RBF kernel), and None where it depends on x; the marginal
+    sweep reads it instead of computing base(x, x) for each point.
     """
 
     name = "abstract"
     kind = "N2"
     has_moment_form = False
+    self_base = None
 
     # --- feature-pair statistic -------------------------------------------------
     def base_matrix(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -537,12 +541,15 @@ class KernelIP(CostFamily):
             raise InputError(f"unknown kernel {kernel!r}")
         if not (math.isfinite(sigma) and math.isfinite(offset)):
             raise InputError(f"kernel-ip sigma and offset must be finite, got {sigma!r} and {offset!r}")
-        if kernel == "rbf" and sigma <= 0:
-            raise InputError("rbf kernel needs sigma > 0")
+        if kernel == "rbf" and not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
+            raise InputError(f"rbf kernel needs sigma > 0 with 2 sigma^2 positive and finite, got {sigma!r}")
+        if kernel == "polynomial" and not (float(degree).is_integer() and degree >= 1):
+            raise InputError(f"polynomial kernel degree must be an integer >= 1, got {degree!r}")
         self.kernel = kernel
         self.sigma = float(sigma)
         self.degree = int(degree)
         self.offset = float(offset)
+        self.self_base = 1.0 if kernel == "rbf" else None   # exp(-0.0 / (2 sigma^2))
 
     def base_matrix(self, X1, X2):
         if self.kernel == "rbf":
@@ -559,6 +566,7 @@ class QMDS(CostFamily):
     name = "qmds"
     kind = "N2"
     has_moment_form = True
+    self_base = 0.0   # (x - x)^2 sums to 0.0
 
     def base_matrix(self, X1, X2):
         return _sqdist_matrix(X1, X2)
@@ -572,6 +580,7 @@ class QSammon(CostFamily):
 
     name = "qsammon"
     kind = "N2"
+    self_base = 0.0
 
     def __init__(self, eps: float = 1e-9):
         if not 0 < eps < math.inf:   # NaN too
@@ -596,11 +605,13 @@ class Elastic(CostFamily):
 
     name = "elastic"
     kind = "N2"
+    self_base = 0.0
     quadratic_scale = None   # an attraction-repulsion profile instead
 
     def __init__(self, sigma: float = 1.0, beta: float = 1.0):
-        if not (0 < sigma < math.inf and 0 <= beta < math.inf):   # NaN too
-            raise InputError(f"elastic needs finite sigma > 0 and beta >= 0, got {sigma!r} and {beta!r}")
+        if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf and 0 <= beta < math.inf):   # NaN too
+            raise InputError("elastic needs sigma > 0 with 2 sigma^2 positive and finite, and finite "
+                             f"beta >= 0, got {sigma!r} and {beta!r}")
         self.sigma = float(sigma)
         self.beta = float(beta)
 

@@ -150,10 +150,9 @@ def _marginal_point(X, atoms, cost, x, y):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite value raises
-def _marginal_value_arrays(X, mass, atoms, cost, x, y, a=None) -> float:
-    """The marginal value at (x, y).  a = base(x, X) is computed here unless the
-    caller gives it: the least-squares solve passes the row it computed."""
-    return _marginal_objective(X, mass, atoms, cost, x, a)(y)
+def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
+    """The marginal value at (x, y), the pairwise sum over the atoms."""
+    return _marginal_objective(X, mass, atoms, cost, x)(y)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite gradient raises
@@ -182,12 +181,16 @@ def _marginal_hessian_arrays(X, mass, atoms, cost, x, y) -> np.ndarray:
 
 
 def _marginal_arrays(plan: EmbeddingPlan, cloud: PointCloud, x, y=None):
-    """_plan_arrays, once x is checked to have the cloud's dimension d and y the plan's m."""
+    """_plan_arrays, once x is checked to be finite with the cloud's dimension d and y with the plan's m."""
     X, mass, atoms = _plan_arrays(plan, cloud)
     for name, v, dim, what in (("x", x, cloud.dim_d, "the cloud's dimension"),
                                ("y", y, plan.dim_m, "the plan's embedding dimension")):
-        if v is not None and np.size(v) != dim:
+        if v is None:
+            continue
+        if np.size(v) != dim:
             raise InputError(f"{name} has dimension {np.size(v)}, expected {dim} ({what})")
+        if not np.isfinite(np.asarray(v, dtype=float)).all():
+            raise InputError(f"{name} must be finite, got {np.asarray(v).tolist()!r}")
     return X, mass, atoms
 
 

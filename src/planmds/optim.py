@@ -10,6 +10,7 @@ is always the full reassignment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .energy import (
     _fsum,
     _marginal_arrays,
     _marginal_objective,
-    _marginal_value_arrays,
     plan_energy,
 )
 from .quartic import (
@@ -61,6 +61,7 @@ BOX_TILE = 1 << 15   # elements (atoms x coordinates + coordinates^2 a row) of o
 NEWTON_STEPS = 16  # damped Newton steps at most per refinement
 REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
 ROOT_CELLS = 4     # the branch and bound's first cut has at most ROOT_CELLS^3 boxes, the m = 3 cut
+PIVOT_RTOL = 1e-9  # det(G) / tr(G)^m above which a least-squares G is solved by its LDL^T
 
 
 @dataclass
@@ -78,14 +79,12 @@ class DescentConfig:
     dim_m: int = 1
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise InputError("max_sweeps must be >= 1")
-        if not self.rel_tol > 0:   # NaN too
-            raise InputError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed!r}")
-        if self.dim_m < 1:
-            raise InputError(f"embedding dimension dim_m must be >= 1, got {self.dim_m!r}")
+        for name, least in (("max_sweeps", 1), ("seed", 0), ("dim_m", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0 < self.rel_tol < math.inf:   # NaN too
+            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 class IterationTrace:
@@ -563,59 +562,129 @@ def _solve_marginal_arrays(X, mass, atoms, cost, x, y_old=None):
 
     A profile (a - t)^2 * omega(a) makes the marginal sum_b w_b (a_b - t_b(y))^2
     with pair weights w_b = mass_b * omega(a_b): for the IP kind a
-    least-squares problem, solved by one linear system; for the N2 kind
-    W * J, W = sum w_b, with J the weighted quartic of the row under
-    p = w / W, whose coefficients are the fsum moments of the m+2 row
-    features (1, a_b - |y_b - ybar|^2, y_b - ybar) about ybar = p.atoms
-    (quartic._row_moments); _select solves it at its own unit scale,
-    however far skewed weights (qsammon's self pairs weigh 1/eps) put it
-    from unit length.  Both solves are global and carry a certificate.  An
+    least-squares problem, solved from its normal equations
+    (_least_squares_solution); for the N2 kind W * J, W = sum w_b, with J
+    the weighted quartic of the row under p = w / W, whose coefficients are
+    the fsum moments of the m+2 row features (1, a_b - |y_b - ybar|^2,
+    y_b - ybar) about ybar = p.atoms (quartic._row_moments); _select solves
+    it at its own unit scale, however far skewed weights (qsammon's self
+    pairs weigh 1/eps) put it from unit length.  Both solves are global and
+    carry a certificate, and both value their points from the same
+    quantities they solve with, with no pass over the atoms.  An
     attraction-repulsion profile (quadratic_scale None) gets the branch and
-    bound of _generic_solution, certified to its gap.  Pair weights whose
-    sum is not finite raise NumericalError.
+    bound of _generic_solution, certified to its gap, and its values are
+    pairwise marginals.  Pair weights whose sum is not finite raise
+    NumericalError.
 
     a = base(x, X), the feature-pair statistics of x against the atoms'
-    source points, is computed once here, for the solve, its certificate
-    value and the gain-test values; a sweep step's move may change X, so it
-    lasts for this one call.  The least-squares value is the pairwise
-    marginal at y, by _marginal_value_arrays; the quartic's is W times the
-    quartic's value.
+    source points, is computed once here, for the solve and its values; a
+    sweep step's move may change X, so it lasts for this one call.
 
     Returns the MarginalSolution; given y_old, (solution, j_old, j_new), the
     marginal at y_old and at the selected minimizer, which a sweep step's
-    gain test reads: W times the quartic's values for the quartic, and
-    otherwise the pairwise marginal, at y_new the solution's own value where
-    it has one minimizer.
+    gain test reads.
     """
     a = _base_row(cost, x, X)
-    if cost.quadratic_scale is None:
-        sol = _generic_solution(X, mass, atoms, cost, x, a)
-    else:
-        if cost.kind == "N2":
-            return _quartic_solution(mass, atoms, cost, a, y_old)
-        w = mass / cost.quadratic_scale(a)
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            Aw = atoms.T * w
-            G = Aw @ atoms
-            rhs = Aw @ a
-            # math.hypot takes the norm without overflow in its sum of squares
-            norm_G, norm_rhs = math.hypot(*G.ravel().tolist()), math.hypot(*rhs.tolist())
-            if not math.isfinite(norm_G + norm_rhs):
-                raise NumericalError("non-finite least-squares system: coordinates too large")
-            y, _, rank, _ = np.linalg.lstsq(G, rhs, rcond=None)
-            # G is positive semidefinite: a stationary point is a global minimizer
-            scale = 1.0 + norm_G * math.hypot(*y.tolist()) + norm_rhs
-            residual = math.hypot(*(G @ y - rhs).tolist())
-        if not (math.isfinite(scale) and math.isfinite(residual)):
-            raise NumericalError("non-finite least-squares certificate: coordinates too large")
-        sol = MarginalSolution([y], _marginal_value_arrays(X, mass, atoms, cost, x, y, a),
-                               "unique" if rank == atoms.shape[1] else "continuum",
-                               residual <= RESIDUAL_TOL * scale)
+    if cost.quadratic_scale is not None:
+        solve = _quartic_solution if cost.kind == "N2" else _least_squares_solution
+        return solve(mass, atoms, cost, a, y_old)
+    sol = _generic_solution(X, mass, atoms, cost, x, a)
     if y_old is None:
         return sol
     objective = _marginal_objective(X, mass, atoms, cost, x, a)
     j_new = sol.value if len(sol.minimizers) == 1 else objective(select_minimizer(sol))
     return sol, objective(y_old), j_new
+
+
+def _ldl_solve(G, r):
+    """y with G y = r, by G = L D L^T in Python floats; None unless every pivot is clearly positive.
+
+    G is positive semidefinite.  The product of the pivots D_i / tr(G) is
+    det(G) / tr(G)^m, a lower bound of lambda_min / lambda_max; above
+    PIVOT_RTOL, far above the m eps of an SVD rank rule, G has full rank.
+    At m = 1 y is r / G.
+    """
+    L, D, z = [], [], []   # rows of the unit lower triangle L, the pivots, and L^-1 r
+    trace, ratio = 0.0, 1.0
+    for Gi, ri in zip(G, r):
+        row = []
+        for k, Lk in enumerate(L):
+            s = Gi[k]
+            for lj, dj, lkj in zip(row, D, Lk):
+                s -= lj * dj * lkj
+            row.append(s / D[k])
+        d, zi = Gi[len(L)], ri
+        trace += d
+        for lj, dj, zj in zip(row, D, z):
+            d -= lj * lj * dj
+            zi -= lj * zj
+        if not d > 0.0:
+            return None
+        L.append(row)
+        D.append(d)
+        z.append(zi)
+    for d in D:
+        ratio *= d / trace
+    if not ratio > PIVOT_RTOL:
+        return None
+    for i in reversed(range(len(z))):   # z becomes y = L^-T D^-1 z
+        z[i] /= D[i]
+        for j in range(i + 1, len(z)):
+            z[i] -= L[j][i] * z[j]
+    return z
+
+
+@np.errstate(over="ignore", invalid="ignore")   # the system, the certificate and the values are checked
+def _least_squares_solution(mass, atoms, cost, a, y_old):
+    """_solve_marginal_arrays for an IP cost: sum_b w_b (a_b - <y, y_b>)^2 from its normal equations.
+
+    G = sum w_b y_b y_b^T and r = sum w_b a_b y_b are BLAS products of the
+    row, c0 = fsum(w a^2); so J(y) = c0 - 2 y.r + y^T G y, an fsum of
+    Python float terms, values the solution and y_old.  G y = r is solved
+    by _ldl_solve, or, where a pivot is not clearly positive, by
+    np.linalg.lstsq, whose rank rule then decides "unique" or "continuum"
+    and which gives the minimum-norm point.  G is positive semidefinite, so
+    a point with a small residual |G y - r| <= RESIDUAL_TOL (1 + |G| |y| + |r|)
+    is a certified global minimizer.
+    """
+    w = mass / cost.quadratic_scale(a)
+    Aw = atoms.T * w
+    G_arr = Aw @ atoms
+    G, r = G_arr.tolist(), (Aw @ a).tolist()
+    c0 = _fsum((w * a * a).tolist())
+    # math.hypot takes the norm without overflow in its sum of squares
+    norm_G, norm_r = math.hypot(*G_arr.ravel().tolist()), math.hypot(*r)
+    if not math.isfinite(norm_G + norm_r):
+        raise NumericalError("non-finite least-squares system: coordinates too large")
+    y, rank = _ldl_solve(G, r), len(r)
+    if y is None:
+        y, _, rank, _ = np.linalg.lstsq(G_arr, np.array(r), rcond=None)
+        y = y.tolist()
+    res = []   # G y - r
+    for Gi, ri in zip(G, r):
+        s = -ri
+        for g, v in zip(Gi, y):
+            s += g * v
+        res.append(s)
+    scale, residual = 1.0 + norm_G * math.hypot(*y) + norm_r, math.hypot(*res)
+    if not (math.isfinite(scale) and math.isfinite(residual)):
+        raise NumericalError("non-finite least-squares certificate: coordinates too large")
+
+    def value(y):
+        terms = [c0]   # c0 - 2 y.r + y^T G y
+        for yi, ri, Gi in zip(y, r, G):
+            terms.append(-2.0 * yi * ri)
+            for g, yj in zip(Gi, y):
+                terms.append(yi * g * yj)
+        v = _fsum(terms)
+        if not math.isfinite(v):
+            raise NumericalError("non-finite marginal value: coordinates too large")
+        return v
+
+    j_new = value(y)
+    sol = MarginalSolution([np.array(y)], j_new, "unique" if rank == len(r) else "continuum",
+                           residual <= RESIDUAL_TOL * scale)
+    return sol if y_old is None else (sol, value(y_old), j_new)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the weights and moment terms are checked
@@ -748,8 +817,12 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     call, which computes the base row a = base(x, X) once and returns the
     gain test's values with the solution: for a quadratic-profile N2 cost
     (qsammon) W times the row's own weighted quartic at y_old and y_new, with
-    no plan-wide moments and no pairwise pass; otherwise the pairwise
-    marginal.
+    no plan-wide moments and no pairwise pass; for an IP cost the
+    least-squares J from its normal equations; otherwise (elastic) the
+    pairwise marginal.
+
+    The needle's quadratic term reads base(x, x): the cost's constant
+    self_base where it declares one, and otherwise base(x, x) of each point.
     """
     state = _SweepState(plan, cloud)
     sums = LiftedMoments(state.X, state.mass, state.atoms) if cost.has_moment_form else None
@@ -811,8 +884,11 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     trace.swept_rows = len(state.points)
     E = checked_energy("at initialization")
     trace.add(E, state.split_mass(), 0.0)
-    # base(x, x) is computed alone, as a blocked base_matrix diagonal could round differently
-    bases = [cost.base(x, x) for x in state.points]
+    if cost.self_base is None:
+        # base(x, x) is computed alone, as a blocked base_matrix diagonal could round differently
+        bases = [cost.base(x, x) for x in state.points]
+    else:
+        bases = [cost.self_base] * len(state.points)
 
     for sweep in range(config.max_sweeps):
         moved = 0.0

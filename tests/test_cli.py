@@ -230,6 +230,7 @@ def test_mistyped_config_value_exit_2(tmp_path, monkeypatch, capsys, argv, confi
     ["embed", "pair.csv", "--dim", "-1"],
     ["embed", "pair.csv", "--seed", "-1", "--init", "random"],
     ["embed", "pair.csv", "--rel-tol", "nan"],
+    ["embed", "pair.csv", "--rel-tol", "inf"],
     ["embed", "pair.csv", "--dim", "x"],
     ["experiment", "circle-clusters", "--cluster-size", "-3"],
     ["experiment", "pca-check", "--seed", "-1"],

@@ -338,12 +338,40 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("cost, params", [
     ("qsammon", {"eps": NAN}), ("qsammon", {"eps": INF}), ("kernel-ip", {"sigma": NAN}),
     ("kernel-ip", {"kernel": "polynomial", "offset": NAN}), ("elastic", {"sigma": NAN}),
-    ("elastic", {"beta": INF}),
+    ("elastic", {"beta": INF}), ("kernel-ip", {"sigma": 1e-200}), ("kernel-ip", {"sigma": 1e200}),
+    ("elastic", {"sigma": 1e-200}), ("elastic", {"sigma": 1e200}),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={p}" for k, p in v.items()))
 def test_cost_parameters_must_be_finite(cost, params):
-    # a non-finite parameter is bad input, not a numerical failure of the data
+    # a non-finite parameter is bad input, not a numerical failure of the data;
+    # so is a kernel width whose 2 sigma^2 is 0 (the self pair's kernel would
+    # be 0/0) or overflows (Python's sigma**2 would raise OverflowError)
     with pytest.raises(pm.InputError, match="finite"):
         pm.make_cost(cost, **params)
+
+
+@pytest.mark.parametrize("degree", [0.5, 2.5, 0, -1, NAN, INF])
+def test_polynomial_kernel_degree_must_be_a_positive_integer(degree):
+    # int() would cut 0.5 to 0, a constant kernel; a degree below 1 is no polynomial kernel
+    with pytest.raises(pm.InputError, match="degree"):
+        pm.make_cost("kernel-ip", kernel="polynomial", degree=degree)
+
+
+def test_polynomial_kernel_takes_an_integral_degree():
+    assert pm.KernelIP(kernel="polynomial", degree=3.0).degree == 3
+
+
+@pytest.mark.parametrize("cost", all_costs(), ids=lambda c: f"{c.name}-{getattr(c, 'kernel', '')}".rstrip("-"))
+def test_self_base_is_bitwise_base_of_a_point_with_itself(cost):
+    # the sweep reads self_base in place of base(x, x): it must be the same
+    # float, sign bit included, at every scale
+    rng = np.random.default_rng(5)
+    points = [rng.normal(size=3), 1e150 * rng.normal(size=3), 1e-300 * rng.normal(size=3),
+              np.array([-0.0, 0.0, -0.0]), np.array([1e150, -1e-300, -0.0])]
+    if cost.self_base is None:
+        assert cost.name == "quadratic-ip" or getattr(cost, "kernel", "") == "polynomial"
+        return
+    for x in points:
+        assert np.float64(cost.self_base).tobytes() == np.float64(cost.base(x, x)).tobytes()
 
 
 def test_merge_tolerance_is_max_norm():

@@ -183,7 +183,7 @@ def test_marginal_derivatives_raise_where_they_overflow():
 def test_public_marginal_functions_check_dimensions(cost):
     # an x or y of the wrong length raises one InputError naming the expected
     # dimension, under every cost: none is cut to the first coordinates or
-    # fails inside the cost
+    # fails inside the cost; a non-finite one raises an InputError naming it
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 5, 2)
     plan = pm.plan_from_map(cloud, pm.DeterministicMap(rng.normal(size=(5, 2))))
@@ -195,6 +195,15 @@ def test_public_marginal_functions_check_dimensions(cost):
             with pytest.raises(pm.InputError, match=r"y has dimension \d, expected 2 "):
                 derivative(plan, cloud, cost, x, bad)
         with pytest.raises(pm.InputError, match=r"x has dimension \d, expected 2 "):
+            pm.minimize_marginal(plan, cloud, cost, bad)
+    # a NaN or infinite coordinate is the caller's, not a numerical failure of the data
+    for bad in ([np.nan, 0.1], [0.5, np.inf], [-np.inf, np.nan]):
+        for derivative in (pm.marginal_value, pm.marginal_grad, pm.marginal_hessian):
+            with pytest.raises(pm.InputError, match="x must be finite"):
+                derivative(plan, cloud, cost, bad, y)
+            with pytest.raises(pm.InputError, match="y must be finite"):
+                derivative(plan, cloud, cost, x, bad)
+        with pytest.raises(pm.InputError, match="x must be finite"):
             pm.minimize_marginal(plan, cloud, cost, bad)
     pm.marginal_value(plan, cloud, cost, x, y)
     pm.minimize_marginal(plan, cloud, cost, x)

@@ -31,7 +31,9 @@ def test_config_validation():
         DescentConfig(max_sweeps=0)
     with pytest.raises(pm.InputError):
         DescentConfig(rel_tol=0.0)
-    for bad in ({"dim_m": 0}, {"dim_m": -1}, {"seed": -1}, {"rel_tol": float("nan")}):
+    for bad in ({"dim_m": 0}, {"dim_m": -1}, {"seed": -1}, {"rel_tol": float("nan")},
+                {"max_sweeps": 2.5}, {"max_sweeps": float("inf")}, {"dim_m": 1.5},
+                {"seed": 1.5}, {"rel_tol": float("inf")}):
         with pytest.raises(pm.InputError, match=next(iter(bad))):
             DescentConfig(**bad)
 
@@ -319,6 +321,115 @@ def test_qsammon_step_reads_its_row_quartic_alone(monkeypatch):
     _, trace = marginal_sweep(plan, cloud, pm.QSammon(), DescentConfig(max_sweeps=1))
     assert trace.moved_mass[1] > 0.0
     assert builds == [] and values == []
+
+
+@pytest.mark.parametrize("cost", [pm.QuadraticIP(), pm.KernelIP()], ids=lambda c: c.name)
+def test_ip_step_reads_its_normal_equations_alone(cost, monkeypatch):
+    # an IP step solves its full-rank normal equations by LDL^T and values
+    # the solution and y_old from G, r and c0: no pairwise marginal value
+    # and no lstsq
+    objectives, lstsq_calls = [], []
+    objective, lstsq = energy._marginal_objective, np.linalg.lstsq
+
+    def counted_objective(*args, **kwargs):
+        objectives.append(1)
+        return objective(*args, **kwargs)
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    for module in (optim, energy):
+        monkeypatch.setattr(module, "_marginal_objective", counted_objective)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    cloud = random_cloud(np.random.default_rng(3), 12, 3)
+    plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
+    _, trace = marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=1))
+    assert trace.moved_mass[1] > 0.0
+    assert objectives == [] and lstsq_calls == []
+
+
+@pytest.mark.parametrize("cost", [pm.QMDS(), pm.QSammon(), pm.QuadraticIP(), pm.KernelIP(),
+                                  pm.KernelIP(kernel="polynomial", degree=3), pm.Elastic()],
+                         ids=lambda c: f"{c.name}-{getattr(c, 'kernel', '')}".rstrip("-"))
+def test_sweep_reads_a_constant_self_base(cost, monkeypatch):
+    # the needle's base(x, x) is the cost's constant where it declares one;
+    # only the others compute it, once for each distinct point
+    singles = []
+    base_matrix = cost.base_matrix
+
+    def counted(X1, X2):
+        if len(X1) == 1 and len(X2) == 1:
+            singles.append(1)
+        return base_matrix(X1, X2)
+
+    monkeypatch.setattr(cost, "base_matrix", counted)
+    cloud = random_cloud(np.random.default_rng(3), 12, 3)
+    plan = pm.plan_from_map(cloud, pca_solve(cloud, 2))
+    marginal_sweep(plan, cloud, cost, DescentConfig(max_sweeps=1))
+    assert len(singles) == (0 if cost.self_base is not None else cloud.n)
+
+
+def _least_squares_term_magnitude(X, mass, atoms, cost, x, y) -> float:
+    """fsum of the magnitudes of the terms of J(y) = sum_b w_b (a_b - sum_i y_i y_bi)^2
+    expanded, as c0 - 2 y.r + y^T G y expands it: the scale of its rounding."""
+    a = energy._base_row(cost, x, X)
+    w = mass / cost.quadratic_scale(a)
+    return math.fsum(w * (np.abs(a) + np.abs(atoms) @ np.abs(np.asarray(y, dtype=float))) ** 2)
+
+
+IP_COSTS = [pm.QuadraticIP(), pm.KernelIP(), pm.KernelIP(kernel="polynomial", degree=3, offset=0.5)]
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), k=st.integers(-30, 30),
+       cost=st.sampled_from(IP_COSTS),
+       layout=st.sampled_from(["random", "single", "collinear", "origin"]))
+def test_normal_equations_match_lstsq_and_pairwise_marginal(seed, m, k, cost, layout):
+    # an IP row with coordinates scaled by 2^k, its atoms in general
+    # position, all at one point, on one line through the origin or all at
+    # the origin: the solve's kind is lstsq's rank rule on the same G, its
+    # certified minimizer is no worse than a multi-start local search, and
+    # J from (G, r, c0) is the pairwise marginal to the rounding of its terms.
+    # The line's direction has power-of-two components, so its atoms are
+    # collinear in floats too: atoms that are collinear only to rounding
+    # give a G of rank m whose least singular value the rank rule drops, and
+    # points far along that direction are lower by more than rounding
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** k
+    cloud = pm.PointCloud(scale * random_cloud(rng, 6, 2).points)
+    direction = rng.choice([-1.0, 1.0], size=m) * 2.0 ** rng.integers(-2, 3, size=m)
+    rows = []
+    for w in cloud.weights:
+        q = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 3)))
+        atoms = {"random": rng.normal(size=(len(q), m)),
+                 "single": np.tile(direction, (len(q), 1)),
+                 "collinear": rng.normal(size=(len(q), 1)) * direction,
+                 "origin": np.zeros((len(q), m))}[layout]
+        rows.append((q / q.sum() * w, scale * atoms))
+    plan = pm.EmbeddingPlan(rows)
+    idx, mass, atoms = plan.flat()
+    X, x = cloud.points[idx], cloud.points[0]
+    a = energy._base_row(cost, x, X)
+    Aw = atoms.T * (mass / cost.quadratic_scale(a))
+    rank = np.linalg.lstsq(Aw @ atoms, Aw @ a, rcond=None)[2]
+    sol = optim._solve_marginal_arrays(X, mass, atoms, cost, x)
+    assert sol.multiplicity_kind == ("unique" if rank == m else "continuum")
+    assert sol.certified
+    pairwise = energy._marginal_objective(X, mass, atoms, cost, x)
+    y = pm.select_minimizer(sol)
+    tol = 1e-12 * _least_squares_term_magnitude(X, mass, atoms, cost, x, y)
+    assert abs(sol.value - pairwise(y)) <= tol
+    oracle = multistart_marginal_oracle(X, mass, atoms, cost, x, DescentConfig(seed=seed))
+    # a rank-deficient G leaves a line or plane of minimizers, along which
+    # the search may end far out, where its value's rounding is larger
+    tol = max(tol, 1e-12 * _least_squares_term_magnitude(X, mass, atoms, cost, x,
+                                                         oracle.minimizers[0]))
+    assert pairwise(y) <= oracle.value + tol
+    for y in scale * rng.normal(size=(3, m)):
+        _, j_old, _ = optim._solve_marginal_arrays(X, mass, atoms, cost, x, y_old=y.tolist())
+        assert abs(j_old - pairwise(y)) <= 1e-12 * _least_squares_term_magnitude(
+            X, mass, atoms, cost, x, y)
 
 
 def _quartic_term_magnitude(X, mass, atoms, cost, x, y) -> float:
