@@ -388,7 +388,7 @@ class EmbeddingPlan:
             qs, ys = by_row.setdefault(i, ([], []))
             qs.append(q)
             ys.append(y)
-        n = max(by_row) + 1
+        n = len(by_row)
         if sorted(by_row) != list(range(n)):
             raise InputError(f"{path}: source indices must cover 0..{n - 1} without gaps")
         m = len(header) - 2
@@ -449,14 +449,22 @@ def _sqdist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kind_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The statistic of a cost kind between the rows of A and B: <a, b> for "IP", |a - b|^2 for "N2"."""
+    if kind == "IP":
+        return A @ B.T
+    return _sqdist_matrix(A, B)
+
+
 class CostFamily:
     """A second-order cost c(x,x',y,y') = profile(base(x,x'), t(y,y')).
 
     ``kind`` selects the embedded-variable statistic t: "IP" uses <y,y'>,
     "N2" uses |y-y'|^2; the marginal sweep consolidates each row of an N2
     cost onto its best atom, a full move wherever the profile is uniquely
-    minimized at t = 0, as every built-in one is.  Subclasses supply the
-    base statistic of the feature pair and the capability flags.  The
+    minimized at t = 0, as every built-in one is.  The base statistic of
+    the feature pair is the kind's own, <x,x'> or |x-x'|^2, unless a
+    subclass overrides base_matrix (KernelIP's kernel).  The
     profile is quadratic in t, (a - t)^2 * omega(a) with omega(a) =
     1 / quadratic_scale(a), unless a subclass sets ``quadratic_scale =
     None``.  Such a subclass must be of the N2 kind with the
@@ -485,7 +493,7 @@ class CostFamily:
 
     # --- feature-pair statistic -------------------------------------------------
     def base_matrix(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _kind_matrix(self.kind, X1, X2)
 
     def base(self, x, xp) -> float:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -494,9 +502,7 @@ class CostFamily:
 
     # --- embedded-pair statistic -------------------------------------------------
     def t_matrix(self, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
-        if self.kind == "IP":
-            return Y1 @ Y2.T
-        return _sqdist_matrix(Y1, Y2)
+        return _kind_matrix(self.kind, Y1, Y2)
 
     def t_floats(self, y: list, yp: list) -> float:
         """t(y, y') of two points given as lists of Python floats."""
@@ -525,9 +531,6 @@ class QuadraticIP(CostFamily):
 
     name = "quadratic-ip"
     kind = "IP"
-
-    def base_matrix(self, X1, X2):
-        return X1 @ X2.T
 
 
 class KernelIP(CostFamily):
@@ -568,9 +571,6 @@ class QMDS(CostFamily):
     has_moment_form = True
     self_base = 0.0   # (x - x)^2 sums to 0.0
 
-    def base_matrix(self, X1, X2):
-        return _sqdist_matrix(X1, X2)
-
 
 class QSammon(CostFamily):
     """(|x-x'|^2 - t)^2 / (|x-x'|^2 + eps): quartic Sammon-style weighting.
@@ -586,9 +586,6 @@ class QSammon(CostFamily):
         if not 0 < eps < math.inf:   # NaN too
             raise InputError(f"qsammon eps must be positive and finite, got {eps!r}")
         self.eps = float(eps)
-
-    def base_matrix(self, X1, X2):
-        return _sqdist_matrix(X1, X2)
 
     def quadratic_scale(self, a):
         return a + self.eps
@@ -614,9 +611,6 @@ class Elastic(CostFamily):
                              f"beta >= 0, got {sigma!r} and {beta!r}")
         self.sigma = float(sigma)
         self.beta = float(beta)
-
-    def base_matrix(self, X1, X2):
-        return _sqdist_matrix(X1, X2)
 
     def attraction(self, a):
         return np.exp(-a / (2.0 * self.sigma**2))

@@ -123,16 +123,11 @@ def _base_row(cost, x, X) -> np.ndarray:
     return cost.base_matrix(np.asarray(x, dtype=float).reshape(1, -1), X)[0]
 
 
-def _marginal_objective(X, mass, atoms, cost, x, a=None):
-    """The value of the marginal problem at x, as one function of y.
+def _marginal_objective(mass, atoms, cost, a):
+    """The value of the marginal problem at the base row a = base(x, X), as one function of y.
 
-    The feature-pair statistics a = base(x, X) are computed once, not per
-    call, and not at all when given.  A value that is not finite raises
-    NumericalError.
+    A value that is not finite raises NumericalError.
     """
-    if a is None:
-        a = _base_row(cost, x, X)
-
     def objective(y):
         t = cost.t_matrix(np.asarray(y, dtype=float).reshape(1, -1), atoms)[0]
         value = _fsum(mass * cost.profile(a, t))
@@ -152,7 +147,7 @@ def _marginal_point(X, atoms, cost, x, y):
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite value raises
 def _marginal_value_arrays(X, mass, atoms, cost, x, y) -> float:
     """The marginal value at (x, y), the pairwise sum over the atoms."""
-    return _marginal_objective(X, mass, atoms, cost, x)(y)
+    return _marginal_objective(mass, atoms, cost, _base_row(cost, x, X))(y)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite gradient raises

@@ -46,7 +46,6 @@ from .quartic import (
     _solve_at,
     map_objective,
     quartic_at,
-    select_minimizer,
 )
 
 GAIN_TOL = 1e-9    # per-unit-mass marginal gain below which a move is skipped
@@ -414,8 +413,8 @@ class _AttractionRepulsion:
         return P, val, grad
 
 
-def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
-    """Global minimizer of an attraction-repulsion marginal, by spatial branch and bound.
+def _generic_solution(mass, atoms, cost, a, y_old=None):
+    """_solve_marginal_arrays for an attraction-repulsion profile, by spatial branch and bound.
 
     With a_b = |x - x_b|^2, wk_b = m_b attraction(a_b), wr_b = m_b repulsion(a_b)
     and s_b = |y - y_b|^2 the marginal is
@@ -454,13 +453,12 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
     0 far from the atoms, has no minimizer, the best atom is.  The search
     draws no random start.
 
-    a = base(x, X) comes from _solve_marginal_arrays, which computes it once
-    a solve; it holds for this one solve.  The value of
-    the solution is the pairwise marginal at its minimizer, the least of
-    them where there are several.
+    The minimizers are listed lexicographically descending, as
+    quartic._select lists them.  Each of them, and y_old, is valued by the
+    pairwise marginal; the solution's value is the least minimizer value.
     """
     m = atoms.shape[1]
-    objective = _marginal_objective(X, mass, atoms, cost, x, a)
+    objective = _marginal_objective(mass, atoms, cost, a)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
         B = float(np.sum(wr))
@@ -470,11 +468,15 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
     if not (math.isfinite(K) and math.isfinite(B * B)):
         raise NumericalError("non-finite marginal weights: coordinates too large")
 
-    def uncertified(y):
-        return MarginalSolution([y], objective(y), "unique", certified=False)
+    def solved(minimizers, certified=False, gap=0.0):
+        minimizers.sort(key=tuple, reverse=True)
+        values = list(map(objective, minimizers))
+        sol = MarginalSolution(minimizers, min(values),
+                               "unique" if len(minimizers) == 1 else "finite_multiple", certified, gap)
+        return sol, None if y_old is None else objective(y_old), values[0]
 
     if K == 0.0:
-        return uncertified(min(atoms, key=objective))
+        return solved([min(atoms, key=objective)])
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         c = np.sum(wk[:, None] * atoms, axis=0) / K
     if not np.isfinite(c).all():
@@ -488,7 +490,7 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
     def settle(lo, hi):
         # the best of the incumbent and Newton steps from every start
         Q, v, _ = J.newton(np.clip(np.concatenate([y_best[None, :], P]), lo, hi), lo, hi)
-        return uncertified(c + Q[int(np.argmin(v))])
+        return solved([c + Q[int(np.argmin(v))]])
 
     R = math.sqrt(max(U + J.gap(U) - J.q0, 0.0) / J.K)
     if not math.isfinite(R):
@@ -553,47 +555,24 @@ def _generic_solution(X, mass, atoms, cost, x, a) -> MarginalSolution:
             break
         if _match(minimizers, c + P[k]) is None:
             minimizers.append(c + P[k])
-    return MarginalSolution(minimizers, min(map(objective, minimizers)),
-                            "unique" if len(minimizers) == 1 else "finite_multiple", True, float(gap))
+    return solved(minimizers, True, float(gap))
 
 
 def _solve_marginal_arrays(X, mass, atoms, cost, x, y_old=None):
-    """Solve the marginal problem at x with the path its cost's profile allows.
+    """(solution, J(y_old), J(solution.minimizers[0])) of the marginal at x; J(y_old) None without y_old.
 
-    A profile (a - t)^2 * omega(a) makes the marginal sum_b w_b (a_b - t_b(y))^2
-    with pair weights w_b = mass_b * omega(a_b): for the IP kind a
-    least-squares problem, solved from its normal equations
-    (_least_squares_solution); for the N2 kind W * J, W = sum w_b, with J
-    the weighted quartic of the row under p = w / W, whose coefficients are
-    the fsum moments of the m+2 row features (1, a_b - |y_b - ybar|^2,
-    y_b - ybar) about ybar = p.atoms (quartic._row_moments); _select solves
-    it at its own unit scale, however far skewed weights (qsammon's self
-    pairs weigh 1/eps) put it from unit length.  Both solves are global and
-    carry a certificate, and both value their points from the same
-    quantities they solve with, with no pass over the atoms.  An
-    attraction-repulsion profile (quadratic_scale None) gets the branch and
-    bound of _generic_solution, certified to its gap, and its values are
-    pairwise marginals.  Pair weights whose sum is not finite raise
-    NumericalError.
-
-    a = base(x, X), the feature-pair statistics of x against the atoms'
-    source points, is computed once here, for the solve and its values; a
-    sweep step's move may change X, so it lasts for this one call.
-
-    Returns the MarginalSolution; given y_old, (solution, j_old, j_new), the
-    marginal at y_old and at the selected minimizer, which a sweep step's
-    gain test reads.
+    a = base(x, X) is computed here, once, for the back-end that the cost's
+    profile selects: _quartic_solution (N2) or _least_squares_solution (IP)
+    for a quadratic profile, _generic_solution for an attraction-repulsion
+    one.  Each solves and values from the same quantities; a sweep step's
+    move may change X, so a lasts for this one call.
     """
     a = _base_row(cost, x, X)
-    if cost.quadratic_scale is not None:
+    if cost.quadratic_scale is None:
+        solve = _generic_solution
+    else:
         solve = _quartic_solution if cost.kind == "N2" else _least_squares_solution
-        return solve(mass, atoms, cost, a, y_old)
-    sol = _generic_solution(X, mass, atoms, cost, x, a)
-    if y_old is None:
-        return sol
-    objective = _marginal_objective(X, mass, atoms, cost, x, a)
-    j_new = sol.value if len(sol.minimizers) == 1 else objective(select_minimizer(sol))
-    return sol, objective(y_old), j_new
+    return solve(mass, atoms, cost, a, y_old)
 
 
 def _ldl_solve(G, r):
@@ -635,7 +614,7 @@ def _ldl_solve(G, r):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the system, the certificate and the values are checked
-def _least_squares_solution(mass, atoms, cost, a, y_old):
+def _least_squares_solution(mass, atoms, cost, a, y_old=None):
     """_solve_marginal_arrays for an IP cost: sum_b w_b (a_b - <y, y_b>)^2 from its normal equations.
 
     G = sum w_b y_b y_b^T and r = sum w_b a_b y_b are BLAS products of the
@@ -684,19 +663,27 @@ def _least_squares_solution(mass, atoms, cost, a, y_old):
     j_new = value(y)
     sol = MarginalSolution([np.array(y)], j_new, "unique" if rank == len(r) else "continuum",
                            residual <= RESIDUAL_TOL * scale)
-    return sol if y_old is None else (sol, value(y_old), j_new)
+    return sol, None if y_old is None else value(y_old), j_new
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the weights and moment terms are checked
-def _quartic_solution(mass, atoms, cost, a, y_old):
-    """_solve_marginal_arrays for an N2 cost with a quadratic profile: W times the weighted quartic."""
+def _quartic_solution(mass, atoms, cost, a, y_old=None):
+    """_solve_marginal_arrays for an N2 cost with a quadratic profile: W times the weighted quartic.
+
+    With pair weights w = mass / quadratic_scale(a) and W = sum w, J is the
+    quartic of the row under p = w / W, whose coefficients are the fsum
+    moments of its m+2 features (quartic._row_moments); _select solves it at
+    its own unit scale, however far skewed weights (qsammon's self pairs
+    weigh 1/eps) put it from unit length.  A W that is not finite raises
+    NumericalError.
+    """
     w = mass / cost.quadratic_scale(a)
     W = _fsum(w.tolist())
     if not math.isfinite(W):
         raise NumericalError("non-finite marginal pair weights: masses too large for the cost's scale")
     ys, values, kind, certified, j_old = _solve_at(*_row_moments(w / W, a, atoms), y_old)
     sol = MarginalSolution([np.array(y, ndmin=1) for y in ys], W * min(values), kind, certified)
-    return sol if y_old is None else (sol, W * j_old, W * values[0])
+    return sol, None if j_old is None else W * j_old, W * values[0]
 
 
 def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
@@ -708,7 +695,7 @@ def minimize_marginal(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
     one, which is uncertified only past its box budget or where the marginal
     has no minimizer.
     """
-    return _solve_marginal_arrays(*_marginal_arrays(plan, cloud, x), cost, x)
+    return _solve_marginal_arrays(*_marginal_arrays(plan, cloud, x), cost, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +819,8 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
         if sums is not None:
             qm = quartic_at(sums, x)
             return [qm.value(y) for y in ys]
-        return list(map(_marginal_objective(state.X, state.mass, state.atoms, cost, x), ys))
+        return list(map(_marginal_objective(state.mass, state.atoms, cost, _base_row(cost, x, state.X)),
+                        ys))
 
     def needle_quadratic(base, y_old, y_new) -> float:
         """c(y_new, y_new) - 2 c(y_old, y_new) + c(y_old, y_old) at the row's base.
@@ -906,8 +894,8 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
                     y_new, _, j_old, j_new = sums.step(lifted[i], y_old)
                 else:
                     sol, j_old, j_new = _solve_marginal_arrays(state.X, state.mass, state.atoms,
-                                                               cost, x, y_old=y_old)
-                    y_new = select_minimizer(sol).tolist()
+                                                               cost, x, y_old)
+                    y_new = sol.minimizers[0].tolist()
                 if j_old - j_new <= GAIN_TOL * (1.0 + abs(j_new)):
                     continue
                 needle(i, pos, y_old, y_new, j_new - j_old)

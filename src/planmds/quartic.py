@@ -484,7 +484,9 @@ class MarginalSolution:
     least-squares solve that failed its residual check, or a branch and bound
     that ran out of boxes or met a marginal with no minimizer.  `gap` is the certified
     bound of a branch and bound: no point has a value below value - gap.
-    The closed-form solves leave it 0.0.
+    The closed-form solves leave it 0.0.  Every solution planmds builds lists
+    its minimizers lexicographically descending, so minimizers[0] is the one
+    select_minimizer picks.
     """
 
     minimizers: list

@@ -90,3 +90,25 @@ def test_bench_trace_counts_written_bytes(tmp_path):
     assert all(p.stat().st_size > 0 for p in paths + svgs)
     assert metrics["experiments.write.bytes"] == sum(p.stat().st_size for p in paths)
     assert metrics["svgplot.write.bytes"] == sum(p.stat().st_size for p in svgs)
+
+
+def test_bench_trace_nests_each_generic_solve_in_a_sweep_solve():
+    # a traced elastic sweep makes one optim.solve span a row swept, and
+    # each branch and bound (optim.generic) is the child of one: the layer
+    # metrics read the solve layer as the sweep calls it
+    import planmds as pm
+    import planmds.cli  # noqa: F401  installed() looks each hooked module up in sys.modules
+
+    tracing = _tracing()
+    cloud = pm.PointCloud(np.random.default_rng(0).normal(size=(10, 3)))
+    plan = pm.plan_from_map(cloud, pm.pca_solve(cloud, 2))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        _, trace = pm.marginal_sweep(plan, cloud, pm.Elastic(), pm.DescentConfig(max_sweeps=1))
+    metrics, _ = tracing.layer_metrics(tracer, [0])
+    arr = tracer.arrays()
+    generic = arr["name"] == tracer.names.index("optim.generic")
+    parents = arr["name"][arr["parent"][generic]]
+    assert metrics["optim.marginal_sweep.solves"] == trace.swept_rows == cloud.n
+    assert np.count_nonzero(generic) == cloud.n
+    assert (parents == tracer.names.index("optim.solve")).all()

@@ -271,11 +271,20 @@ def test_symmetric_marginal_has_two_minimizers():
     # W > K pushes its minimizers off 0 to y^2 = log(W / K)
     cloud = pm.PointCloud([[0.0], [2.0]])
     plan = pm.plan_from_map(cloud, pm.DeterministicMap([[0.0], [0.0]]))
-    sol = minimize_marginal(plan, cloud, pm.Elastic(beta=1.0), [0.0])
+    cost = pm.Elastic(beta=1.0)
+    sol = minimize_marginal(plan, cloud, cost, [0.0])
     y0 = math.sqrt(math.log(2.0 / (0.5 + 0.5 * math.exp(-2.0))))
     assert sol.certified and sol.multiplicity_kind == "finite_multiple"
     assert sorted(float(y[0]) for y in sol.minimizers) == pytest.approx([-y0, y0], abs=1e-9)
     assert float(pm.select_minimizer(sol)[0]) > 0.0
+    # a sweep step's solve: the minimizers are lexicographically descending,
+    # and the gain test's values are the pairwise marginal, bit for bit
+    X, mass, atoms = _plan_arrays(plan, cloud)
+    sol, j_old, j_new = optim._solve_marginal_arrays(X, mass, atoms, cost, [0.0], [0.0])
+    y = sol.minimizers[0]
+    assert float(y[0]) > 0.0 and y.tobytes() == pm.select_minimizer(sol).tobytes()
+    assert j_new == pm.marginal_value(plan, cloud, cost, [0.0], y)
+    assert j_old == pm.marginal_value(plan, cloud, cost, [0.0], [0.0])
 
 
 def test_elastic_sweep_runs_without_scipy():

@@ -182,10 +182,12 @@ def test_plan_csv_round_trip(tmp_path):
 
 
 def test_plan_csv_requires_contiguous_indices(tmp_path):
+    # one row at index 2^62 is a gap to report, not a list of 2^62 indices to build
     path = tmp_path / "plan.csv"
-    path.write_text("i,mass,y1\n0,0.5,1\n2,0.5,2\n")
-    with pytest.raises(pm.InputError):
-        pm.EmbeddingPlan.load_csv(path)
+    for body in ("0,0.5,1\n2,0.5,2\n", f"{2**62},1.0,1\n"):
+        path.write_text("i,mass,y1\n" + body)
+        with pytest.raises(pm.InputError):
+            pm.EmbeddingPlan.load_csv(path)
 
 
 def test_perturbation_rows_must_balance():

@@ -413,10 +413,10 @@ def test_normal_equations_match_lstsq_and_pairwise_marginal(seed, m, k, cost, la
     a = energy._base_row(cost, x, X)
     Aw = atoms.T * (mass / cost.quadratic_scale(a))
     rank = np.linalg.lstsq(Aw @ atoms, Aw @ a, rcond=None)[2]
-    sol = optim._solve_marginal_arrays(X, mass, atoms, cost, x)
+    sol = optim._solve_marginal_arrays(X, mass, atoms, cost, x)[0]
     assert sol.multiplicity_kind == ("unique" if rank == m else "continuum")
     assert sol.certified
-    pairwise = energy._marginal_objective(X, mass, atoms, cost, x)
+    pairwise = energy._marginal_objective(mass, atoms, cost, a)
     y = pm.select_minimizer(sol)
     tol = 1e-12 * _least_squares_term_magnitude(X, mass, atoms, cost, x, y)
     assert abs(sol.value - pairwise(y)) <= tol
@@ -465,7 +465,7 @@ def test_weighted_quartic_matches_pairwise_marginal(seed, m, k, eps):
     X, x = cloud.points[idx], cloud.points[0]
     for y in scale * rng.normal(size=(3, m)):
         _, wj, _ = optim._solve_marginal_arrays(X, mass, atoms, cost, x, y_old=y.tolist())
-        pairwise = energy._marginal_objective(X, mass, atoms, cost, x)(y)
+        pairwise = energy._marginal_objective(mass, atoms, cost, energy._base_row(cost, x, X))(y)
         assert abs(wj - pairwise) <= 1e-12 * _quartic_term_magnitude(X, mass, atoms, cost, x, y)
     sol = minimize_marginal(plan, cloud, cost, x)
     assert sol.certified
