@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +59,6 @@ ROUNDING_ULPS = 64   # ... plus this many ulps of the scale of its bounds, their
 BOX_BUDGET = 1 << 17   # boxes a branch and bound may bound before it returns its best point uncertified
 BOX_TILE = 1 << 15   # elements (atoms x coordinates + coordinates^2 a row) of one chunk of boxes
 NEWTON_STEPS = 16  # damped Newton steps at most per refinement
-REFINED_STARTS = 3   # starting points of a branch and bound refined by Newton before the search
 ROOT_CELLS = 4     # the branch and bound's first cut has at most ROOT_CELLS^3 boxes, the m = 3 cut
 PIVOT_RTOL = 1e-9  # det(G) / tr(G)^m above which a least-squares G is solved by its LDL^T
 
@@ -80,10 +80,17 @@ class DescentConfig:
     def __post_init__(self):
         for name, least in (("max_sweeps", 1), ("seed", 0), ("dim_m", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not (_is_int(value) and value >= least):
                 raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0 < self.rel_tol < math.inf:   # NaN too
-            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        tol = self.rel_tol
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and 0 < tol < math.inf):   # NaN too
+            raise InputError(f"rel_tol must be positive and finite, got {tol!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether value is an integer: a bool, though an Integral, is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class IterationTrace:
@@ -247,8 +254,9 @@ def _quad_min(g, lam, dlo, dhi):
     lam > 0 and at an end otherwise, so the least of the three values is it.
     """
     lam = lam[:, None]
+    half = 0.5 * lam
     d = np.clip(-g / np.where(lam > 0.0, lam, np.inf), dlo, dhi)
-    q = [g * e + 0.5 * lam * e * e for e in (dlo, dhi, d)]
+    q = [g * e + half * e * e for e in (dlo, dhi, d)]
     return np.sum(np.minimum(np.minimum(q[0], q[1]), q[2]), axis=1)
 
 
@@ -264,10 +272,10 @@ class _AttractionRepulsion:
     NaN or +inf bound, raises NumericalError.
     """
 
-    def __init__(self, Z, wk, wr):
+    def __init__(self, Z, wk, wr, K=None):
         self.Z, self.wk, self.wr = Z, wk, wr
         self.Zt = np.ascontiguousarray(Z.T)   # (m, k): the offsets below run along the atoms
-        self.K = math.fsum(wk.tolist())
+        self.K = math.fsum(wk.tolist()) if K is None else K   # K, when given, is that sum
         self.cz = np.sum(wk[:, None] * Z, axis=0) / self.K
         self.q0 = math.fsum((wk * np.sum((Z - self.cz) ** 2, axis=1)).tolist())
         self.B = math.fsum(wr.tolist())
@@ -295,13 +303,16 @@ class _AttractionRepulsion:
         re = self.wr * np.exp(-s)
         return D, s, re, np.sum(self.wk * s + re, axis=1)
 
-    def _terms(self, P):
-        """Offsets D, squared distances, values, gradients and Hessians at the rows of P."""
+    def _terms(self, P, hessian=True):
+        """Offsets D, squared distances, values, gradients and, if hessian, Hessians at the rows of P."""
         D, s, re, val = self._value_terms(P)
         dw = self.wk - re
+        grad = 2.0 * np.einsum("nk,njk->nj", dw, D)
+        if not hessian:
+            return D, s, val, grad
         H = 4.0 * np.einsum("nik,njk->nij", re[:, None, :] * D, D)
         H += (2.0 * np.sum(dw, axis=1))[:, None, None] * self.eye
-        return D, s, val, 2.0 * np.einsum("nk,njk->nj", dw, D), H
+        return D, s, val, grad, H
 
     def values(self, P):
         """The values of evaluate(P), alone; only a non-finite value raises."""
@@ -310,16 +321,16 @@ class _AttractionRepulsion:
             raise NumericalError("non-finite marginal value: coordinates too large")
         return val
 
-    def evaluate(self, P):
-        """Values, gradients and Hessians at the rows of P."""
-        return self._chunked(self._evaluate, P)
+    def evaluate(self, P, hessian=True):
+        """Values, gradients and, if hessian, Hessians at the rows of P."""
+        return self._chunked(lambda P: self._evaluate(P, hessian), P)
 
-    def _evaluate(self, P):
-        """evaluate(P) for rows of P that make one chunk."""
-        val, grad, H = self._terms(P)[2:]
-        if not (np.isfinite(val).all() and np.isfinite(grad).all() and np.isfinite(H).all()):
+    def _evaluate(self, P, hessian=True):
+        """evaluate(P, hessian) for rows of P that make one chunk."""
+        terms = self._terms(P, hessian)[2:]
+        if not all(np.isfinite(a).all() for a in terms):
             raise NumericalError("non-finite marginal value or gradient: coordinates too large")
-        return val, grad, H
+        return terms
 
     def bounds(self, lo, hi):
         """Midpoints, their values, Hessian eigenvalue lower bounds lam and the lower
@@ -341,11 +352,12 @@ class _AttractionRepulsion:
         def chunk(lo, hi):
             mid = 0.5 * (lo + hi)
             h = np.maximum(hi - mid, mid - lo)
+            hh = np.sum(h * h, axis=1)
             D, s, val, grad, H = self._terms(mid)
             A = np.abs(D)
             near = np.maximum(A - h[:, :, None], 0.0)
             smin = np.einsum("njk,njk->nk", near, near)
-            smax = s + 2.0 * np.einsum("njk,nj->nk", A, h) + np.sum(h * h, axis=1)[:, None]
+            smax = s + 2.0 * np.einsum("njk,nj->nk", A, h) + hh[:, None]
             e_near, e_far = np.exp(-smin), np.exp(-smax)
             curv = (np.minimum(e_near * (4.0 * smin - 2.0), e_far * (4.0 * smax - 2.0)) if m == 1
                     else -2.0 * e_near)
@@ -354,7 +366,7 @@ class _AttractionRepulsion:
             third = np.where(e_near > 0.0, e_near * third, 0.0)
             lam0 = 2.0 * self.K + np.sum(self.wr * curv, axis=1)
             low = np.linalg.eigvalsh(H)[:, 0]
-            Lr = np.sum(self.wr * third, axis=1) * np.sqrt(np.sum(h * h, axis=1))
+            Lr = np.sum(self.wr * third, axis=1) * np.sqrt(hh)
             dist = np.maximum(np.abs(mid - self.cz) - h, 0.0)
             lb1 = self.K * np.sum(dist * dist, axis=1) + self.q0 + np.sum(self.wr * e_far, axis=1)
             lb2 = val + _quad_min(grad, np.maximum(lam0, low - Lr / 3.0), -h, h)
@@ -375,44 +387,74 @@ class _AttractionRepulsion:
         1e-9 (K + B), so the step descends.  A step, projected onto the box,
         is kept when it lowers the value, or keeps it within rounding and
         lowers the gradient's max-norm, and halved otherwise (Bertsekas 1982).
-        Returns the points, their values and gradients.  lo and hi broadcast
-        against P, which is taken in chunks as the bounds are.
+        The steps stop when every row's next step moves it by at most 4 eps
+        (1 + |P|) a coordinate, or after NEWTON_STEPS.  Returns the points,
+        their values, and per row whether it is a Newton fixed point: the
+        steps stopped at that test and the row's step there was a full one.
+        Newton steps from fixed points alone stop at once and return them and
+        their values unchanged, bit for bit.  lo and hi broadcast against P,
+        which is taken in chunks as the bounds are.
         """
         if len(P) > self.rows:   # the chunks slice lo and hi with P
             lo, hi = np.broadcast_to(lo, P.shape), np.broadcast_to(hi, P.shape)
         return self._chunked(self._newton, P, lo, hi)
 
+    def _held(self, P, grad, H, lo, hi):
+        """grad and H with each coordinate held at a face of its box (see newton)
+        taken out: its gradient entry 0, its Hessian row and column the identity's."""
+        at_lo, at_hi = P <= lo, P >= hi
+        if not (at_lo.any() or at_hi.any()):
+            return grad, H
+        f = ~((at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0)))
+        return np.where(f, grad, 0.0), np.where(f[:, :, None] & f[:, None, :], H, self.eye)
+
     def _newton(self, P, lo, hi):
-        def free(P, grad):
-            return ~(((P <= lo) & (grad > 0.0)) | ((P >= hi) & (grad < 0.0)))
-
         val, grad, H = self._evaluate(P)
-        f = free(P, grad)
-        g = np.where(f, grad, 0.0)
-        t = np.ones(len(P))
+        g, H = self._held(P, grad, H, lo, hi)
+        floor = 1e-9 * (self.K + self.B)
+        t = None   # the rows' step factors, once a step is halved
         for _ in range(NEWTON_STEPS):
-            w, V = np.linalg.eigh(np.where(f[:, :, None] & f[:, None, :], H, self.eye))
-            w = np.maximum(np.abs(w), 1e-9 * (self.K + self.B))
+            w, V = np.linalg.eigh(H)
+            w = np.maximum(np.abs(w), floor)
             step = np.einsum("nij,nj->ni", V, np.einsum("nji,nj->ni", V, g) / w)
-            with np.errstate(over="ignore"):   # an overflowing step is clipped to the box
-                Q = np.clip(P - t[:, None] * step, lo, hi)
+            Q = np.clip(P - (step if t is None else t[:, None] * step), lo, hi)   # an overflow is clipped
             if (np.abs(Q - P) <= 4.0 * EPS * (1.0 + np.abs(P))).all():
-                break
-            v2, g2, H2 = self._evaluate(Q)
-            f2 = free(Q, g2)
-            g2f = np.where(f2, g2, 0.0)
-            keep = (v2 < val) | ((v2 <= val + ROUNDING_ULPS * EPS * val)
-                                 & (np.max(np.abs(g2f), axis=1) < np.max(np.abs(g), axis=1)))
+                return P, val, np.full(len(P), True) if t is None else t == 1.0
+            v2, grad2, H2 = self._evaluate(Q)
+            g2, H2 = self._held(Q, grad2, H2, lo, hi)
+            keep = v2 < val
+            if not keep.all():
+                keep |= ((v2 <= val + ROUNDING_ULPS * EPS * val)
+                         & (np.max(np.abs(g2), axis=1) < np.max(np.abs(g), axis=1)))
             if keep.all():
-                P, val, grad, H, f, g = Q, v2, g2, H2, f2, g2f
+                P, val, g, H, t = Q, v2, g2, H2, None
             else:
-                P, val, grad, H, f, g = (np.where(keep.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
-                                         for a, b in ((P, Q), (val, v2), (grad, g2), (H, H2),
-                                                      (f, f2), (g, g2f)))
-            t = np.where(keep, 1.0, 0.5 * t)
-        return P, val, grad
+                P, val, g, H = (np.where(keep.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                                for a, b in ((P, Q), (val, v2), (g, g2), (H, H2)))
+                t = np.where(keep, 1.0, 0.5 if t is None else 0.5 * t)
+        return P, val, np.full(len(P), False)
 
 
+@lru_cache(maxsize=None)
+def _root_cut(m: int) -> tuple:
+    """The first cut of the branch and bound at dimension m, read-only and built once per m.
+
+    With cells the largest number for which cells^m <= ROOT_CELLS^3: the
+    edges of the unit cube's cells along an axis, np.linspace(-1, 1, cells +
+    1) as a column, the indices of each cell's lower and upper edges
+    (cells^m rows of m), and the axes 0, ..., m - 1 that index them.
+    """
+    cells = 1
+    while (cells + 1) ** m <= ROOT_CELLS ** 3:
+        cells += 1
+    lower = np.indices((cells,) * m).reshape(m, -1).T
+    cut = np.linspace(-1.0, 1.0, cells + 1)[:, None], lower, lower + 1, np.arange(m)
+    for a in cut:
+        a.setflags(write=False)
+    return cut
+
+
+@np.errstate(over="ignore", invalid="ignore")   # the weights, the attraction mean and the values are checked
 def _generic_solution(mass, atoms, cost, a, y_old=None):
     """_solve_marginal_arrays for an attraction-repulsion profile, by spatial branch and bound.
 
@@ -424,7 +466,7 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
     with c the wk-mean of the atoms (see _AttractionRepulsion); the search
     is the classical one of Horst & Tuy (1996).  The incumbent value U
     starts as the least value at the atoms (the sweep's old atom among them)
-    and at c, the best REFINED_STARTS of them refined by Newton steps.
+    and at c, the best of them refined by Newton steps.
     Every point with J <= U lies in K |y - c|^2 <= U - q0, so the search
     starts from the cube about c of that half-width, cut into cells^m equal
     boxes, with cells the largest number for which there are at most
@@ -446,7 +488,10 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
     gap = GAP_RTOL (1 + |U|) plus a rounding allowance, and the minimizers
     are the Newton-polished points of the incumbent and of the pruned boxes
     that may hold a value within the gap of U, one per MERGE_TOL cluster:
-    more than one is "finite_multiple".
+    more than one is "finite_multiple".  The polish is skipped when the
+    incumbent is still the refined start, a Newton fixed point, and every
+    such box's point is the incumbent, bit for bit: the steps would return
+    it and its value unchanged.
     Past BOX_BUDGET boxes, or where the root cube's half-width overflows,
     the best of the incumbent and of Newton steps from every start is
     returned uncertified; when K = 0, and J, which then tends to its infimum
@@ -459,9 +504,8 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
     """
     m = atoms.shape[1]
     objective = _marginal_objective(mass, atoms, cost, a)
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
-        B = float(np.sum(wr))
+    wk, wr = mass * cost.attraction(a), mass * cost.repulsion(a)
+    B = float(np.sum(wr))
     K = math.fsum(wk.tolist())
     # bound (ii) on the root cube takes B times its squared half-width, which
     # is about B / K with K <= 1: it overflows wherever B^2 does
@@ -477,12 +521,12 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
 
     if K == 0.0:
         return solved([min(atoms, key=objective)])
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        c = np.sum(wk[:, None] * atoms, axis=0) / K
+    c = np.sum(wk[:, None] * atoms, axis=0) / K
     if not np.isfinite(c).all():
         raise NumericalError("non-finite attraction mean: coordinates too large")
-    J = _AttractionRepulsion(atoms - c, wk, wr)
-    P = np.concatenate([atoms - c, J.cz[None, :]])
+    Z = atoms - c
+    J = _AttractionRepulsion(Z, wk, wr, K)
+    P = np.concatenate([Z, J.cz[None, :]])
     val = J.values(P)
     best = int(np.argmin(val))
     U, y_best = float(val[best]), P[best]
@@ -495,21 +539,21 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
     R = math.sqrt(max(U + J.gap(U) - J.q0, 0.0) / J.K)
     if not math.isfinite(R):
         return settle(np.full((1, m), -np.inf), np.full((1, m), np.inf))
-    cells = 1
-    while (cells + 1) ** m <= ROOT_CELLS ** 3:
-        cells += 1
-    edges = J.cz + R * np.linspace(-1.0, 1.0, cells + 1)[:, None]
+    ticks, cell_lo, cell_hi, axes = _root_cut(m)
+    edges = J.cz + R * ticks
     root_lo, root_hi = edges[:1], edges[-1:]
 
     def lower(points, values):
-        nonlocal U, y_best
+        nonlocal U, y_best, fixed
         k = int(np.argmin(values))
         if values[k] < U:
-            U, y_best = float(values[k]), points[k]
+            U, y_best, fixed = float(values[k]), points[k], False
 
-    lower(*J.newton(P[np.argsort(val, kind="stable")[:REFINED_STARTS]], root_lo, root_hi)[:2])
-    cell = np.indices((cells,) * m).reshape(m, -1).T
-    lo, hi = edges[cell, np.arange(m)], edges[cell + 1, np.arange(m)]
+    Q, v, refined_fixed = J.newton(y_best[None, :], root_lo, root_hi)
+    lower(Q, v)
+    # y_best is a Newton fixed point if it is the refined start, or the start the steps left as it was
+    fixed = bool(refined_fixed[0]) and Q[0].tobytes() == y_best.tobytes()
+    lo, hi = edges[cell_lo, axes], edges[cell_hi, axes]
     near_points, near_bounds = [], []
     boxes = 0
     while len(lo):
@@ -523,7 +567,7 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
         if convex.size:
             box_lo, box_hi = lo[convex], hi[convex]
             y = np.clip(y_best, box_lo, box_hi)
-            v, g, _ = J.evaluate(y)
+            v, g = J.evaluate(y, hessian=False)
             lb3 = v + _quad_min(g, lam[convex], box_lo - y, box_hi - y)
             if not (lb3 < np.inf).all():
                 raise NumericalError("non-finite marginal bound: coordinates too large")
@@ -545,9 +589,12 @@ def _generic_solution(mass, atoms, cost, a, y_old=None):
             sides, mid = np.concatenate([sides, sides]), np.concatenate([mid, mid])
 
     near = np.concatenate(near_bounds) <= U + J.gap(U)
-    P, val, _ = J.newton(np.concatenate([y_best[None, :], np.concatenate(near_points)[near]]),
-                         root_lo, root_hi)
-    U = min(U, float(np.min(val)))
+    P = np.concatenate([y_best[None, :], np.concatenate(near_points)[near]])
+    if fixed and P.tobytes() == np.broadcast_to(y_best, P.shape).tobytes():
+        P, val = P[:1], [U]   # copies of a Newton fixed point, which Newton steps return unchanged
+    else:
+        P, val, _ = J.newton(P, root_lo, root_hi)
+        U = min(U, float(np.min(val)))
     gap = J.gap(U)
     minimizers = []
     for k in np.argsort(val, kind="stable"):
@@ -930,10 +977,10 @@ def marginal_sweep(plan: EmbeddingPlan, cloud: PointCloud, cost: CostFamily,
 
 def pca_solve(cloud: PointCloud, m: int) -> DeterministicMap:
     """Project onto the top-m eigenvectors of the weighted covariance."""
+    if not (_is_int(m) and m >= 1):
+        raise InputError(f"embedding dimension must be an integer >= 1, got {m!r}")
     if m > cloud.dim_d:
         raise InputError(f"cannot embed into {m} dimensions from {cloud.dim_d}")
-    if m < 1:
-        raise InputError("embedding dimension must be >= 1")
     Xc = cloud.points - cloud.mean()
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         C = (Xc.T * cloud.weights) @ Xc

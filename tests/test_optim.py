@@ -38,6 +38,22 @@ def test_config_validation():
             DescentConfig(**bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda cloud: DescentConfig(max_sweeps=True),
+    lambda cloud: DescentConfig(seed=False),
+    lambda cloud: DescentConfig(dim_m=True),
+    lambda cloud: DescentConfig(rel_tol="1e-3"),
+    lambda cloud: pca_solve(cloud, 2.0),
+    lambda cloud: pca_solve(cloud, True),
+], ids=["max_sweeps-bool", "seed-bool", "dim_m-bool", "rel_tol-str", "pca-float-m", "pca-bool-m"])
+def test_wrong_types_raise_input_error(make):
+    # a bool is an Integral but no count, seed or dimension, and a string is no
+    # tolerance: each is an InputError (exit 2), not a TypeError from numpy
+    cloud = random_cloud(np.random.default_rng(0), 5, 3)
+    with pytest.raises(pm.InputError):
+        make(cloud)
+
+
 def test_particle_descent_two_points():
     cloud = pm.PointCloud([[0.0], [1.0]])
     cfg = DescentConfig(max_sweeps=500, rel_tol=1e-15, seed=1, dim_m=1)
